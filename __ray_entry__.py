@@ -282,11 +282,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "documents_repetition_filtered": curation.documents_repetition_filtered,
         "sample_stratified": curation.sample_stratified,
     })
-    # Round-5 rotation (VERDICT r4 item 1): the driver's correctness window
-    # hash-checks the FIRST 50 entries each round.  These 35 keys have never
-    # appeared in any r1–r4 window (in-repo DuckDB parity green, but no
-    # driver hash row), so hoist them to the front — capstones first.
+    # Registry order matters: the external correctness window hash-checks
+    # the FIRST 50 entries each round.  These 42 keys have never had a
+    # hash-checked row there (in-repo DuckDB parity green), so hoist them to
+    # the front.  ``mentions_spans`` (the occurrence-schema query, the one
+    # never green in that window) leads; then capstones.
     _never_driver_checked = [
+        "mentions_spans",
         "hash_sample",       # round-5 new ops — no driver row yet
         "corpus_summary",
         "perplexity_buckets",

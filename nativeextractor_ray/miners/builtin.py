@@ -167,15 +167,17 @@ class UrlMiner(_ReMiner):
 class DateMiner(_ReMiner):
     """naive_date analogue: ISO (YYYY-MM-DD) or dotted (D.M.YYYY) dates.
 
-    ``scan_pattern``'s leading ``(?=[0-9])`` is a pure optimization: both
-    alternatives start with a digit, so the lookahead changes nothing
-    semantically but restores sre's first-charset skip, which a top-level
-    alternation defeats (2.2x on the corpus scan).  RE2 (DuckDB oracles)
-    has no lookahead, so ``pattern`` stays the plain alternation."""
+    ``scan_pattern`` factors the leading digit both alternatives share out
+    of the alternation: sre's first-charset skip needs the pattern to start
+    with a character class, which a top-level alternation (or a leading
+    lookahead) defeats.  The rest keeps the alternative order and the
+    greedy order (``[0-9]{1,2}`` = ``[0-9][0-9]?``), so leftmost-first
+    matching gives the same spans.  ``pattern`` stays the plain
+    alternation: it is the RE2 text the DuckDB oracles run."""
 
     label = "Date"
     pattern = r"[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{1,2}\.[0-9]{1,2}\.[0-9]{4}"
-    scan_pattern = r"(?=[0-9])(?:[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{1,2}\.[0-9]{1,2}\.[0-9]{4})"
+    scan_pattern = r"[0-9](?:[0-9]{3}-[0-9]{2}-[0-9]{2}|[0-9]?\.[0-9]{1,2}\.[0-9]{4})"
 
 
 class PhoneMiner(_ReMiner):

@@ -25,27 +25,6 @@ N_TRIPLE_PARTS = 256
 TRIPLE_COLS = ["subj", "pred", "obj", "support", "first_seen", "prob"]
 
 
-def _combine_df(g, keys: list[str]):
-    out = (
-        g.groupby(keys, sort=False)
-        .agg(support=("support", "sum"),
-             first_seen=("first_seen", "min"),
-             prob=("prob", "max"))
-        .reset_index()
-    )
-    out["support"] = out["support"].astype("int64")
-    out["prob"] = out["prob"].astype("float32")
-    return out
-
-
-def _precombine(t: pa.Table) -> pa.Table:
-    # combiner pass before the shuffle: triple keys repeat across batches
-    # (same conv/speaker/entity pairs), so a large-batch local merge cuts
-    # the shuffled row count ~3× at replicate scale
-    out = _combine_df(t.to_pandas(), ["part", "subj", "pred", "obj"])
-    return pa.Table.from_pandas(out[TRIPLE_COLS + ["part"]], preserve_index=False)
-
-
 def _final_combine(t: pa.Table) -> pa.Table:
     # Arrow C++ group_by: ~10x the pandas string-key groupby throughput
     g = t.group_by(["subj", "pred", "obj"]).aggregate(
@@ -186,27 +165,13 @@ def entity_turns_dataset(sf_dir: str):
         # overrides _extract (not __call__) to inherit the SLICE_ROWS
         # bound; slices are disjoint turn sets, so concat is exact
         def _extract(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-            import numpy as np
-
-            text = batch.column("text").to_pylist()
-            all_ents = self.batch_entities(text)
-            # vectorized row explosion: repeat row indices by per-row
-            # entity counts and take() the key columns — no per-row loop
-            counts = np.fromiter((len(e) for e in all_ents), np.int64,
-                                 count=len(all_ents))
-            idx = pa.array(np.repeat(np.arange(len(text)), counts))
-            flat = [e for ents in all_ents for e in ents]
-            return pa.table(
-                {
-                    "conv_id": pc.cast(
-                        pc.take(batch.column("conv_id"), idx),
-                        pa.string()),
-                    "turn_idx": pc.cast(
-                        pc.take(batch.column("turn_idx"), idx),
-                        pa.int32()),
-                    "ent": pa.array(flat, pa.string()),
-                }
-            )
+            pairs = self.entity_pairs(batch.column("text"))
+            row = pairs.column("row")
+            return pa.table({
+                "conv_id": pc.cast(pc.take(batch.column("conv_id"), row), pa.string()),
+                "turn_idx": pc.cast(pc.take(batch.column("turn_idx"), row), pa.int32()),
+                "ent": pairs.column("ent"),
+            })
 
     # same fused-task shape as triples_dataset (cheap per-instance state)
     ds = transcripts_dataset(sf_dir, fuse=True)
@@ -933,26 +898,14 @@ def entity_turn_role_ts_dataset(sf_dir: str):
 
     class EntityTurnsCtx(KgExtract):
         def _extract(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-            conv = batch.column("conv_id").to_pylist()
-            turn = batch.column("turn_idx").to_pylist()
-            role = batch.column("role").to_pylist()
-            ts = pc.cast(batch.column("ts"), pa.int64()).to_pylist()
-            text = batch.column("text").to_pylist()
-            c_out, t_out, r_out, s_out, e_out = [], [], [], [], []
-            all_ents = self.batch_entities(text)
-            for r in range(len(text)):
-                for e in all_ents[r]:
-                    c_out.append(conv[r])
-                    t_out.append(turn[r])
-                    r_out.append(role[r])
-                    s_out.append(ts[r])
-                    e_out.append(e)
+            pairs = self.entity_pairs(batch.column("text"))
+            row = pairs.column("row")
             return pa.table({
-                "conv_id": pa.array(c_out, pa.string()),
-                "turn_idx": pa.array(t_out, pa.int32()),
-                "role": pa.array(r_out, pa.string()),
-                "ts_us": pa.array(s_out, pa.int64()),
-                "ent": pa.array(e_out, pa.string()),
+                "conv_id": pc.cast(pc.take(batch.column("conv_id"), row), pa.string()),
+                "turn_idx": pc.cast(pc.take(batch.column("turn_idx"), row), pa.int32()),
+                "role": pc.cast(pc.take(batch.column("role"), row), pa.string()),
+                "ts_us": pc.cast(pc.take(batch.column("ts"), row), pa.int64()),
+                "ent": pairs.column("ent"),
             })
 
     ds = transcripts_dataset(sf_dir, fuse=True)

@@ -1,11 +1,10 @@
-"""KgExtract — fused mention-detect + link + triple-emit actor stage.
+"""KgExtract — fused mention-detect + link + triple-emit stage.
 
 One pass over transcript rows produces *pre-aggregated* triple partials:
-while a turn is in hand we emit its role/tool-aware predicates and combine
-duplicates within the batch (a per-batch combiner), so the global
-``groupby((subj, pred, obj))`` dedup shuffles partial counts instead of raw
-occurrences — the pre-aggregate-before-shuffle pattern that keeps the wide
-step small at 10^12-turn scale.
+the batch's triples are combined within the batch (a per-batch combiner),
+so the global ``groupby((subj, pred, obj))`` dedup shuffles partial counts
+instead of raw occurrences — the pre-aggregate-before-shuffle pattern that
+keeps the wide step small at 10^12-turn scale.
 
 Predicates (north-star role/tool-aware set):
 - (conv:<conv_id>,            uses_tool,       tool:<tool>)   when tool != ''
@@ -16,19 +15,41 @@ Predicates (north-star role/tool-aware set):
 
 ``support`` counts turns; ``first_seen`` is the minimal
 ``conv_id#turn_idx`` provenance key (zero-padded so string order == turn
-order); ``prob`` is 1.0 (all std miners emit 1.0, naive_email_miner.c:140).
+order for the non-negative ``turn_idx`` the transcript derivation gives);
+``prob`` is 1.0 (all std miners emit 1.0, naive_email_miner.c:140).
+
+Everything runs through one **(row, ent) pair table** per batch
+(:meth:`KgExtract.entity_pairs`): one row per distinct entity per turn,
+sorted by ``(row, ent)``.  For the standard miner set it comes from one
+scan per miner over the newline-joined batch, mapped to rows with one
+``np.searchsorted``; the triples are then built column-wise in Arrow:
+
+- ``mentions``       — ``take`` of the per-row speaker / provenance keys
+  by ``row``;
+- ``co_occurs_with`` — every ordered index pair inside one row's run of
+  the sorted pair table (a self-join on ``row`` filtered on ``a < b``,
+  computed as numpy index arithmetic);
+- ``uses_tool``      — the rows with a non-empty ``tool``;
+
+then ONE ``group_by((subj, pred, obj))`` with ``count`` / ``min`` of the
+provenance key and the ``stable_part`` partition column.  Python code runs
+per regex match and per BOF-quirk row, never per row or per triple.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from nativeextractor_ray.functions.linking import DictIndex, entity_id
+from nativeextractor_ray.functions.linking import DictIndex, best_dict_match, entity_id
 from nativeextractor_ray.miners.base import run_miners
 from nativeextractor_ray.sources.transcripts import DICT_NAMES
 from nativeextractor_ray.stages.miner_pool import STD_MINER_SPECS, MinerSpec, build_miners
+from nativeextractor_ray.unicode import is_delimiter
 
 TRIPLE_PARTIAL_SCHEMA = pa.schema(
     [
@@ -40,6 +61,33 @@ TRIPLE_PARTIAL_SCHEMA = pa.schema(
         ("prob", pa.float32()),
     ]
 )
+
+PAIR_SCHEMA = pa.schema([("row", pa.int64()), ("ent", pa.string())])
+
+#: predicate names, indexed by the int8 codes the emit groups on
+_PREDS = pa.array(["uses_tool", "mentions", "co_occurs_with"], pa.string())
+
+
+def dict_candidate_pattern(firsts: str) -> str:
+    """Regex for the whitespace-delimited tokens starting with one of
+    ``firsts`` (ASCII): the tokens ``(?<!\\S)[firsts]\\S*`` finds, written
+    with the character class first so Python's ``re`` keeps its
+    first-character skip to candidate characters (a leading lookbehind
+    defeats it).  The fixed-width lookbehind re-checks the matched char
+    together with its predecessor, so the two forms match the same spans."""
+    chars = re.escape("".join(sorted(firsts)))
+    return rf"[{chars}](?<!\S[{chars}])\S*"
+
+
+def _quirk_rows(text: pa.Array) -> list[int]:
+    """Rows whose first char is a non-space delimiter."""
+    firsts = pc.utf8_slice_codeunits(text, 0, 1)
+    quirky = [c for c in pc.unique(firsts).to_pylist()
+              if c and is_delimiter(c) and not c.isspace()]
+    if not quirky:
+        return []
+    mask = pc.is_in(firsts, pa.array(quirky, pa.string()))
+    return np.flatnonzero(mask.to_numpy(zero_copy_only=False)).tolist()
 
 
 class KgExtract:
@@ -62,11 +110,14 @@ class KgExtract:
             name for name, a, k in STD_MINER_SPECS
         ]
         if self._fast:
-            import re
-
-            from nativeextractor_ray.miners.builtin import EmailMiner
+            from nativeextractor_ray.miners.builtin import (
+                DateMiner, EmailMiner, PhoneMiner, UrlMiner,
+            )
 
             self._email = EmailMiner()
+            self._url_re = re.compile(UrlMiner.pattern)
+            self._date_re = re.compile(DateMiner.scan_pattern or DateMiner.pattern)
+            self._phone_re = re.compile(PhoneMiner.pattern)
             # dict-candidate tokens filtered by the regex engine itself: a
             # token can only link if its first char starts some dictionary
             # word.  Only valid when every dict word starts ASCII (for
@@ -80,8 +131,7 @@ class KgExtract:
                 for w in lst
             }
             if firsts and all(ord(c) < 128 for c in firsts):
-                chars = re.escape("".join(sorted(firsts)))
-                self._cand_re = re.compile(rf"(?<!\S)[{chars}]\S*")
+                self._cand_re = re.compile(dict_candidate_pattern("".join(firsts)))
             else:
                 self._cand_re = re.compile(r"\S+")
 
@@ -95,92 +145,103 @@ class KgExtract:
         return sorted(ents)
 
     def batch_entities(self, texts: list[str]) -> list[list[str]]:
-        """Per-row sorted distinct entities for a whole batch.
+        """Per-row sorted distinct entities for a whole batch: the pair
+        table of :meth:`entity_pairs` split by row.  Equals
+        ``[turn_entities(t) for t in texts]`` (asserted by
+        tests/test_kg_fastpath.py and the triples oracle)."""
+        pairs = self.entity_pairs(pa.array(texts, pa.string()))
+        ents = pairs.column("ent").to_pylist()
+        bounds = np.searchsorted(pairs.column("row").to_numpy(),
+                                 np.arange(len(texts) + 1)).tolist()
+        return [ents[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-        Equivalent to ``[turn_entities(t) for t in texts]`` for the
-        standard miner set (asserted by tests/test_kg_fastpath.py and the
-        triples oracle); one pass per miner over the joined text instead
-        of len(texts) Python-level scans."""
+    def entity_pairs(self, text: pa.Array | pa.ChunkedArray) -> pa.Table:
+        """The ``(row, ent)`` pair table (:data:`PAIR_SCHEMA`) of a batch's
+        ``text`` column: one row per distinct entity per turn, sorted by
+        ``(row, ent)``.
+
+        For the standard miner set: the texts joined with "\\n" in Arrow,
+        one pass per miner over the joined text instead of len(text)
+        Python-level scans, match rows from ONE vectorized ``searchsorted``
+        per miner, and dedup + sort in Arrow (UTF-8 byte order is
+        code-point order, so it equals Python's ``sorted``)."""
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
         if not self._fast:
-            return [self.turn_entities(t) for t in texts]
-        import re
+            per_row = [self.turn_entities(t) for t in text.to_pylist()]
+            rows = np.repeat(np.arange(len(text), dtype=np.int64),
+                             [len(e) for e in per_row])
+            return pa.table([pa.array(rows), pa.array([e for es in per_row for e in es],
+                                                      pa.string())], schema=PAIR_SCHEMA)
 
-        import numpy as np
+        one_list = pa.ListArray.from_arrays(pa.array([0, len(text)], pa.int32()), text)
+        joined = pc.binary_join(one_list, "\n")[0].as_py()
+        offsets = np.zeros(len(text) + 1, dtype=np.int64)
+        np.cumsum(pc.utf8_length(text).to_numpy(zero_copy_only=False) + 1, out=offsets[1:])
 
-        from nativeextractor_ray.functions.linking import best_dict_match
-        from nativeextractor_ray.miners.builtin import (
-            DateMiner, EmailMiner, PhoneMiner, UrlMiner,
-        )
-        from nativeextractor_ray.unicode import is_delimiter
+        rows: list[np.ndarray] = []
+        ents: list[str] = []
 
-        joined = "\n".join(texts)
-        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-        for i, t in enumerate(texts):
-            offsets[i + 1] = offsets[i] + len(t) + 1
-        row_starts = offsets[:-1]
+        def add(starts: list[int], found: list[str]) -> None:
+            rows.append(np.searchsorted(offsets, np.asarray(starts, dtype=np.int64),
+                                        side="right") - 1)
+            ents.extend(found)
 
-        ents: list[set] = [set() for _ in texts]
-
-        def rows_for(starts: list[int]) -> np.ndarray:
-            # ONE vectorized searchsorted per miner — a scalar call per
-            # match costs more than the regex scan itself
-            return np.searchsorted(offsets, np.asarray(starts, dtype=np.int64),
-                                   side="right") - 1
-
-        matches = [(mt.start(), mt.group()) for mt in re.finditer(UrlMiner.pattern, joined)]
-        if matches:
-            for r, (_, s) in zip(rows_for([m[0] for m in matches]), matches):
-                rest = s.split("://", 1)
-                host = rest[1].split("/", 1)[0] if len(rest) == 2 else s
-                ents[r].add(f"url:{host}")
-        matches = [(mt.start(), mt.group()) for mt in re.finditer(
-            DateMiner.scan_pattern or DateMiner.pattern, joined)]
-        if matches:
-            for r, (_, s) in zip(rows_for([m[0] for m in matches]), matches):
-                ents[r].add(f"date:{s}")
-        matches = [(mt.start(), mt.group()) for mt in re.finditer(PhoneMiner.pattern, joined)]
-        if matches:
-            for r, (_, s) in zip(rows_for([m[0] for m in matches]), matches):
-                ents[r].add(f"phone:{s}")
+        ms = list(self._url_re.finditer(joined))
+        add([m.start() for m in ms],
+            [f"url:{m.group().split('://', 1)[1].split('/', 1)[0]}" for m in ms])
+        ms = list(self._date_re.finditer(joined))
+        add([m.start() for m in ms], [f"date:{m.group()}" for m in ms])
+        ms = list(self._phone_re.finditer(joined))
+        add([m.start() for m in ms], [f"phone:{m.group()}" for m in ms])
         # email keeps the reference FSM semantics (not a regex rendering)
         spans = self._email.find(joined)
-        if spans:
-            for r, (s, e, _) in zip(rows_for([sp[0] for sp in spans]), spans):
-                ents[r].add(f"email:{joined[s:e].casefold()}")
+        add([s for s, _, _ in spans], [f"email:{joined[s:e].casefold()}" for s, e, _ in spans])
 
-        memo = self._dict_memo
-        index = self.index
-
-        def link(tok: str, r: int) -> None:
-            if tok in memo:
-                w = memo[tok]
-            else:
-                w = best_dict_match(tok, index)
-                if len(memo) < 1_000_000:
-                    memo[tok] = w
-            if w is not None:
-                ents[r].add(f"person:{w}")
-
-        toks = [(mt.start(), mt.group()) for mt in self._cand_re.finditer(joined)]
-        if toks:
-            for (s, tok), r in zip(toks, rows_for([t[0] for t in toks])):
-                link(tok, r)
+        ms = list(self._cand_re.finditer(joined))
+        starts = [m.start() for m in ms]
+        toks = [m.group() for m in ms]
         # per-row BOF quirk: the NER anchor consumes a leading NON-SPACE
         # delimiter (ner.c:24); such first tokens start with punctuation,
-        # so the candidate regex skipped them — handle those rows directly
-        for r, txt in enumerate(texts):
-            if txt and is_delimiter(txt[0]) and not txt[0].isspace():
-                tok = txt[1:].split(None, 1)[0] if txt[1:].strip() else ""
-                if tok and len(txt) > 1 and not txt[1].isspace():
-                    link(tok, r)
+        # so the candidate regex skipped them — add those rows' trimmed
+        # first tokens directly
+        for r in _quirk_rows(text):
+            txt = text[r].as_py()
+            if len(txt) > 1 and not txt[1].isspace():
+                starts.append(int(offsets[r]) + 1)
+                toks.append(txt[1:].split(None, 1)[0])
+        linked = self._link(toks)
+        hit = [i for i, e in enumerate(linked) if e is not None]
+        add([starts[i] for i in hit], [linked[i] for i in hit])
 
-        return [sorted(s) for s in ents]
+        pairs = pa.table([pa.array(np.concatenate(rows)), pa.array(ents, pa.string())],
+                         schema=PAIR_SCHEMA)
+        return (pairs.group_by(["row", "ent"]).aggregate([])
+                .sort_by([("row", "ascending"), ("ent", "ascending")])
+                .select(["row", "ent"]))
+
+    def _link(self, toks: list[str]) -> list[str | None]:
+        """``person:<word>`` per candidate token (None when unlinked),
+        memoized per distinct token."""
+        memo = self._dict_memo
+        index = self.index
+        out: list[str | None] = []
+        for tok in toks:
+            if tok in memo:
+                out.append(memo[tok])
+                continue
+            w = best_dict_match(tok, index)
+            e = f"person:{w}" if w is not None else None
+            if len(memo) < 1_000_000:
+                memo[tok] = e
+            out.append(e)
+        return out
 
     #: max rows processed per internal slice.  ``__call__`` must accept
     #: arbitrarily large blocks (a fused upstream explode stage can hand it
     #: a whole multi-100k-row block: batch_size on a fused stage applies to
     #: PRE-explosion row counts), but the transient working set — the
-    #: per-batch combine dict, its millions of key strings, the joined scan
+    #: pair table, the triple columns before the group_by, the joined scan
     #: buffers — must stay bounded: at ~400k-row calls the fresh-page
     #: allocation cost dominated compute 15× with 16 concurrent workers
     #: (first-touch page faults; same pathology as the minhash pair gather),
@@ -198,48 +259,53 @@ class KgExtract:
         return self._extract(batch)
 
     def _extract(self, batch: pa.Table) -> pa.Table:
-        conv = batch.column("conv_id").to_pylist()
-        turn = batch.column("turn_idx").to_pylist()
-        role = batch.column("role").to_pylist()
-        text = batch.column("text").to_pylist()
-        tool = batch.column("tool").to_pylist()
-
-        # (subj, pred, obj) -> [support, first_seen]
-        acc: dict[tuple[str, str, str], list] = {}
-
-        def emit(s: str, p: str, o: str, seen: str):
-            cur = acc.get((s, p, o))
-            if cur is None:
-                acc[(s, p, o)] = [1, seen]
-            else:
-                cur[0] += 1
-                if seen < cur[1]:
-                    cur[1] = seen
-        all_ents = self.batch_entities(text)
-        for r in range(len(text)):
-            seen = f"{conv[r]}#{turn[r]:09d}"
-            if tool[r]:
-                emit(f"conv:{conv[r]}", "uses_tool", f"tool:{tool[r]}", seen)
-            ents = all_ents[r]
-            speaker = f"speaker:{conv[r]}/{role[r]}"
-            for e in ents:
-                emit(speaker, "mentions", e, seen)
-            for i in range(len(ents)):
-                for j in range(i + 1, len(ents)):
-                    emit(ents[i], "co_occurs_with", ents[j], seen)
-
         from nativeextractor_ray.functions.hashing import stable_part
 
-        keys = list(acc.keys())
+        def col(name: str) -> pa.Array:
+            return pc.cast(batch.column(name).combine_chunks(), pa.string())
+
+        conv = col("conv_id")
+        seen = pc.binary_join_element_wise(conv, pc.utf8_lpad(col("turn_idx"), 9, "0"), "#")
+        speaker = pc.binary_join_element_wise("speaker:", conv, "/", col("role"), "")
+
+        pairs = self.entity_pairs(batch.column("text"))
+        row = pairs.column("row").combine_chunks()
+        ent = pairs.column("ent").combine_chunks()
+        rows = row.to_numpy()
+
+        # co-occurrence: within one row's run of the sorted pair table, pair
+        # every position p with each later position q of the run (the
+        # self-join on row filtered on ent < ent_b: the run is sorted and
+        # distinct, so ent[p] < ent[q] holds by construction)
+        n_after = np.searchsorted(rows, rows, side="right") - np.arange(len(rows)) - 1
+        left = np.repeat(np.arange(len(rows)), n_after)
+        block_start = np.repeat(np.cumsum(n_after) - n_after, n_after)
+        right = left + 1 + np.arange(len(left)) - block_start
+
+        tool = col("tool")
+        tooled = pc.indices_nonzero(pc.greater(pc.binary_length(tool), 0))
+        pair_seen = pc.take(seen, row)
+        triples = [  # (subj, obj, seen) per predicate, in _PREDS order
+            (pc.binary_join_element_wise("conv:", pc.take(conv, tooled), ""),
+             pc.binary_join_element_wise("tool:", pc.take(tool, tooled), ""),
+             pc.take(seen, tooled)),
+            (pc.take(speaker, row), ent, pair_seen),
+            (pc.take(ent, left), pc.take(ent, right), pc.take(pair_seen, left)),
+        ]
+        subj, obj, first = (pa.chunked_array(c, pa.string()) for c in zip(*triples))
+        pred = np.repeat(np.arange(len(triples), dtype=np.int8), [len(t[0]) for t in triples])
+        g = pa.table({"subj": subj, "pred": pred, "obj": obj, "seen": first}).group_by(
+            ["subj", "pred", "obj"]).aggregate([("seen", "count"), ("seen", "min")])
         out = pa.table(
-            {
-                "subj": pa.array([k[0] for k in keys], pa.string()),
-                "pred": pa.array([k[1] for k in keys], pa.string()),
-                "obj": pa.array([k[2] for k in keys], pa.string()),
-                "support": pa.array([acc[k][0] for k in keys], pa.int64()),
-                "first_seen": pa.array([acc[k][1] for k in keys], pa.string()),
-                "prob": pa.array([1.0] * len(keys), pa.float32()),
-            }
+            [
+                g.column("subj"),
+                pc.take(_PREDS, g.column("pred")),
+                g.column("obj"),
+                g.column("seen_count"),
+                g.column("seen_min"),
+                pa.array(np.ones(g.num_rows, np.float32)),
+            ],
+            schema=TRIPLE_PARTIAL_SCHEMA,
         )
         # process-stable partition key for the downstream coarse combine
         # (builtin hash() is salted per process and would split keys)

@@ -102,3 +102,40 @@ def test_winnow_subset_and_deterministic(text):
     fp = winnow(h, 8)
     assert set(fp.tolist()) <= set(h.tolist())
     assert np.array_equal(fp, winnow(rolling_hashes(text, 4), 8))
+
+
+# scan-rewrite alphabet: everything the two rewritten regexes branch on —
+# digits and date punctuation, dictionary first chars, other letters, ASCII
+# and Unicode whitespace, and a non-ASCII letter
+_scan_chars = "0123456789.-einuxyzabq \n\t\u00a0é"
+# date-shaped pieces, so the rarer long matches are drawn too
+_date_pieces = ["2024", "202", "20", "-03", "-1", "1.2.", "12.", ".2024"]
+scan_text = st.one_of(
+    st.text(alphabet=st.sampled_from(_scan_chars), max_size=60),
+    st.lists(st.sampled_from(list(_scan_chars) + _date_pieces), max_size=20).map("".join),
+)
+
+
+def _matches(pattern: str, text: str) -> list[tuple[int, str]]:
+    import re
+
+    return [(m.start(), m.group()) for m in re.finditer(pattern, text)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(scan_text)
+def test_dict_candidate_rewrite_same_matches(text):
+    from nativeextractor_ray.sources.transcripts import DICT_NAMES
+    from nativeextractor_ray.stages.kg_extract import dict_candidate_pattern
+
+    firsts = "".join(sorted({w[0] for w in DICT_NAMES}))
+    assert _matches(dict_candidate_pattern(firsts), text) == _matches(
+        rf"(?<!\S)[{firsts}]\S*", text)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(scan_text)
+def test_date_scan_pattern_same_matches(text):
+    from nativeextractor_ray.miners.builtin import DateMiner
+
+    assert _matches(DateMiner.scan_pattern, text) == _matches(DateMiner.pattern, text)
