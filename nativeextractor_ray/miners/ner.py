@@ -31,6 +31,16 @@ _TOKEN_RE = re.compile(r"\S+")
 NER_THRESHOLD = 0.75  # ner.c:31
 
 
+def dict_candidate_pattern(cls: str) -> str:
+    """Regex for the whitespace-delimited tokens whose first char is in the
+    character-class body ``cls``: the tokens ``(?<!\\S)[cls]\\S*`` finds,
+    written with the class first so Python's ``re`` keeps its
+    first-character skip to candidate characters (a leading lookbehind
+    defeats it).  The fixed-width lookbehind re-checks the matched char
+    together with its predecessor, so the two forms match the same spans."""
+    return rf"[{cls}](?<!\S[{cls}])\S*"
+
+
 class DictionaryMiner(Miner):
     """patricia_miner_c / ner_c analogue (src/patricia_miner.c:20-32,
     src/ner.c:43-53): a miner owning a dictionary trie."""
@@ -94,16 +104,11 @@ class DictionaryMiner(Miner):
         if first_bytes is not None:
             if not first_bytes:
                 self._cand = re.compile(r"(?!x)x")  # empty dict: no matches
-            elif first_bytes[-1] < 0x80:
-                cls = "".join(re.escape(chr(b)) for b in first_bytes)
-                self._cand = re.compile("(?<!\\S)[" + cls + "]\\S*")
             else:
-                cls = "".join(
-                    re.escape(chr(b)) for b in first_bytes if b < 0x80
-                )
-                self._cand = re.compile(
-                    "(?<!\\S)[" + cls + "\\u0080-\\U0010ffff]\\S*"
-                )
+                cls = "".join(re.escape(chr(b)) for b in first_bytes if b < 0x80)
+                if first_bytes[-1] >= 0x80:
+                    cls += "\\u0080-\\U0010ffff"
+                self._cand = re.compile(dict_candidate_pattern(cls))
         else:
             self._cand = None
 

@@ -9,7 +9,6 @@ stages)."""
 from __future__ import annotations
 
 DEFAULT_BATCH_SIZE = 4096
-KG_BATCH_SIZE = 32768
 
 
 def _cpus() -> int:

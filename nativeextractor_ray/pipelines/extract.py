@@ -52,7 +52,11 @@ def mentions_dataset(
     no_enclosed: bool = False,
     carry: Sequence[str] = (),
     replicate: int = 1,
+    doc_partition: tuple[int, int] | None = None,
 ):
+    """transcripts → mention rows; ``doc_partition=(pid, n)`` restricts
+    the scan to the input slice ``doc_id % n == pid`` (the per-partition
+    checkpoint plan, see ``transcripts_dataset``)."""
     names = [n for n, a, k in specs]
     std = names == [n for n, a, k in STD_MINER_SPECS]
     cheap = all(isinstance(n, str) and n in CHEAP_MINERS for n in names)
@@ -63,7 +67,8 @@ def mentions_dataset(
         # 650k-row tasks at replicate=160, collapsing to ~2 tasks); None
         # means "the upstream op's output batch", i.e. one post-explosion
         # batch per 64-doc input slice.
-        ds = transcripts_dataset(sf_dir, replicate=replicate, fuse=True)
+        ds = transcripts_dataset(sf_dir, replicate=replicate,
+                                 doc_partition=doc_partition, fuse=True)
         if std:
             # std miners are picklable → ship ONE pool instance by value
             pool = MinerPool(list(specs), no_enclosed=no_enclosed,
@@ -76,7 +81,7 @@ def mentions_dataset(
             return _task_pool(_s, _ne, _ca)(batch)
 
         return ds.map_batches(scan, batch_format="pyarrow", batch_size=None)
-    ds = transcripts_dataset(sf_dir, replicate=replicate)
+    ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition)
     return ds.map_batches(
         MinerPool,
         fn_constructor_args=(list(specs),),

@@ -1,12 +1,14 @@
 """Knowledge-graph pipeline: transcripts → (subj, pred, obj) triples, plus
 the canonicalization (union-find) stage.
 
-Shape (SURVEY.md §3.4): streaming read → fused KgExtract actor pool
-(mention-detect + link + triple-emit with per-batch combining) →
-``groupby((subj,pred,obj))`` aggregate (the ONLY shuffle; it moves partial
-counts, not occurrences) → triples.  Canonicalization groups distinct
-surfaces (bounded vocabulary), runs union-find on the driver, and the
-resulting surface→entity map is broadcast-sized."""
+Shape (SURVEY.md §3.4): streaming read → KgExtract in task mode, fused
+with the transcripts derive (mention-detect + link + triple-emit with
+per-batch combining) → materialized partials → ``groupby((subj,pred,obj))``
+aggregate (the ONLY shuffle; it moves partial counts, not occurrences) →
+triples.  The checkpointed ``run_kg`` runs the same plan per input slice.
+Canonicalization groups distinct surfaces (bounded vocabulary), runs
+union-find on the driver, and the resulting surface→entity map is
+broadcast-sized."""
 
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.linking import DictIndex, best_dict_match
 from nativeextractor_ray.functions.unionfind import canonicalize
-from nativeextractor_ray.pipelines.common import DEFAULT_BATCH_SIZE, KG_BATCH_SIZE, pool_concurrency
 from nativeextractor_ray.pipelines.extract import mentions_dataset
 from nativeextractor_ray.sources.transcripts import DICT_NAMES, transcripts_dataset
 from nativeextractor_ray.stages.kg_extract import KgExtract
@@ -57,40 +58,27 @@ def combine_triple_partials(ds):
     return agg.map_batches(lambda t: t.select(TRIPLE_COLS), batch_format="pyarrow")
 
 
-def triples_from_transcripts(ds):
-    """transcripts Dataset → triples: per-batch partials from the fused
-    KgExtract actor pool → pre-shuffle combiner → coarse hash-partitioned
-    dedup.
+def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
+    """transcripts → triples, the one plan for the headline and the
+    per-partition checkpoints (``doc_partition=(pid, n)`` restricts it to
+    the input slice ``doc_id % n == pid``, see ``transcripts_dataset``).
+
+    KgExtract's state (dict index + compiled miners) builds in ~ms, so it
+    runs as a pre-built instance in TASK mode, fused with the transcripts
+    derive — per-task scheduling overhead, not compute, dominated the
+    actor-pool shape on chunky local blocks (measured 2× at 800k turns),
+    and task mode needs no minimum actor count, so it runs on 1 CPU.
+    ``batch_size=None`` is load-bearing: an explicit batch_size on a fused
+    stage applies to PRE-explosion row counts (see
+    extract.mentions_dataset).
 
     The final dedup/sum groups by a stable int hash of (subj, pred, obj)
     mod N_TRIPLE_PARTS instead of the 3-string key directly: the shuffle
     sorts a single int column, and each ``map_groups`` call combines a
-    whole partition with one vectorized pandas groupby — avoiding both the
-    3-string sort and per-group UDF overhead."""
-    partial = ds.map_batches(
-        KgExtract,
-        batch_format="pyarrow",
-        batch_size=KG_BATCH_SIZE,
-        concurrency=pool_concurrency(),
-    )
-    # no pre-shuffle combiner: stats show the single-int-key sort shuffle
-    # costs ~1s core time even at 3.4M partial rows, while a pandas
-    # combiner pass costs ~85 core-s — the shuffle is the cheap side here
-    agg = partial.groupby("part").map_groups(_final_combine, batch_format="pyarrow")
-    return agg.map_batches(lambda t: t.select(TRIPLE_COLS), batch_format="pyarrow")
-
-
-def triples_dataset(sf_dir: str, replicate: int = 1):
-    """Headline path: KgExtract's state (dict index + compiled regexes)
-    builds in ~ms, so it runs as a pre-built instance in TASK mode, fused
-    with the transcripts derive — per-task scheduling overhead, not
-    compute, dominated the actor-pool shape on chunky local blocks
-    (measured 2× at 800k turns).  ``batch_size=None`` is load-bearing:
-    an explicit batch_size on a fused stage applies to PRE-explosion row
-    counts (see extract.mentions_dataset).  ``triples_from_transcripts``
-    keeps the actor-pool path for caller-supplied datasets."""
+    whole partition with one vectorized Arrow group_by."""
     kg = KgExtract()
-    ds = transcripts_dataset(sf_dir, replicate=replicate, fuse=True)
+    ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition,
+                             fuse=True)
     partial = ds.map_batches(kg, batch_format="pyarrow", batch_size=None)
     # explicit stage boundary before the dedup shuffle: streamed into an
     # AllToAll consumer, the streaming executor throttles the extraction

@@ -219,21 +219,11 @@ def transcripts_dataset(
         # 608k → 794k at 32 CPUs, by letting blocks reach the core
         # count; rep=160 at 32 CPUs still picks 16 chunky blocks, which
         # measured best there.)
-        try:
-            import pyarrow.parquet as _pq
-            import ray
+        from nativeextractor_ray.pipelines.common import _cpus, table_nrows
 
-            cpus = int(ray.cluster_resources().get("CPU", 16))
-            import os as _os
-
-            _p = f"{sf_dir}/documents"
-            if not _os.path.isdir(_p):
-                _p = f"{_p}.parquet"
-                n_docs = _pq.ParquetFile(_p).metadata.num_rows
-            else:
-                n_docs = sum(
-                    _pq.ParquetFile(_os.path.join(_p, f)).metadata.num_rows
-                    for f in _os.listdir(_p) if f.endswith(".parquet"))
+        n_docs = table_nrows(sf_dir, "documents")
+        blocks = 8
+        if n_docs is not None:
             # three terms: ≥8 always; reach the core count when the
             # workload supports ≥50k turns/block; and NEVER let a block
             # exceed ~200k turns (w // 4) no matter how few CPUs — the
@@ -241,9 +231,7 @@ def transcripts_dataset(
             # a 5M-doc corpus, halving the @4 leg's rate (memory cliff)
             # and fabricating a 1.9 "superlinear" scaling artifact
             w = (n_docs * replicate) // 50_000
-            blocks = max(8, min(cpus, w), w // 4)
-        except Exception:
-            blocks = 8
+            blocks = max(8, min(_cpus(), w), w // 4)
     ds = read_table(sf_dir, "documents", ["doc_id", "text"], blocks=blocks)
     if doc_partition is not None:
         pid, n_parts = doc_partition

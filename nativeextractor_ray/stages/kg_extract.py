@@ -20,9 +20,12 @@ order for the non-negative ``turn_idx`` the transcript derivation gives);
 
 Everything runs through one **(row, ent) pair table** per batch
 (:meth:`KgExtract.entity_pairs`): one row per distinct entity per turn,
-sorted by ``(row, ent)``.  For the standard miner set it comes from one
-scan per miner over the newline-joined batch, mapped to rows with one
-``np.searchsorted``; the triples are then built column-wise in Arrow:
+sorted by ``(row, ent)``.  Its spans come from MinerPool's joined-batch
+scan (:func:`~nativeextractor_ray.stages.miner_pool.joined_scan`) — the
+same miners and the same scan the mention pipeline runs — and KgExtract
+only maps each span to its canonical entity (``linking.entity_id``, once
+per distinct ``(miner, surface)``); the triples are then built
+column-wise in Arrow:
 
 - ``mentions``       — ``take`` of the per-row speaker / provenance keys
   by ``row``;
@@ -38,18 +41,22 @@ per regex match and per BOF-quirk row, never per row or per triple.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from nativeextractor_ray.functions.linking import DictIndex, best_dict_match, entity_id
+from nativeextractor_ray.functions.linking import DictIndex, entity_id
 from nativeextractor_ray.miners.base import run_miners
 from nativeextractor_ray.sources.transcripts import DICT_NAMES
-from nativeextractor_ray.stages.miner_pool import STD_MINER_SPECS, MinerSpec, build_miners
-from nativeextractor_ray.unicode import is_delimiter
+from nativeextractor_ray.stages.miner_pool import (
+    STD_MINER_SPECS,
+    MinerSpec,
+    _fast_scan_safe,
+    build_miners,
+    joined_scan,
+)
 
 TRIPLE_PARTIAL_SCHEMA = pa.schema(
     [
@@ -67,27 +74,7 @@ PAIR_SCHEMA = pa.schema([("row", pa.int64()), ("ent", pa.string())])
 #: predicate names, indexed by the int8 codes the emit groups on
 _PREDS = pa.array(["uses_tool", "mentions", "co_occurs_with"], pa.string())
 
-
-def dict_candidate_pattern(firsts: str) -> str:
-    """Regex for the whitespace-delimited tokens starting with one of
-    ``firsts`` (ASCII): the tokens ``(?<!\\S)[firsts]\\S*`` finds, written
-    with the character class first so Python's ``re`` keeps its
-    first-character skip to candidate characters (a leading lookbehind
-    defeats it).  The fixed-width lookbehind re-checks the matched char
-    together with its predecessor, so the two forms match the same spans."""
-    chars = re.escape("".join(sorted(firsts)))
-    return rf"[{chars}](?<!\S[{chars}])\S*"
-
-
-def _quirk_rows(text: pa.Array) -> list[int]:
-    """Rows whose first char is a non-space delimiter."""
-    firsts = pc.utf8_slice_codeunits(text, 0, 1)
-    quirky = [c for c in pc.unique(firsts).to_pylist()
-              if c and is_delimiter(c) and not c.isspace()]
-    if not quirky:
-        return []
-    mask = pc.is_in(firsts, pa.array(quirky, pa.string()))
-    return np.flatnonzero(mask.to_numpy(zero_copy_only=False)).tolist()
+_UNSEEN = object()
 
 
 class KgExtract:
@@ -98,42 +85,12 @@ class KgExtract:
     ):
         self.miners = build_miners(specs)
         self.index = DictIndex(dict_words)
-        self._dict_memo: dict[str, str | None] = {}
-        # fast-path applicability: entity extraction needs only the SET of
-        # (label, surface) per turn — no span bookkeeping — so the standard
-        # miner set can scan a whole batch joined with "\n" in single
-        # C-level regex passes (no miner of the std set can match across a
-        # newline: regex classes exclude \s / digits only, the email FSM
-        # chars exclude \n, NER tokens are \S+).  Custom specs fall back to
-        # the per-row parity engine.
-        self._fast = [name for name, a, k in specs] == [
-            name for name, a, k in STD_MINER_SPECS
-        ]
-        if self._fast:
-            from nativeextractor_ray.miners.builtin import (
-                DateMiner, EmailMiner, PhoneMiner, UrlMiner,
-            )
-
-            self._email = EmailMiner()
-            self._url_re = re.compile(UrlMiner.pattern)
-            self._date_re = re.compile(DateMiner.scan_pattern or DateMiner.pattern)
-            self._phone_re = re.compile(PhoneMiner.pattern)
-            # dict-candidate tokens filtered by the regex engine itself: a
-            # token can only link if its first char starts some dictionary
-            # word.  Only valid when every dict word starts ASCII (for
-            # multi-byte first chars a partial lead-byte match can still
-            # reach the 0.75 ratio — see miners/ner.py); BOF-delimiter
-            # quirk rows are disjoint (dict chars are letters) and handled
-            # per-row.
-            firsts = {
-                w.decode("utf-8")[0]
-                for lst in self.index.by_first.values()
-                for w in lst
-            }
-            if firsts and all(ord(c) < 128 for c in firsts):
-                self._cand_re = re.compile(dict_candidate_pattern("".join(firsts)))
-            else:
-                self._cand_re = re.compile(r"\S+")
+        # entity extraction needs only the SET of (label, surface) per turn,
+        # so any miner set MinerPool can scan joined can be scanned here the
+        # same way; others fall back to the per-row parity engine
+        self._fast_ok = _fast_scan_safe(self.miners)
+        #: per miner: surface -> entity id (None when it does not link)
+        self._memo: list[dict[str, str | None]] = [{} for _ in self.miners]
 
     def turn_entities(self, text: str) -> list[str]:
         """Distinct canonical entities mentioned in one turn, sorted."""
@@ -160,82 +117,41 @@ class KgExtract:
         ``text`` column: one row per distinct entity per turn, sorted by
         ``(row, ent)``.
 
-        For the standard miner set: the texts joined with "\\n" in Arrow,
-        one pass per miner over the joined text instead of len(text)
-        Python-level scans, match rows from ONE vectorized ``searchsorted``
-        per miner, and dedup + sort in Arrow (UTF-8 byte order is
-        code-point order, so it equals Python's ``sorted``)."""
+        For a fast-safe miner set: MinerPool's :func:`joined_scan` spans,
+        each mapped to its entity by ``entity_id`` once per distinct
+        ``(miner, surface)`` (memoized across batches), then dedup + sort
+        in Arrow (UTF-8 byte order is code-point order, so it equals
+        Python's ``sorted``)."""
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
-        if not self._fast:
+        if not self._fast_ok:
             per_row = [self.turn_entities(t) for t in text.to_pylist()]
             rows = np.repeat(np.arange(len(text), dtype=np.int64),
                              [len(e) for e in per_row])
             return pa.table([pa.array(rows), pa.array([e for es in per_row for e in es],
                                                       pa.string())], schema=PAIR_SCHEMA)
 
-        one_list = pa.ListArray.from_arrays(pa.array([0, len(text)], pa.int32()), text)
-        joined = pc.binary_join(one_list, "\n")[0].as_py()
-        offsets = np.zeros(len(text) + 1, dtype=np.int64)
-        np.cumsum(pc.utf8_length(text).to_numpy(zero_copy_only=False) + 1, out=offsets[1:])
+        joined, _starts, rows, gu0, gu1, lab, _prob = joined_scan(self.miners, text)
+        # spans are miner-major: one run of lab per miner
+        bounds = np.searchsorted(lab, np.arange(len(self.miners) + 1)).tolist()
+        g0, g1 = gu0.tolist(), gu1.tolist()
+        ents: list[str | None] = []
+        for mi, miner in enumerate(self.miners):
+            memo, label, index = self._memo[mi], miner.label, self.index
+            for a, b in zip(g0[bounds[mi]:bounds[mi + 1]], g1[bounds[mi]:bounds[mi + 1]]):
+                surface = joined[a:b]
+                e = memo.get(surface, _UNSEEN)
+                if e is _UNSEEN:
+                    e = entity_id(label, surface, index)
+                    if len(memo) < 1_000_000:  # bounded memo per instance
+                        memo[surface] = e
+                ents.append(e)
 
-        rows: list[np.ndarray] = []
-        ents: list[str] = []
-
-        def add(starts: list[int], found: list[str]) -> None:
-            rows.append(np.searchsorted(offsets, np.asarray(starts, dtype=np.int64),
-                                        side="right") - 1)
-            ents.extend(found)
-
-        ms = list(self._url_re.finditer(joined))
-        add([m.start() for m in ms],
-            [f"url:{m.group().split('://', 1)[1].split('/', 1)[0]}" for m in ms])
-        ms = list(self._date_re.finditer(joined))
-        add([m.start() for m in ms], [f"date:{m.group()}" for m in ms])
-        ms = list(self._phone_re.finditer(joined))
-        add([m.start() for m in ms], [f"phone:{m.group()}" for m in ms])
-        # email keeps the reference FSM semantics (not a regex rendering)
-        spans = self._email.find(joined)
-        add([s for s, _, _ in spans], [f"email:{joined[s:e].casefold()}" for s, e, _ in spans])
-
-        ms = list(self._cand_re.finditer(joined))
-        starts = [m.start() for m in ms]
-        toks = [m.group() for m in ms]
-        # per-row BOF quirk: the NER anchor consumes a leading NON-SPACE
-        # delimiter (ner.c:24); such first tokens start with punctuation,
-        # so the candidate regex skipped them — add those rows' trimmed
-        # first tokens directly
-        for r in _quirk_rows(text):
-            txt = text[r].as_py()
-            if len(txt) > 1 and not txt[1].isspace():
-                starts.append(int(offsets[r]) + 1)
-                toks.append(txt[1:].split(None, 1)[0])
-        linked = self._link(toks)
-        hit = [i for i, e in enumerate(linked) if e is not None]
-        add([starts[i] for i in hit], [linked[i] for i in hit])
-
-        pairs = pa.table([pa.array(np.concatenate(rows)), pa.array(ents, pa.string())],
-                         schema=PAIR_SCHEMA)
-        return (pairs.group_by(["row", "ent"]).aggregate([])
+        pairs = pa.table([pa.array(rows), pa.array(ents, pa.string())], schema=PAIR_SCHEMA)
+        return (pairs.filter(pc.is_valid(pairs.column("ent")))
+                .group_by(["row", "ent"]).aggregate([])
                 .sort_by([("row", "ascending"), ("ent", "ascending")])
                 .select(["row", "ent"]))
-
-    def _link(self, toks: list[str]) -> list[str | None]:
-        """``person:<word>`` per candidate token (None when unlinked),
-        memoized per distinct token."""
-        memo = self._dict_memo
-        index = self.index
-        out: list[str | None] = []
-        for tok in toks:
-            if tok in memo:
-                out.append(memo[tok])
-                continue
-            w = best_dict_match(tok, index)
-            e = f"person:{w}" if w is not None else None
-            if len(memo) < 1_000_000:
-                memo[tok] = e
-            out.append(e)
-        return out
 
     #: max rows processed per internal slice.  ``__call__`` must accept
     #: arbitrarily large blocks (a fused upstream explode stage can hand it

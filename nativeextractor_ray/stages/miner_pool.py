@@ -4,11 +4,16 @@ The reference builds an extractor once (compiling tries / globs / regex
 .so modules) and reuses it for unlimited inputs
 (``/root/reference/src/extractor.c:517-564``, README "Native RegExps":
 compile once, use unlimited times).  Here that economics maps to a callable
-CLASS passed to ``ds.map_batches(MinerPool(...), concurrency=N,
-batch_format="pyarrow")``: miners are compiled once per actor in
-``__init__`` (from picklable specs — compiled automata hold closures that
-must not cross process boundaries), and ``__call__`` processes one Arrow
-batch per invocation, emitting one mention row per occurrence.
+passed to ``ds.map_batches``: miners are compiled once in ``__init__``
+(from picklable specs — compiled automata hold closures that must not
+cross process boundaries) — a pre-built instance in task mode for cheap
+specs, or the class with ``concurrency=N`` as an actor pool for costly
+ones — and ``__call__`` processes one Arrow batch per invocation,
+emitting one mention row per occurrence.
+
+:func:`joined_scan` is the one batch scan: every fast-safe miner set
+(:func:`_fast_scan_safe`) is scanned once per miner over the
+newline-joined batch, here and in ``KgExtract``.
 
 The reference runs miners on parallel threads *within* one scan window and
 barriers on the slowest (extractor.c:236-239); at cluster scale the right
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from nativeextractor_ray.miners.base import (
     Miner,
@@ -30,13 +37,14 @@ from nativeextractor_ray.miners.base import (
 )
 from nativeextractor_ray.occurrence import MENTIONS_SCHEMA
 from nativeextractor_ray.sources.transcripts import DICT_NAMES
+from nativeextractor_ray.unicode import is_delimiter
 
 
 def _fast_scan_safe(miners: Sequence[Miner]) -> bool:
     """True iff every miner is safe for the joined-batch global scan:
     regex-family and email-FSM miners can't match across "\\n"; a
     dictionary miner qualifies when no dict word starts with a delimiter
-    (so the BOF-quirk skip guard in _find_batch is airtight); a
+    (so the BOF-quirk patch in joined_scan is airtight); a
     reference-dialect regex qualifies when its compiled automaton proves
     no consuming edge accepts a newline and no BOF/EOF anchor is present
     (CompiledRegex.joined_scan_safe); a glob qualifies when it has no
@@ -47,7 +55,6 @@ def _fast_scan_safe(miners: Sequence[Miner]) -> bool:
     from nativeextractor_ray.miners.glob import GlobMiner
     from nativeextractor_ray.miners.ner import DictionaryMiner
     from nativeextractor_ray.miners.regexlang import RegexMiner
-    from nativeextractor_ray.unicode import is_delimiter
 
     for m in miners:
         if isinstance(m, GlobMiner):
@@ -74,6 +81,105 @@ def _fast_scan_safe(miners: Sequence[Miner]) -> bool:
         elif not isinstance(m, (_ReMiner, EmailMiner)):
             return False
     return True
+
+
+def _quirk_rows(text: pa.Array) -> list[int]:
+    """Rows whose first char is a non-space delimiter."""
+    firsts = pc.utf8_slice_codeunits(text, 0, 1)
+    quirky = [c for c in pc.unique(firsts).to_pylist()
+              if c and is_delimiter(c) and not c.isspace()]
+    if not quirky:
+        return []
+    mask = pc.is_in(firsts, pa.array(quirky, pa.string()))
+    return np.flatnonzero(mask.to_numpy(zero_copy_only=False)).tolist()
+
+
+def joined_scan(miners: Sequence[Miner], text: pa.Array | pa.ChunkedArray):
+    """ONE global scan per miner over a batch's ``text`` column joined
+    with "\\n" (in Arrow), returning numpy span arrays — no per-mention
+    Python objects.
+
+    Exact-span equivalent of the per-row engine for fast-safe miners
+    (:func:`_fast_scan_safe`; asserted by tests/test_miner_pool_fastpath.py
+    and tests/test_kg_fastpath.py): no fast-safe miner can match across
+    "\\n" (regex classes exclude whitespace or are digit/dot-only; the email
+    FSM's char sets exclude \\n; NER tokens are \\S+), matches in different
+    rows never interact through per-miner ``end_last``, and within-row scan
+    order equals the per-row scan.  The NER BOF-delimiter quirk applies per
+    row, so rows starting with a non-space delimiter are patched after the
+    global scan (dict words never start with a delimiter — checked in
+    ``_fast_scan_safe``).
+
+    Returns ``(joined, starts, rows, gu0, gu1, lab, prob)``: ``starts`` the
+    codepoint offset of each row in ``joined`` (plus the end sentinel),
+    gu0/gu1 codepoint spans into ``joined``, ``rows`` the batch row of each
+    span, ``lab`` the miner index.  Array order is miner-major with spans
+    ascending within each miner — i.e. per row, exactly the per-row
+    engine's insertion order (found.extend per miner in miner order)."""
+    from nativeextractor_ray.miners.ner import _TOKEN_RE, DictionaryMiner
+
+    if isinstance(text, pa.ChunkedArray):
+        text = text.combine_chunks()
+    one_list = pa.ListArray.from_arrays(pa.array([0, len(text)], pa.int32()), text)
+    joined = pc.binary_join(one_list, "\n")[0].as_py()
+    starts = np.zeros(len(text) + 1, dtype=np.int64)
+    np.cumsum(pc.utf8_length(text).to_numpy(zero_copy_only=False) + 1, out=starts[1:])
+
+    # rows starting with a NON-SPACE delimiter: the per-row scan trims
+    # that char off the first token (ner.c:24); the global scan saw it
+    # only at joined[0].  Row 0 needs no patch: joined[0] IS the row's
+    # first char, so the global scan already applied the quirk there.
+    quirk_rows = [r for r in _quirk_rows(text) if r > 0]
+    quirk_starts = starts[quirk_rows]
+
+    u0_parts, u1_parts, lab_parts, prob_parts = [], [], [], []
+    for mi, miner in enumerate(miners):
+        fa = getattr(miner, "find_arrays", None)
+        if fa is not None:  # array protocol: no per-span tuples at all
+            u0, u1, pr = fa(joined)
+            u0 = np.asarray(u0, dtype=np.int64)
+            u1 = np.asarray(u1, dtype=np.int64)
+            pr = np.asarray(pr, dtype=np.float32)
+        else:
+            spans = miner.find(joined)
+            n = len(spans)
+            u0 = np.fromiter((s[0] for s in spans), dtype=np.int64, count=n)
+            u1 = np.fromiter((s[1] for s in spans), dtype=np.int64, count=n)
+            pr = np.fromiter((s[2] for s in spans), dtype=np.float32, count=n)
+        if isinstance(miner, DictionaryMiner) and quirk_rows:
+            # drop any global span anchored at a quirk row's first char
+            # (untrimmed first token accepted globally — cannot happen
+            # for letter-first dictionaries, guarded in _fast_scan_safe;
+            # kept to stay row-equivalent)
+            keep = ~np.isin(u0, quirk_starts)
+            u0, u1, pr = u0[keep], u1[keep], pr[keep]
+            # emit the trimmed first token where the dictionary accepts
+            # it; its start (local position 1) precedes every other
+            # token of the row, so the sort below keeps row order
+            q0, q1 = [], []
+            for r in quirk_rows:
+                lo = int(starts[r])
+                m0 = _TOKEN_RE.match(joined, lo, int(starts[r + 1]) - 1)
+                if m0 and m0.end() > lo + 1 and miner.accepts(m0.group()[1:]):
+                    q0.append(lo + 1)
+                    q1.append(m0.end())
+            if q0:
+                u0 = np.concatenate([u0, np.asarray(q0, np.int64)])
+                u1 = np.concatenate([u1, np.asarray(q1, np.int64)])
+                pr = np.concatenate([pr, np.ones(len(q0), np.float32)])
+                order = np.argsort(u0, kind="stable")
+                u0, u1, pr = u0[order], u1[order], pr[order]
+        u0_parts.append(u0)
+        u1_parts.append(u1)
+        prob_parts.append(pr)
+        lab_parts.append(np.full(len(u0), mi, dtype=np.int64))
+
+    gu0 = np.concatenate(u0_parts) if u0_parts else np.empty(0, np.int64)
+    gu1 = np.concatenate(u1_parts) if u1_parts else np.empty(0, np.int64)
+    lab = np.concatenate(lab_parts) if lab_parts else np.empty(0, np.int64)
+    prob = np.concatenate(prob_parts) if prob_parts else np.empty(0, np.float32)
+    rows = np.searchsorted(starts, gu0, side="right") - 1
+    return joined, starts, rows, gu0, gu1, lab, prob
 
 # (miner_name_or_class, args, kwargs) — the config-driven pipeline assembly
 # surface (the analogue of add_miner_so(path, symbol, params),
@@ -114,117 +220,18 @@ class MinerPool:
         self.sort = sort
         self.carry = tuple(carry)
         self._fast_ok = _fast_scan_safe(self.miners)
-        import numpy as np
-
         labels = [m.label for m in self.miners]
         self._label_arr = np.asarray(labels, dtype=object)
         ranks = {l: i for i, l in enumerate(sorted(set(labels)))}
         self._label_rank = np.asarray([ranks[l] for l in labels], dtype=np.int64)
-
-    def _scan_batch_arrays(self, texts: list[str]):
-        """ONE global scan per miner over the newline-joined batch,
-        returning numpy span arrays — no per-mention Python objects.
-
-        Exact-span equivalent of the per-row engine for fast-safe miners
-        (asserted by tests/test_miner_pool_fastpath.py): no fast-safe
-        miner can match across "\\n" (regex classes exclude whitespace or
-        are digit/dot-only; the email FSM's char sets exclude \\n; NER
-        tokens are \\S+), matches in different rows never interact through
-        per-miner ``end_last``, and within-row scan order equals the
-        per-row scan.  The NER BOF-delimiter quirk applies per row, so
-        rows starting with a non-space delimiter are patched after the
-        global scan (dict words never start with a delimiter — checked in
-        ``_fast_scan_safe``).
-
-        Returns ``(joined, starts, rows, gu0, gu1, lab_idx, prob)`` where
-        gu0/gu1 are codepoint spans into ``joined``, ``rows`` the batch row
-        of each span, ``lab_idx`` the miner index.  Array order is
-        miner-major with spans ascending within each miner — i.e. per row,
-        exactly the per-row engine's insertion order (found.extend per
-        miner in miner order)."""
-        import re as _re
-
-        import numpy as np
-
-        from nativeextractor_ray.miners.ner import DictionaryMiner
-        from nativeextractor_ray.unicode import is_delimiter
-
-        joined = "\n".join(texts)
-        nrows = len(texts)
-        lens = np.fromiter((len(t) for t in texts), dtype=np.int64, count=nrows)
-        starts = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(lens + 1, out=starts[1:])
-
-        # rows starting with a NON-SPACE delimiter: the per-row scan trims
-        # that char off the first token (ner.c:24); the global scan saw it
-        # only at joined[0].  Row 0 needs no patch: joined[0] IS
-        # texts[0][0], so the global scan already applied the quirk there.
-        quirk_rows = [
-            r for r, t in enumerate(texts)
-            if r > 0 and t and is_delimiter(t[0]) and not t[0].isspace()
-        ]
-        quirk_starts = starts[np.asarray(quirk_rows, dtype=np.int64)] if quirk_rows else None
-
-        u0_parts, u1_parts, lab_parts, prob_parts = [], [], [], []
-        for mi, miner in enumerate(self.miners):
-            fa = getattr(miner, "find_arrays", None)
-            if fa is not None:  # array protocol: no per-span tuples at all
-                u0, u1, pr = fa(joined)
-                u0 = np.asarray(u0, dtype=np.int64)
-                u1 = np.asarray(u1, dtype=np.int64)
-                pr = np.asarray(pr, dtype=np.float32)
-            else:
-                spans = miner.find(joined)
-                n = len(spans)
-                u0 = np.fromiter((s[0] for s in spans), dtype=np.int64, count=n)
-                u1 = np.fromiter((s[1] for s in spans), dtype=np.int64, count=n)
-                pr = np.fromiter((s[2] for s in spans), dtype=np.float32, count=n)
-            if isinstance(miner, DictionaryMiner) and quirk_rows:
-                # drop any global span anchored at a quirk row's first char
-                # (untrimmed first token accepted globally — cannot happen
-                # for letter-first dictionaries, guarded in
-                # _fast_scan_safe; kept to stay row-equivalent)
-                drop = np.isin(u0, quirk_starts)
-                if drop.any():
-                    keep = ~drop
-                    u0, u1, pr = u0[keep], u1[keep], pr[keep]
-                # emit the trimmed first token where the dictionary accepts
-                # it; its start (local position 1) precedes every other
-                # token of the row, so the merge below keeps row order
-                q0, q1 = [], []
-                for r in quirk_rows:
-                    m0 = _re.match(r"\S+", texts[r])
-                    tok = m0.group()[1:] if m0 else ""
-                    if tok and miner.accepts(tok):
-                        q0.append(int(starts[r]) + 1)
-                        q1.append(int(starts[r]) + m0.end())
-                if q0:
-                    u0 = np.concatenate([u0, np.asarray(q0, np.int64)])
-                    u1 = np.concatenate([u1, np.asarray(q1, np.int64)])
-                    pr = np.concatenate([pr, np.ones(len(q0), np.float32)])
-                    order = np.argsort(u0, kind="stable")
-                    u0, u1, pr = u0[order], u1[order], pr[order]
-            u0_parts.append(u0)
-            u1_parts.append(u1)
-            prob_parts.append(pr)
-            lab_parts.append(np.full(len(u0), mi, dtype=np.int64))
-
-        gu0 = np.concatenate(u0_parts) if u0_parts else np.empty(0, np.int64)
-        gu1 = np.concatenate(u1_parts) if u1_parts else np.empty(0, np.int64)
-        lab = np.concatenate(lab_parts) if lab_parts else np.empty(0, np.int64)
-        prob = np.concatenate(prob_parts) if prob_parts else np.empty(0, np.float32)
-        rows = np.searchsorted(starts, gu0, side="right") - 1
-        return joined, starts, rows, gu0, gu1, lab, prob
 
     def _call_fast(self, batch: pa.Table) -> pa.Table:
         """Vectorized batch path: numpy span arrays end to end, one Arrow
         ``take`` for the carried columns, one ``pa.array`` per output
         column — no per-mention Python append loop (the round-1 output
         assembly was the mention-scan wall; VERDICT.md r1 item 1)."""
-        import numpy as np
-
-        texts = batch.column("text").to_pylist()
-        joined, starts, rows, gu0, gu1, lab, prob = self._scan_batch_arrays(texts)
+        joined, starts, rows, gu0, gu1, lab, prob = joined_scan(
+            self.miners, batch.column("text"))
 
         # local codepoint spans
         lu0 = gu0 - starts[rows]

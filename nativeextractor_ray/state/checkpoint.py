@@ -8,9 +8,12 @@ Design (SURVEY.md §4.3.4):
 - Partition id is a *deterministic function of the input* (``doc_id %
   n_partitions``), never of execution order — a resumed run assigns every
   row to the same partition, so skipping a completed partition is safe.
-- Each partition runs the full triples pipeline on its input slice and
+- Each partition runs the pipeline's own plan on its input slice — for
+  triples and mentions the very plans the headline runs
+  (``kg.triples_dataset`` / ``extract.mentions_dataset`` with
+  ``doc_partition``), all in task mode — and
   writes ``parts/<pid>/`` parquet plus ``_manifest/part-<pid>.json`` with
-  lineage (input fingerprint: sf_dir, row count, doc_id min/max), counters
+  lineage (input fingerprint: sf_dir, row count, bytes on disk), counters
   (turns in, triples out), a stage-version stamp, and wall time.  The
   manifest is written AFTER the data (write-then-commit ordering), so a
   kill mid-partition leaves no manifest and the partition reruns.
@@ -36,43 +39,31 @@ STAGE_VERSION = "kgx-triples-v1"
 
 
 def _input_fingerprint(sf_dir: str) -> dict:
-    import pyarrow.parquet as pq
+    """Lineage of the ``documents`` input: metadata row count plus on-disk
+    size (the file's, or the sum of a directory table's parquet files)."""
+    from nativeextractor_ray.pipelines.common import table_nrows
 
-    f = pq.ParquetFile(f"{sf_dir}/documents.parquet")
-    meta = f.metadata
-    return {
-        "sf_dir": str(sf_dir),
-        "rows": meta.num_rows,
-        "size_bytes": Path(f"{sf_dir}/documents.parquet").stat().st_size,
-    }
+    path = Path(sf_dir) / "documents"
+    if path.is_dir():
+        size = sum(f.stat().st_size for f in path.glob("*.parquet"))
+    else:
+        size = path.with_suffix(".parquet").stat().st_size
+    return {"sf_dir": str(sf_dir), "rows": table_nrows(sf_dir, "documents"),
+            "size_bytes": size}
 
 
 def partition_triples(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):
-    """The triples pipeline restricted to one deterministic input slice."""
-    from nativeextractor_ray.pipelines.kg import triples_from_transcripts
-    from nativeextractor_ray.sources.transcripts import transcripts_dataset
+    """The headline triples plan restricted to one deterministic input slice."""
+    from nativeextractor_ray.pipelines.kg import triples_dataset
 
-    ds = transcripts_dataset(
-        sf_dir, replicate=replicate, doc_partition=(pid, n_partitions)
-    )
-    return triples_from_transcripts(ds)
+    return triples_dataset(sf_dir, replicate, doc_partition=(pid, n_partitions))
 
 
 def partition_mentions(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):
-    """The mention-scan pipeline restricted to one input slice."""
-    from nativeextractor_ray.pipelines.common import DEFAULT_BATCH_SIZE, pool_concurrency
-    from nativeextractor_ray.sources.transcripts import transcripts_dataset
-    from nativeextractor_ray.stages.miner_pool import MinerPool
+    """The mention-scan plan restricted to one deterministic input slice."""
+    from nativeextractor_ray.pipelines.extract import mentions_dataset
 
-    ds = transcripts_dataset(
-        sf_dir, replicate=replicate, doc_partition=(pid, n_partitions)
-    )
-    return ds.map_batches(
-        MinerPool,
-        batch_format="pyarrow",
-        batch_size=DEFAULT_BATCH_SIZE,
-        concurrency=pool_concurrency(),
-    )
+    return mentions_dataset(sf_dir, replicate=replicate, doc_partition=(pid, n_partitions))
 
 
 def partition_dedup_exact(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):
@@ -227,12 +218,10 @@ def run_partitioned(
     256 partitions a serial loop is driver-bound.  Manifests remain the
     only commit point: a kill mid-flight leaves at most ``overlap``
     manifest-less partial dirs, which a resumed run clears and reruns.
-    Default overlap is ``clamp(cluster_cpus // 8, 1, 4)``: each actor-pool
-    execution pins ≥1 actor CPU for its lifetime, so overlapping more
-    executions than the CPUs can host alongside their upstream read tasks
-    starves the pools cross-execution (measured: overlap=4 on a 4-CPU
-    session deadlocks the triples pipeline).  ``fail_after`` forces
-    overlap=1 so the simulated-kill boundary stays deterministic.
+    Default overlap is ``clamp(cluster_cpus // 8, 1, 4)``: overlapped
+    executions share the same CPUs, so more of them than the cluster can
+    host alongside their read tasks only adds contention.  ``fail_after``
+    forces overlap=1 so the simulated-kill boundary stays deterministic.
     """
     factory, _combine, weight_col = _pipelines()[pipeline]
     out = Path(out_dir)

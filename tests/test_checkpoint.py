@@ -190,8 +190,7 @@ def test_run_kg_cli_pipeline_flag(sf_dir, tmp_path, ray_session):
 def test_overlapped_run_equals_serial(sf_dir, tmp_path, ray_session):
     """overlap>1 (concurrent partition executions) produces bit-identical
     outputs + manifests to the serial loop; manifests stay the commit
-    point.  Uses the task-based redact pipeline: actor-pool pipelines
-    need the CPU-scaled default overlap (see run_partitioned docstring)."""
+    point.  Uses the redact pipeline, the cheapest to run."""
     from nativeextractor_ray.state.checkpoint import finalize, run_partitioned
 
     a, b = str(tmp_path / "serial"), str(tmp_path / "overlap")
@@ -243,3 +242,92 @@ def test_quality_gate_killed_run_resumes(sf_dir, out_dir, ray_session):
     assert got.equals(want)
     # manifest weight counter sums the pass column across partitions
     assert summary["counters"]["weight_total"] == int(want["n_pass"].sum())
+
+
+_ONE_CPU_RUN = """
+import sys
+import ray
+from nativeextractor_ray.state.checkpoint import finalize, run_partitioned
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+sf_dir, out = sys.argv[1], sys.argv[2]
+for pipeline in ("triples", "mentions"):
+    run_partitioned(sf_dir, f"{out}/{pipeline}", 2, pipeline=pipeline)
+    print(pipeline, finalize(f"{out}/{pipeline}", pipeline=pipeline).count())
+ray.shutdown()
+"""
+
+
+def test_checkpoint_pipelines_complete_on_one_cpu(sf_dir, tmp_path):
+    """The checkpointed triples and mentions plans need no more than one
+    Ray CPU: a plan that waits for a second actor slot never finishes."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = str(Path(__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": repo}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_RUN, sf_dir, str(tmp_path / "out")],
+        env=env, cwd=str(tmp_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=150)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_partitioned did not finish within 150 s on 1 Ray CPU")
+    assert proc.returncode == 0, err[-2000:]
+    counts = {k: int(v) for k, v in (line.split() for line in out.splitlines()
+                                     if line.startswith(("triples ", "mentions ")))}
+    assert counts["triples"] > 0 and counts["mentions"] > 0
+
+
+def test_directory_table_resume_equals_direct(sf_dir, tmp_path, ray_session):
+    """A directory-layout ``documents`` table (scripts/split_table.py)
+    fingerprints, resumes after a kill and finalizes to the direct triples."""
+    import importlib.util
+
+    import pyarrow.parquet as pq
+
+    from nativeextractor_ray.pipelines.kg import triples_dataset
+    from nativeextractor_ray.state.checkpoint import finalize, run_partitioned
+
+    split_dir = tmp_path / "sf_split"
+    split_dir.mkdir()
+    pq.write_table(pq.read_table(f"{sf_dir}/documents.parquet"),
+                   split_dir / "documents.parquet", row_group_size=128)
+    spec = importlib.util.spec_from_file_location(
+        "split_table", Path(__file__).resolve().parents[1] / "scripts" / "split_table.py")
+    split_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(split_table)
+    split_table.split(str(split_dir), "documents", 4)
+    assert len(list((split_dir / "documents").glob("*.parquet"))) == 4
+
+    out = str(tmp_path / "kg_out")
+    with pytest.raises(RuntimeError, match="simulated kill"):
+        run_partitioned(str(split_dir), out, n_partitions=4, fail_after=2)
+    summary = run_partitioned(str(split_dir), out, n_partitions=4)
+    assert summary["skipped"] == [0, 1] and summary["ran"] == [2, 3]
+    m = json.loads((Path(out) / "_manifest" / "part-0.json").read_text())
+    assert m["input"]["rows"] == pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+
+    got = _to_df(finalize(out))
+    want = _to_df(triples_dataset(sf_dir))
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_single_file_fingerprint_unchanged(sf_dir):
+    """Single-file fingerprints keep their values, so existing manifests
+    still match on resume."""
+    import pyarrow.parquet as pq
+
+    from nativeextractor_ray.state.checkpoint import _input_fingerprint
+
+    path = Path(sf_dir) / "documents.parquet"
+    assert _input_fingerprint(sf_dir) == {
+        "sf_dir": str(sf_dir),
+        "rows": pq.ParquetFile(path).metadata.num_rows,
+        "size_bytes": path.stat().st_size,
+    }

@@ -71,3 +71,53 @@ def test_unsafe_regex_spec_falls_back():
     assert not MinerPool([("regex", ("^a+",), {})])._fast_ok      # BOF anchor
     assert not MinerPool([("regex", ("a\\sb",), {})])._fast_ok    # \s eats \n
     assert MinerPool([("regex", ("[0-9]+",), {})])._fast_ok
+
+
+_EDGE_BATCHES = {
+    "empty_batch": [],
+    "one_row": ["erin mailed zelda.7@mail.example.org on 2024-03-05"],
+    "one_quirk_row": ["(erin calls +420123456789"],
+    "quirk_rows_0_and_later": [
+        "(erin x",                      # row 0: the global scan's own BOF
+        "nora https://h.x/p",
+        "(ivan on 1.2.2024",            # row > 0: patched after the scan
+        "[zelda",                       # whole row is the quirk token
+        "(",                            # delimiter only: trimmed empty
+        ",uma, erinxx",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_BATCHES))
+def test_joined_scan_edge_batches(name):
+    """0-row, 1-row and BOF-quirk batches: the joined scan equals the
+    per-row engine through MinerPool and through KgExtract."""
+    from nativeextractor_ray.stages.kg_extract import KgExtract
+
+    texts = _EDGE_BATCHES[name]
+    fast = MinerPool()
+    slow = MinerPool()
+    slow._fast_ok = False
+    assert _rows_of(fast, texts) == _rows_of(slow, texts)
+
+    kg = KgExtract()
+    assert kg._fast_ok
+    assert kg.batch_entities(texts) == [kg.turn_entities(t) for t in texts]
+
+
+def test_kg_nonstandard_fast_safe_specs_take_joined_scan(sf_dir):
+    """A non-standard but fast-safe spec set (the standard one without
+    ``phone``) runs KgExtract on the joined scan, with per-row results."""
+    from nativeextractor_ray.stages.kg_extract import KgExtract
+    from nativeextractor_ray.stages.miner_pool import STD_MINER_SPECS
+
+    specs = [s for s in STD_MINER_SPECS if s[0] != "phone"]
+    kg = KgExtract(specs)
+    assert kg._fast_ok
+    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    texts = derive_transcripts_table(t).column("text").to_pylist()
+    texts += _EDGE_BATCHES["quirk_rows_0_and_later"]
+    got = kg.batch_entities(texts)
+    assert got == [kg.turn_entities(x) for x in texts]
+    assert not any(e.startswith("phone:") for row in got for e in row)
+    assert any(e.startswith("date:") for row in got for e in row)

@@ -126,7 +126,7 @@ def _matches(pattern: str, text: str) -> list[tuple[int, str]]:
 @given(scan_text)
 def test_dict_candidate_rewrite_same_matches(text):
     from nativeextractor_ray.sources.transcripts import DICT_NAMES
-    from nativeextractor_ray.stages.kg_extract import dict_candidate_pattern
+    from nativeextractor_ray.miners.ner import dict_candidate_pattern
 
     firsts = "".join(sorted({w[0] for w in DICT_NAMES}))
     assert _matches(dict_candidate_pattern(firsts), text) == _matches(
