@@ -132,11 +132,11 @@ def _bpe_reference(sf_dir: str, k: int, max_words: int) -> list[tuple]:
     (no Arrow, no Dataset, no shared histogram code path)."""
     from collections import Counter
 
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import load_table
 
     cnt: Counter = Counter()
-    for txt in pq.read_table(f"{sf_dir}/documents.parquet",
-                             columns=["text"]).column("text").to_pylist():
+    for txt in load_table(sf_dir, "documents",
+                          columns=["text"]).column("text").to_pylist():
         for w in txt.split(" "):
             if w:
                 cnt[w] += 1
@@ -309,7 +309,7 @@ def _bpe_encode_reference(sf_dir: str, k: int, max_words: int) -> list[tuple]:
     """Independent scalar reference for the per-doc encode summary."""
     import hashlib
 
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import load_table
 
     merges = _bpe_reference(sf_dir, k, max_words)
     ranks = {(l, r): rank for rank, l, r, _m, _c in merges}
@@ -332,7 +332,7 @@ def _bpe_encode_reference(sf_dir: str, k: int, max_words: int) -> list[tuple]:
             syms = out
 
     rows = []
-    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    t = load_table(sf_dir, "documents", columns=["doc_id", "text"])
     for did, txt in zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()):
         words = [w for w in txt.split(" ") if w]
         toks: list[str] = []

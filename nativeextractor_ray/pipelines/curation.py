@@ -1026,11 +1026,11 @@ def domain_mix_temperature_sql(alpha: float = MIX_ALPHA,
                                sf_dir: str | None = None) -> str:
     import os
 
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import load_table
 
     sf_dir = sf_dir or os.environ.get("GRAFT_ORACLE_SF_DIR",
                                       "/root/testdata/sf0.01")
-    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=[domain_col])
+    t = load_table(sf_dir, "documents", columns=[domain_col])
     vc = pc.value_counts(t.column(domain_col))
     counts = dict(zip(vc.field("values").to_pylist(),
                       (int(c) for c in vc.field("counts").to_pylist())))

@@ -1889,13 +1889,11 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
     source pair is canonicalized by NAME order on both engines.
 
     Output: ``(source_a, source_b, n_pairs)``."""
-    import pyarrow.parquet as pq
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import table_nrows
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     pairs = dedup_ngram_jaccard(sf_dir, n, threshold)
     n_docs = table_nrows(sf_dir, "documents")
@@ -1908,8 +1906,7 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
             "n_pairs": pa.array([acc[k] for k in ks], pa.int64())})
 
     if n_docs is not None and n_docs * 16 <= SRC_MATRIX_BOUND:
-        dl = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "source"])
+        dl = load_table(sf_dir, "documents", columns=["doc_id", "source"])
         ids = dl.column("doc_id").to_numpy()
         src = dl.column("source")
         sd = pc.dictionary_encode(

@@ -169,7 +169,7 @@ def rfm_segments(sf_dir: str, tiers: int = RFM_TIERS):
     from ray.data.aggregate import Max, Sum
 
     from nativeextractor_ray.pipelines.quantiles import _exact_quantiles
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     ds = read_table(sf_dir, "orders",
                     ["o_custkey", "o_orderdate", "o_totalprice"])
@@ -198,7 +198,6 @@ def rfm_segments(sf_dir: str, tiers: int = RFM_TIERS):
     # refinement kernel runs; a pytest forces bound=0 and asserts both
     # paths bit-identical.
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_cust = table_nrows(sf_dir, "customer")
     if n_cust is not None and n_cust * 24 <= RFM_DRIVER_FOLD_BOUND:

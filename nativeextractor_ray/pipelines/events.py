@@ -1747,17 +1747,12 @@ def high_value_events(sf_dir: str, min_value: float = PRUNE_MIN_VALUE):
     import ray.data
     from ray.data.aggregate import Sum
 
-    import os
-
     import pyarrow.dataset as pads
 
-    from nativeextractor_ray.sources.tables import target_parallelism
+    from nativeextractor_ray.sources.tables import table_path, target_parallelism
 
-    path = f"{sf_dir}/events"
-    if not os.path.isdir(path):
-        path = f"{path}.parquet"
     ds = ray.data.read_parquet(
-        path,
+        table_path(sf_dir, "events"),
         columns=["event_type", "value"],
         filter=(pads.field("value") >= min_value),
         override_num_blocks=target_parallelism())

@@ -353,14 +353,12 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
     engines: ``(i·n + tiers - 1) // tiers`` (the rfm_segments rule).
 
     Output: ``(doc_id, lang, lm_logprob, bucket)``."""
-    import pyarrow.parquet as pq
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import table_nrows
     from nativeextractor_ray.pipelines.quantiles import _exact_quantiles
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     scores = lm_score(sf_dir)
     n_docs = table_nrows(sf_dir, "documents")
@@ -387,8 +385,7 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
         vv = np.concatenate(vs) if vs else np.array([], np.float64)
         order = np.argsort(kk)
         kk, vv = kk[order], vv[order]
-        dl = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
+        dl = load_table(sf_dir, "documents", columns=["doc_id", "lang"])
         ids = dl.column("doc_id").to_numpy()
         pos = (np.searchsorted(kk, ids) if len(kk)
                else np.zeros(len(ids), np.int64))

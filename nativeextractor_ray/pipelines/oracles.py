@@ -209,9 +209,8 @@ def mentions_spans_sql(sf_dir: str | None = None) -> str:
     """
     import os
 
-    import pyarrow.parquet as pq
-
     from nativeextractor_ray.miners.base import run_miners
+    from nativeextractor_ray.sources.tables import load_table
     from nativeextractor_ray.sources.transcripts import derive_transcripts_table
     from nativeextractor_ray.stages.miner_pool import (
         STD_MINER_SPECS,
@@ -221,7 +220,7 @@ def mentions_spans_sql(sf_dir: str | None = None) -> str:
     sf_dir = sf_dir or os.environ.get(
         "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"
     )
-    tt = derive_transcripts_table(pq.read_table(f"{sf_dir}/documents.parquet"))
+    tt = derive_transcripts_table(load_table(sf_dir, "documents"))
     miners = build_miners(STD_MINER_SPECS)
 
     def q(s: str) -> str:

@@ -605,7 +605,7 @@ def session_duration_quantiles(sf_dir: str, qs=SESSION_QS,
     import pandas as pd
     import ray.data
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
@@ -647,7 +647,6 @@ def session_duration_quantiles(sf_dir: str, qs=SESSION_QS,
     # refinement kernel (the quantile-composition rule: each of the R+1
     # scans would otherwise re-execute the sessionization exchange).
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_events = table_nrows(sf_dir, "events") if sf_dir else None
     qs_sorted = sorted(qs)
@@ -794,7 +793,7 @@ def conversion_latency_quantiles(sf_dir: str, qs=CONVERSION_QS):
     import ray.data
     from ray.data.aggregate import Min
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     SENT = np.iinfo(np.int64).max
 
@@ -823,7 +822,6 @@ def conversion_latency_quantiles(sf_dir: str, qs=CONVERSION_QS):
     # (without the boundary each of the R+1 scans re-executed the whole
     # user groupby — the quantile-composition rule).
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_events = table_nrows(sf_dir, "events") if sf_dir else None
     if n_events is not None and n_events * 16 <= CONV_DRIVER_FOLD_BOUND:
@@ -922,7 +920,7 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
     import pandas as pd
     import ray.data
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_orderdate", "o_orderpriority"])
@@ -980,7 +978,6 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     def hist_partial(t: pa.Table) -> pa.Table:
         g = (t.group_by(["priority", "lat_days"])

@@ -13,8 +13,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def _key_index(keys, values, fill) -> np.ndarray:
+    """Dense lookup ``out[key] = value`` over a dimension table's integer
+    keys, ``fill`` where no key lands.  Sized ``max(keys) + 1``, or 1 when
+    there are no keys.  Integer values widen to int64."""
+    keys = np.asarray(keys)
+    values = np.asarray(values)
+    dtype = np.int64 if values.dtype.kind in "iu" else values.dtype
+    out = np.full(int(keys.max()) + 1 if len(keys) else 1, fill, dtype)
+    out[keys] = values
+    return out
+
+
 def _topk_fold(ds, keys: list[str], descending: list[bool], k: int,
-               out_cols: list[str] | None = None) -> pa.Table:
+               schema: pa.Schema) -> pa.Table:
     """Global top-k WITHOUT a sort AllToAll: per-block top-k partials
     (each block keeps its k best under the full comparator, so the union
     provably contains the global top-k) stream to the driver — ≤ blocks·k
@@ -24,6 +36,7 @@ def _topk_fold(ds, keys: list[str], descending: list[bool], k: int,
 
     ``keys`` must be int64-comparable columns (dates go through their
     µs int64 view); ties behave exactly like the sort+limit they replace.
+    ``schema`` types the result when no row survives.
     """
     def sort_key_arrays(t: pa.Table):
         arrs = []
@@ -42,17 +55,13 @@ def _topk_fold(ds, keys: list[str], descending: list[bool], k: int,
         idx = np.lexsort(sort_key_arrays(t))[:k]
         return t.take(pa.array(idx))
 
-    from nativeextractor_ray.functions.blocks import arrow_blocks
+    from nativeextractor_ray.functions.blocks import concat_blocks
 
-    parts = list(arrow_blocks(
-        ds.map_batches(block_topk, batch_format="pyarrow",
-                       batch_size=None), stream=False))
-    if not parts:
-        return pa.table({})
-    merged = pa.concat_tables(parts, promote_options="default")
+    merged = concat_blocks(
+        ds.map_batches(block_topk, batch_format="pyarrow", batch_size=None),
+        empty=schema.empty_table())
     idx = np.lexsort(sort_key_arrays(merged))[:k]
-    out = merged.take(pa.array(idx))
-    return out.select(out_cols) if out_cols else out
+    return merged.take(pa.array(idx))
 
 
 def orders_by_nation(sf_dir: str):
@@ -62,17 +71,15 @@ def orders_by_nation(sf_dir: str):
     ``map_batches`` probe + per-batch combine; a tiny final groupby.
 
     Money sums in integer cents for float-free oracle comparison."""
-    import pyarrow.parquet as pq
     import ray
     import ray.data
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    c_arr = np.full(int(pc.max(cust.column("c_custkey")).as_py()) + 1, -1, dtype=np.int64)
-    c_arr[cust.column("c_custkey").to_numpy()] = cust.column("c_nationkey").to_numpy()
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    nat = load_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
+    c_arr = _key_index(cust.column("c_custkey"), cust.column("c_nationkey"), -1)
     n_names = dict(zip(nat.column("n_nationkey").to_pylist(), nat.column("n_name").to_pylist()))
     side = ray.put((c_arr, n_names))
 
@@ -596,6 +603,8 @@ FROM c GROUP BY l_returnflag, l_linestatus"""
 Q3_SEGMENT = "BUILDING"
 Q3_DATE = "1998-06-01"
 Q3_TOP_K = 10
+Q3_SCHEMA = pa.schema([("o_orderkey", pa.int64()), ("revenue_c", pa.int64()),
+                       ("o_orderdate", pa.timestamp("us"))])
 
 
 def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
@@ -632,7 +641,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
     orderkey asc."""
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     cutoff = np.datetime64(date)
 
@@ -671,7 +680,6 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
                          "revenue_c": g.column("rev_sum")})
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     rev_parts = items.map_batches(rev_partial, batch_format="pyarrow")
 
@@ -743,7 +751,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
     # top-k via per-block partials + driver fold — the sort+limit(k)
     # AllToAll was pure fixed cost for k=10 rows
     return _topk_fold(joined, ["revenue_c", "o_orderkey"],
-                      [True, False], k)
+                      [True, False], k, Q3_SCHEMA)
 
 
 #: broadcast the filtered (orderkey, orderdate) side when its encoded size
@@ -911,30 +919,21 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
     Output: ``(n_name, revenue_c)`` — revenue in exact integer cents
     (row-wise half-up ``floor(x*100+0.5)``, the repo float-parity rule).
     """
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.sources.tables import read_table, target_parallelism
+    from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet")
+    nat = load_table(sf_dir, "nation")
+    reg = load_table(sf_dir, "region")
     rkey = {r["r_name"]: r["r_regionkey"] for r in reg.to_pylist()}[region]
     names = {r["n_nationkey"]: r["n_name"] for r in nat.to_pylist()
              if r["n_regionkey"] == rkey}
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    s2n = np.full(int(pc.max(sup.column("s_suppkey")).as_py()) + 1, -1,
-                  dtype=np.int64)
-    s2n[sup.column("s_suppkey").to_numpy()] = (
-        sup.column("s_nationkey").to_numpy())
-    c2n = np.full(int(pc.max(cust.column("c_custkey")).as_py()) + 1, -1,
-                  dtype=np.int64)
-    c2n[cust.column("c_custkey").to_numpy()] = (
-        cust.column("c_nationkey").to_numpy())
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    s2n = _key_index(sup.column("s_suppkey"), sup.column("s_nationkey"), -1)
+    c2n = _key_index(cust.column("c_custkey"), cust.column("c_nationkey"), -1)
     side = ray.put((s2n, c2n, frozenset(names)))
 
     lo, hi = np.datetime64(date_lo), np.datetime64(date_hi)
@@ -977,7 +976,6 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
     # co-partitioned exchange below runs; a pytest forces bound=0 and
     # asserts both paths bit-identical.
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q5_DRIVER_FOLD_BOUND:
@@ -1131,21 +1129,15 @@ def rollup_report(sf_dir: str):
     table, so no second scan and no second shuffle.
 
     Output: ``(n_name, o_orderpriority, n_orders, total_cents)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
-    c2n = np.full(int(pc.max(cust.column("c_custkey")).as_py()) + 1, -1,
-                  dtype=np.int64)
-    c2n[cust.column("c_custkey").to_numpy()] = (
-        cust.column("c_nationkey").to_numpy())
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    nat = load_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
+    c2n = _key_index(cust.column("c_custkey"), cust.column("c_nationkey"), -1)
     names = dict(zip(nat.column("n_nationkey").to_pylist(),
                      nat.column("n_name").to_pylist()))
     side = ray.put((c2n, names))
@@ -1223,6 +1215,10 @@ GROUP BY ROLLUP(n.n_name, o.o_orderpriority)"""
 
 Q18_QTY_THRESHOLD = 250
 Q18_TOP_K = 100
+Q18_SCHEMA = pa.schema([
+    ("c_name", pa.string()), ("c_custkey", pa.int64()),
+    ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us")),
+    ("total_price_c", pa.int64()), ("sum_qty", pa.int64())])
 #: broadcast the hot (orderkey, qty) table when under this encoded size;
 #: above it, attach via the co-partitioned tagged-union merge (tests
 #: force 0 to drive the merge path)
@@ -1257,14 +1253,13 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
 
     Output: ``(c_name, c_custkey, o_orderkey, o_orderdate,
     total_price_c, sum_qty)`` — totalprice desc, orderkey asc."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     items = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -1287,7 +1282,6 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
         t = t.select(["l_orderkey", "sum_qty"]).cast(qty_schema)
         return t.filter(pc.greater(t.column("sum_qty"), threshold))
 
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     # Gate on the ORDERS row count (metadata only): when every per-order
     # 16-byte (key, qty) pair fits the driver bound, the HAVING rollup
@@ -1346,8 +1340,7 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
             orders, hot.select_columns(["l_orderkey"]),
             "o_orderkey", anti=False, sf_dir=sf_dir)
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_name"])
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
     ck = cust.column("c_custkey").to_numpy()
     corder = np.argsort(ck)
     cust_side = ray.put((ck[corder],
@@ -1448,7 +1441,7 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
     # top-k via per-block partials + driver fold — the sort+limit(k)
     # AllToAll was pure fixed cost for k=100 rows
     return _topk_fold(joined, ["total_price_c", "o_orderkey"],
-                      [True, False], k)
+                      [True, False], k, Q18_SCHEMA)
 
 
 def large_order_customers_sql(threshold: int = Q18_QTY_THRESHOLD,
@@ -1485,16 +1478,14 @@ def small_order_revenue(sf_dir: str):
     p_brand``, the gazetteer shape).
 
     Output: ``(p_brand, n_items, revenue_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    part_dim = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_brand"])
+    part_dim = load_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
     pk = part_dim.column("p_partkey").to_numpy()
     porder = np.argsort(pk)
     part_side = ray.put((pk[porder],
@@ -1587,7 +1578,7 @@ def order_fill_report(sf_dir: str):
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     items = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -1620,7 +1611,6 @@ def order_fill_report(sf_dir: str):
     # the driver straight from the RAW per-batch partials — the orderkey
     # groupby AllToAll disappears (the Q21 lesson); above it the groupby
     # runs and feeds the same size-gated attach.
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     driver_fold = (n_orders is not None
@@ -1761,8 +1751,7 @@ def late_shipment_priority(sf_dir: str):
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import table_nrows
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     od = read_table(sf_dir, "orders",
@@ -1907,19 +1896,15 @@ def promo_revenue_share(sf_dir: str):
 
     Output: ``(month, promo_rev_c, total_rev_c, promo_share_micro)``
     with month as 'YYYY-MM'."""
-    import pyarrow.parquet as pq_
     import ray
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    part = pq_.read_table(f"{sf_dir}/part.parquet",
-                          columns=["p_partkey", "p_type"])
-    pk = part.column("p_partkey").to_numpy()
-    promo = np.zeros(int(pk.max()) + 1 if len(pk) else 1, dtype=bool)
-    promo[pk] = np.asarray(
-        pc.starts_with(part.column("p_type"), "PROMO"))
+    part = load_table(sf_dir, "part", columns=["p_partkey", "p_type"])
+    promo = _key_index(part.column("p_partkey"),
+                       pc.starts_with(part.column("p_type"), "PROMO"), False)
     side = ray.put(promo)
 
     li = read_table(sf_dir, "lineitem",
@@ -2008,12 +1993,11 @@ def idle_customer_balance(sf_dir: str, priority: str = Q22_PRIORITY):
       25-row map.
 
     Output: ``(n_name, n_custs, total_bal_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     # scalar threshold: one pruned streaming pass, bounded partials
     bal_only = read_table(sf_dir, "customer", ["c_acctbal"])
@@ -2071,8 +2055,7 @@ def idle_customer_balance(sf_dir: str, priority: str = Q22_PRIORITY):
             "total_bal_c": pa.array(g["s"].to_numpy(np.int64)),
         })
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
+    nat = load_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     names = dict(zip(nat.column("n_nationkey").to_pylist(),
                      nat.column("n_name").to_pylist()))
     name_ref = ray.put(names)
@@ -2136,21 +2119,18 @@ def min_cost_supplier(sf_dir: str, brand: str = Q2_BRAND):
 
     Output: ``(p_partkey, min_price_c, s_suppkey, s_name)`` — one row
     per (part, cheapest supplier), ties kept like the oracle."""
-    import pyarrow.parquet as pq
     import ray
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    part_dim = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_brand"])
+    part_dim = load_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
     bkeys = np.sort(part_dim.filter(
         pc.equal(part_dim.column("p_brand"), brand))
         .column("p_partkey").to_numpy())
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_name"])
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
     sk = sup.column("s_suppkey").to_numpy()
     sorder = np.argsort(sk)
     side = ray.put((bkeys, sk[sorder],
@@ -2241,15 +2221,14 @@ def disjunctive_revenue(sf_dir: str, arms=None):
     exactly like the oracle's UNION ALL.
 
     Output: ``(arm, n_items, revenue_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     arms = list(arms or Q19_ARMS)
-    part_dim = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_brand", "p_size"])
+    part_dim = load_table(sf_dir, "part",
+                          columns=["p_partkey", "p_brand", "p_size"])
     pk = part_dim.column("p_partkey").to_numpy()
     order = np.argsort(pk)
     brands = sorted({a[1] for a in arms})
@@ -2360,31 +2339,22 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
       partial rows leave each partition for the final groupby.
 
     Output: ``(supp_nation, cust_nation, l_year, revenue_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
+    nat = load_table(sf_dir, "nation")
     key_of = {r["n_name"]: r["n_nationkey"] for r in nat.to_pylist()}
     ka, kb = key_of[nation_a], key_of[nation_b]
     names = {ka: nation_a, kb: nation_b}
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    s2n = np.full(int(pc.max(sup.column("s_suppkey")).as_py()) + 1, -1,
-                  dtype=np.int64)
-    s2n[sup.column("s_suppkey").to_numpy()] = (
-        sup.column("s_nationkey").to_numpy())
-    c2n = np.full(int(pc.max(cust.column("c_custkey")).as_py()) + 1, -1,
-                  dtype=np.int64)
-    c2n[cust.column("c_custkey").to_numpy()] = (
-        cust.column("c_nationkey").to_numpy())
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    s2n = _key_index(sup.column("s_suppkey"), sup.column("s_nationkey"), -1)
+    c2n = _key_index(cust.column("c_custkey"), cust.column("c_nationkey"), -1)
     side = ray.put((s2n, c2n))
 
     n_parts = adaptive_parts(sf_dir, table="lineitem")
@@ -2458,7 +2428,6 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
     # probe whose ≤2·years rollup partials fold on the driver: ZERO
     # AllToAll.  A pytest forces bound=0 onto the exchange path.
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
 
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q7_DRIVER_FOLD_BOUND:
@@ -2581,14 +2550,13 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
     Deterministic tie-break: revenue desc, then custkey asc (both
     engines).  Output: ``(c_custkey, c_name, n_name, c_acctbal_c,
     revenue_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
@@ -2720,11 +2688,10 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
          else pa.table({"c_custkey": pa.array([], pa.int64()),
                         "revenue_c": pa.array([], pa.int64())}))
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_name", "c_nationkey",
-                                  "c_acctbal"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
+    cust = load_table(sf_dir, "customer",
+                      columns=["c_custkey", "c_name", "c_nationkey",
+                               "c_acctbal"])
+    nat = load_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     ck = cust.column("c_custkey").to_numpy()
     order_ = np.argsort(ck)
     keys = ck[order_]
@@ -2954,11 +2921,10 @@ def top_supplier_revenue(sf_dir: str, date_lo: str = Q15_DATE_LO,
     bigger than the supplier dimension ever leaves the partials.
 
     Output: ``(s_suppkey, s_name, total_revenue_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Max, Sum
 
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
@@ -2989,8 +2955,7 @@ def top_supplier_revenue(sf_dir: str, date_lo: str = Q15_DATE_LO,
                 .materialize())
     best = per_supp.aggregate(Max("total_revenue_c"))["max(total_revenue_c)"]
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_name"])
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
     sk = sup.column("s_suppkey").to_numpy()
     order_ = np.argsort(sk)
     side = ray.put((sk[order_],
@@ -3056,20 +3021,18 @@ def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
     bound to 0; both paths bit-identical.
 
     Output: ``(s_suppkey, s_name, numwait)``, numwait > 0 rows only."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     n_parts = adaptive_parts(sf_dir, table="lineitem")
     dus = int(np.timedelta64(late_days, "D")
               .astype("timedelta64[us]").astype(np.int64))
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_name"])
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
     sk = sup.column("s_suppkey").to_numpy()
     order_ = np.argsort(sk)
     side = ray.put((sk[order_],
@@ -3292,40 +3255,34 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
     partial rows.  Share = exact half-up micro ratio.
 
     Output: ``(o_year, nation_rev_c, total_rev_c, share_micro)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet")
+    nat = load_table(sf_dir, "nation")
+    reg = load_table(sf_dir, "region")
     rkey = {r["r_name"]: r["r_regionkey"] for r in reg.to_pylist()}[region]
     nkey = {r["n_name"]: r["n_nationkey"] for r in nat.to_pylist()}[nation]
     in_region = {r["n_nationkey"] for r in nat.to_pylist()
                  if r["n_regionkey"] == rkey}
 
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_type"])
-    pk = part.column("p_partkey").to_numpy()
-    p_ok = np.zeros(int(pk.max()) + 1 if len(pk) else 1, bool)
-    p_ok[pk] = np.asarray(pc.equal(part.column("p_type"), p_type))
+    part = load_table(sf_dir, "part", columns=["p_partkey", "p_type"])
+    p_ok = _key_index(part.column("p_partkey"),
+                      pc.equal(part.column("p_type"), p_type), False)
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    sk = sup.column("s_suppkey").to_numpy()
-    s_tgt = np.zeros(int(sk.max()) + 1 if len(sk) else 1, bool)
-    s_tgt[sk] = sup.column("s_nationkey").to_numpy() == nkey
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+    s_tgt = _key_index(sup.column("s_suppkey"),
+                       sup.column("s_nationkey").to_numpy() == nkey, False)
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    ck = cust.column("c_custkey").to_numpy()
-    c_ok = np.zeros(int(ck.max()) + 1 if len(ck) else 1, bool)
-    c_ok[ck] = np.isin(cust.column("c_nationkey").to_numpy(),
-                       np.fromiter(in_region, np.int64)
-                       if in_region else np.array([], np.int64))
+    cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    c_ok = _key_index(cust.column("c_custkey"),
+                      np.isin(cust.column("c_nationkey").to_numpy(),
+                              np.fromiter(in_region, np.int64)
+                              if in_region else np.array([], np.int64)),
+                      False)
 
     side = ray.put((p_ok, s_tgt, c_ok))
     n_parts = adaptive_parts(sf_dir, table="lineitem")
@@ -3598,31 +3555,25 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
     resolves in-partition, ≤ nations·years partial rows out.
 
     Output: ``(nation, o_year, profit_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.partsupp import partsupp_arrays
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     packed, _avail, cost_c, n_supp = partsupp_arrays(sf_dir)
 
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_name"])
-    pk = part.column("p_partkey").to_numpy()
-    p_ok = np.zeros(int(pk.max()) + 1 if len(pk) else 1, bool)
-    p_ok[pk] = np.asarray(pc.match_substring(part.column("p_name"),
-                                             name_word))
+    part = load_table(sf_dir, "part", columns=["p_partkey", "p_name"])
+    p_ok = _key_index(part.column("p_partkey"),
+                      pc.match_substring(part.column("p_name"), name_word),
+                      False)
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    sk = sup.column("s_suppkey").to_numpy()
-    s2n = np.full(int(sk.max()) + 1 if len(sk) else 1, -1, np.int64)
-    s2n[sk] = sup.column("s_nationkey").to_numpy()
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+    s2n = _key_index(sup.column("s_suppkey"), sup.column("s_nationkey"), -1)
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
+    nat = load_table(sf_dir, "nation")
     n2name = {r["n_nationkey"]: r["n_name"] for r in nat.to_pylist()}
 
     side = ray.put((p_ok, s2n, packed, cost_c))
@@ -3815,20 +3766,17 @@ def important_stock(sf_dir: str, nation: str = Q11_NATION,
     the broadcast scalar.
 
     Output: ``(ps_partkey, value_c)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.sources.partsupp import partsupp_dataset
-    from nativeextractor_ray.sources.tables import read_table  # noqa: F401
+    from nativeextractor_ray.sources.tables import load_table
 
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
+    nat = load_table(sf_dir, "nation")
     nkey = {r["n_name"]: r["n_nationkey"] for r in nat.to_pylist()}[nation]
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    sk = sup.column("s_suppkey").to_numpy()
-    s_in = np.zeros(int(sk.max()) + 1 if len(sk) else 1, bool)
-    s_in[sk] = sup.column("s_nationkey").to_numpy() == nkey
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+    s_in = _key_index(sup.column("s_suppkey"),
+                      sup.column("s_nationkey").to_numpy() == nkey, False)
     side = ray.put(s_in)
 
     ps = partsupp_dataset(sf_dir)
@@ -3900,32 +3848,26 @@ def supplier_relationship(sf_dir: str, ex_brand: str = Q16_BRAND,
     partials → tiny final groupby.
 
     Output: ``(p_brand, p_type, p_size, supplier_cnt)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.sources.partsupp import partsupp_dataset
+    from nativeextractor_ray.sources.tables import load_table
 
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_brand", "p_type",
-                                  "p_size"])
-    pk = part.column("p_partkey").to_numpy()
-    hi = int(pk.max()) + 1 if len(pk) else 1
-    brand = np.full(hi, "", object)
-    brand[pk] = np.asarray(part.column("p_brand").to_pylist(), object)
-    typ = np.full(hi, "", object)
-    typ[pk] = np.asarray(part.column("p_type").to_pylist(), object)
-    size = np.zeros(hi, np.int64)
-    size[pk] = part.column("p_size").to_numpy().astype(np.int64)
-    keep_part = np.zeros(hi, bool)
-    keep_part[pk] = ((np.asarray(part.column("p_brand").to_pylist(),
-                                 object) != ex_brand)
-                     & (np.asarray(part.column("p_type").to_pylist(),
-                                   object) != ex_type)
-                     & (part.column("p_size").to_numpy() <= max_size))
+    part = load_table(sf_dir, "part",
+                      columns=["p_partkey", "p_brand", "p_type",
+                               "p_size"])
+    pk = part.column("p_partkey")
+    brands = np.asarray(part.column("p_brand").to_pylist(), object)
+    types = np.asarray(part.column("p_type").to_pylist(), object)
+    sizes = part.column("p_size").to_numpy()
+    brand = _key_index(pk, brands, "")
+    typ = _key_index(pk, types, "")
+    size = _key_index(pk, sizes, 0)
+    keep_part = _key_index(pk, (brands != ex_brand) & (types != ex_type)
+                           & (sizes <= max_size), False)
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_acctbal"])
+    sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
     blocked = np.sort(sup.filter(
         pc.less(sup.column("s_acctbal"), block_bal))
         .column("s_suppkey").to_numpy())
@@ -4014,33 +3956,30 @@ def potential_promotion(sf_dir: str, year: int = Q20_YEAR,
     |supplier|-bounded result.
 
     Output: ``(s_suppkey, s_name)``."""
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.sources.partsupp import partsupp_arrays
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import load_table, read_table
 
     packed, avail, _cost, n_supp = partsupp_arrays(sf_dir)
 
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_name"])
-    pk = part.column("p_partkey").to_numpy()
-    p_ok = np.zeros(int(pk.max()) + 1 if len(pk) else 1, bool)
-    p_ok[pk] = np.asarray(pc.starts_with(part.column("p_name"),
-                                         name_prefix))
+    part = load_table(sf_dir, "part", columns=["p_partkey", "p_name"])
+    p_ok = _key_index(part.column("p_partkey"),
+                      pc.starts_with(part.column("p_name"), name_prefix),
+                      False)
 
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_name", "s_nationkey"])
+    sup = load_table(sf_dir, "supplier",
+                     columns=["s_suppkey", "s_name", "s_nationkey"])
     sk = sup.column("s_suppkey").to_numpy()
-    s_in = np.zeros(int(sk.max()) + 1 if len(sk) else 1, bool)
     if nation is None:
-        s_in[sk] = True
+        s_in = _key_index(sk, True, False)
     else:
-        nat = pq.read_table(f"{sf_dir}/nation.parquet")
+        nat = load_table(sf_dir, "nation")
         nkey = {r["n_name"]: r["n_nationkey"]
                 for r in nat.to_pylist()}[nation]
-        s_in[sk] = sup.column("s_nationkey").to_numpy() == nkey
+        s_in = _key_index(sk, sup.column("s_nationkey").to_numpy() == nkey,
+                          False)
     sorder = np.argsort(sk)
     side = ray.put((p_ok, packed, avail, s_in,
                     sk[sorder],

@@ -160,7 +160,7 @@ def hybrid_rrf_topk(sf_dir: str, k: int = RRF_TOP_K) -> pa.Table:
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.vectors import embedding_matrix
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.tables import read_table, table_path
 
     # ---- lexical leg: BM25 pool with ranks (streaming, see bm25_topk)
     bm = {}
@@ -171,7 +171,7 @@ def hybrid_rrf_topk(sf_dir: str, k: int = RRF_TOP_K) -> pa.Table:
     # ---- dense leg: cosine vs ONE deterministic query vector
     # row-group-pruned point read: only the query row reaches the driver
     # (a bare read_table would materialize the whole embedding corpus)
-    qm = pq.read_table(f"{sf_dir}/embeddings.parquet",
+    qm = pq.read_table(table_path(sf_dir, "embeddings"),
                        columns=["vec_id", "embedding"],
                        filters=[("vec_id", "==", RRF_QUERY_VEC_ID)])
     if qm.num_rows == 0:

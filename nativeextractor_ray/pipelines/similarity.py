@@ -31,9 +31,9 @@ ROUND = 4
 
 
 def _load_queries(sf_dir: str):
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import load_table
 
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    t = load_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     mask = np.array(t.column("vec_id").to_numpy() < N_QUERIES)
     t = t.filter(pa.array(mask))
     qids = t.column("vec_id").to_numpy()
@@ -138,11 +138,13 @@ def _train_sample(sf_dir: str, n: int = TRAIN_SAMPLE) -> np.ndarray:
     soon as enough rows are in hand — the driver never holds more than the
     sample regardless of corpus size (VERDICT r1 item 3: the full-matrix
     read is gone)."""
-    import pyarrow.parquet as pq
+    import pyarrow.dataset as pads
 
-    f = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
+    from nativeextractor_ray.sources.tables import table_path
+
     chunks, have = [], 0
-    for batch in f.iter_batches(batch_size=1024, columns=["embedding"]):
+    for batch in pads.dataset(table_path(sf_dir, "embeddings")).to_batches(
+            batch_size=1024, columns=["embedding"]):
         chunks.append(embedding_matrix(batch.column("embedding")))
         have += len(chunks[-1])
         if have >= n:

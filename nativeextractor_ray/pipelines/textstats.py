@@ -984,9 +984,9 @@ def corpus_summary(sf_dir: str):
     division crosses the engine boundary).
 
     Scale shape: ONE streaming pass folds each batch to a single partial
-    row (counts + distinct lang/source SETS — both vocabulary-bounded);
-    the driver merges partials.  No shuffle, nothing corpus-sized ever
-    leaves a worker.
+    row (counts + the distinct lang/source values as ``list<string>`` —
+    both vocabulary-bounded); the driver merges partials.  No shuffle,
+    nothing corpus-sized ever leaves a worker.
 
     Output: ``(n_docs, n_tokens, n_chars, n_langs, n_sources,
     mean_chars_micro)``."""
@@ -996,17 +996,20 @@ def corpus_summary(sf_dir: str):
     ds = read_table(sf_dir, "documents",
                     ["doc_id", "text", "lang", "source", "n_chars"])
 
+    def distinct(col) -> pa.Array:
+        # count(DISTINCT) semantics: NULL is not a value, '' is
+        return pa.array([pc.unique(col).drop_null().to_pylist()],
+                        pa.list_(pa.string()))
+
     def partial(t: pa.Table) -> pa.Table:
         toks = int(pc.sum(_count(t.column("text"), TOKEN_RE)).as_py() or 0)
         chars = int(pc.sum(t.column("n_chars")).as_py() or 0)
-        langs = pc.unique(t.column("lang")).to_pylist()
-        srcs = pc.unique(t.column("source")).to_pylist()
         return pa.table({
             "n_docs": pa.array([t.num_rows], pa.int64()),
             "n_tokens": pa.array([toks], pa.int64()),
             "n_chars": pa.array([chars], pa.int64()),
-            "langs": pa.array([",".join(sorted(langs))], pa.string()),
-            "sources": pa.array([",".join(sorted(srcs))], pa.string()),
+            "langs": distinct(t.column("lang")),
+            "sources": distinct(t.column("source")),
         })
 
     n_docs = n_tokens = n_chars = 0
@@ -1017,10 +1020,8 @@ def corpus_summary(sf_dir: str):
         n_docs += int(pc.sum(t.column("n_docs")).as_py() or 0)
         n_tokens += int(pc.sum(t.column("n_tokens")).as_py() or 0)
         n_chars += int(pc.sum(t.column("n_chars")).as_py() or 0)
-        for v in t.column("langs").to_pylist():
-            langs.update(x for x in v.split(",") if x)
-        for v in t.column("sources").to_pylist():
-            srcs.update(x for x in v.split(",") if x)
+        langs.update(pc.list_flatten(t.column("langs")).to_pylist())
+        srcs.update(pc.list_flatten(t.column("sources")).to_pylist())
     mean_micro = ((2 * n_chars * 1_000_000 + n_docs) // (2 * n_docs)
                   if n_docs else 0)
     return pa.table({

@@ -304,21 +304,10 @@ def _cov_matrix_local(sf_dir: str) -> np.ndarray:
     a distributed pipeline at ``oracle_sql()`` construction time would
     auto-init Ray during pytest COLLECTION, before the session fixture
     owns it (observed as a collection-time hang)."""
-    import pyarrow.parquet as pq
-
     from nativeextractor_ray.functions.vectors import embedding_matrix
-    from nativeextractor_ray.sources.tables import read_table  # noqa: F401
+    from nativeextractor_ray.sources.tables import load_table
 
-    import os
-
-    path = f"{sf_dir}/embeddings"
-    if not os.path.isdir(path):
-        path = f"{path}.parquet"
-        tbl = pq.read_table(path, columns=["embedding"])
-    else:
-        tbl = pa.concat_tables(
-            [pq.read_table(os.path.join(path, f), columns=["embedding"])
-             for f in sorted(os.listdir(path)) if f.endswith(".parquet")])
+    tbl = load_table(sf_dir, "embeddings", columns=["embedding"])
     m = embedding_matrix(tbl.column("embedding")).astype(np.float64)
     q = np.floor(m * float(QSCALE) + 0.5).astype(np.int64)
     n = len(q)

@@ -217,7 +217,7 @@ def snapshot_diff(sf_dir: str):
                           np.int64)})
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.pipelines.common import table_nrows
+    from nativeextractor_ray.sources.tables import table_nrows
 
     # Gate on the DOCUMENTS row count (metadata only): the tagged union
     # is ≤ 2 rows × 25 B per doc — under the bound it collects once and

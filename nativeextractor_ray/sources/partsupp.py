@@ -57,12 +57,9 @@ def partsupp_dataset(sf_dir: str):
     """Streaming partsupp Dataset derived from <sf_dir>/part.parquet —
     at real scale this is a map over the part table's blocks (4 rows
     out per part row in), never a materialized side table."""
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
-    from nativeextractor_ray.sources.tables import read_table
-
-    n_supp = pq.ParquetFile(
-        f"{sf_dir}/supplier.parquet").metadata.num_rows
+    n_supp = table_nrows(sf_dir, "supplier")
     parts = read_table(sf_dir, "part", ["p_partkey"])
     return parts.map_batches(
         lambda t: derive_partsupp_table(t, n_supp),
@@ -76,11 +73,10 @@ def partsupp_arrays(sf_dir: str):
     (the part-dimension broadcast class used throughout relational.py).
 
     Returns ``(packed_sorted, availqty, cost_c, n_supp)``."""
-    import pyarrow.parquet as pq
+    from nativeextractor_ray.sources.tables import load_table, table_nrows
 
-    n_supp = pq.ParquetFile(
-        f"{sf_dir}/supplier.parquet").metadata.num_rows
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey"])
+    n_supp = table_nrows(sf_dir, "supplier")
+    part = load_table(sf_dir, "part", columns=["p_partkey"])
     t = derive_partsupp_table(part, n_supp)
     packed = (t.column("ps_partkey").to_numpy() * n_supp
               + t.column("ps_suppkey").to_numpy())

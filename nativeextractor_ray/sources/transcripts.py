@@ -219,7 +219,8 @@ def transcripts_dataset(
         # 608k → 794k at 32 CPUs, by letting blocks reach the core
         # count; rep=160 at 32 CPUs still picks 16 chunky blocks, which
         # measured best there.)
-        from nativeextractor_ray.pipelines.common import _cpus, table_nrows
+        from nativeextractor_ray.pipelines.common import _cpus
+        from nativeextractor_ray.sources.tables import table_nrows
 
         n_docs = table_nrows(sf_dir, "documents")
         blocks = 8

@@ -41,15 +41,10 @@ STAGE_VERSION = "kgx-triples-v1"
 def _input_fingerprint(sf_dir: str) -> dict:
     """Lineage of the ``documents`` input: metadata row count plus on-disk
     size (the file's, or the sum of a directory table's parquet files)."""
-    from nativeextractor_ray.pipelines.common import table_nrows
+    from nativeextractor_ray.sources.tables import table_bytes, table_nrows
 
-    path = Path(sf_dir) / "documents"
-    if path.is_dir():
-        size = sum(f.stat().st_size for f in path.glob("*.parquet"))
-    else:
-        size = path.with_suffix(".parquet").stat().st_size
     return {"sf_dir": str(sf_dir), "rows": table_nrows(sf_dir, "documents"),
-            "size_bytes": size}
+            "size_bytes": table_bytes(sf_dir, "documents")}
 
 
 def partition_triples(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):

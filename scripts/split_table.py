@@ -5,7 +5,8 @@ single-file table serializes every consumer behind one core's decode
 (measured: 1.6 GB lineitem = ~24 s serial at any CPU count).  Real
 corpora are laid out as many files; this script makes the synthesized
 big tables match: `<dir>/<table>.parquet` -> `<dir>/<table>/part-*.parquet`
-(the original file is removed).  `read_table` auto-detects either layout.
+(the original file is removed).  Every reader in `nativeextractor_ray`
+goes through `sources/tables`, which accepts either layout.
 
 Usage: python scripts/split_table.py DIR TABLE [N_FILES]
 """

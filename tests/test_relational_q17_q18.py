@@ -4,9 +4,12 @@ attach (broadcast bound forced to 0) bit-identical to the broadcast
 path, and the exact integer correlated predicate on a hand-built part.
 """
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 
 
 def _df(res) -> pd.DataFrame:
@@ -49,6 +52,30 @@ def test_q3_distributed_path_matches_driver_fold(ray_session, monkeypatch):
     forced = _df(relational.shipping_priority_topk(sf)).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
     assert len(base) > 0
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_topk_no_surviving_rows_keeps_oracle_columns(ray_session, monkeypatch,
+                                                    forced):
+    """Q3/Q18 with a filter no row passes: 0 rows with the oracle's
+    columns, on the driver-fold and the forced distributed path."""
+    from nativeextractor_ray.pipelines import relational
+
+    sf = "/root/testdata/sf0.001"
+    if forced:
+        for bound in ("Q3_DRIVER_FOLD_BOUND", "Q18_DRIVER_FOLD_BOUND",
+                      "Q18_ATTACH_BOUND", "SEMI_BROADCAST_BOUND"):
+            monkeypatch.setattr(relational, bound, 0)
+    con = duckdb.connect()
+    for name in ("customer", "orders", "lineitem"):
+        con.register(name, pq.read_table(f"{sf}/{name}.parquet"))
+    q3 = _df(relational.shipping_priority_topk(sf, segment="NOSUCH"))
+    q18 = _df(relational.large_order_customers(sf, threshold=10**9))
+    for got, sql in ((q3, relational.shipping_priority_topk_sql("NOSUCH")),
+                     (q18, relational.large_order_customers_sql(10**9))):
+        want = con.sql(sql).arrow()
+        assert want.num_rows == 0 and len(got) == 0
+        assert list(got.columns) == want.column_names
 
 
 def test_q4_merge_path_matches_driver_fold(ray_session, monkeypatch):

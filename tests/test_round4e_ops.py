@@ -363,6 +363,30 @@ def test_corpus_summary_planted(ray_session, tmp_path):
     assert int(got["mean_chars_micro"]) == 4_000_000
 
 
+def test_corpus_summary_null_comma_empty_match_duckdb(ray_session, tmp_path):
+    """NULL lang/source, values containing ',' and '' count exactly as
+    DuckDB's count(DISTINCT) does (NULL skipped, '' counted)."""
+    import duckdb
+
+    from nativeextractor_ray.pipelines.textstats import (
+        CORPUS_SUMMARY_SQL, corpus_summary)
+
+    docs = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "text": pa.array(["a b", "c", "d e f", "g", "h"]),
+        "lang": pa.array(["en,cs", None, "", "en", "en,cs"]),
+        "source": pa.array([None, "web,forum", "web", "", None]),
+        "n_chars": pa.array([3, 1, 5, 1, 1], pa.int64()),
+    })
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    got = _df(corpus_summary(str(tmp_path)))
+    con = duckdb.connect()
+    con.register("documents", docs)
+    want = con.sql(CORPUS_SUMMARY_SQL).df()
+    assert (int(want["n_langs"][0]), int(want["n_sources"][0])) == (3, 3)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_source_dedup_matrix_fallback_matches_broadcast(ray_session,
                                                         monkeypatch):
     """Bound 0 forces the two doc-keyed co-partition attaches; output
