@@ -23,8 +23,9 @@ def _cpus() -> int:
 def pool_concurrency() -> int:
     """Fixed actor-pool size: half the cluster CPUs, capped at 16 per
     stage — leaves headroom for the read/derive tasks and the shuffle so
-    no stage starves."""
-    return max(2, min(16, _cpus() // 2))
+    no stage starves.  At least 1, never 2: two 1-CPU actors hold every
+    CPU of a 2-CPU cluster and the read tasks that feed them never run."""
+    return max(1, min(16, _cpus() // 2))
 
 
 def adaptive_parts(sf_dir: str, table: str = "documents",

@@ -10,7 +10,9 @@ compiles in ~ms, so a pre-built MinerPool instance runs as plain TASKS
 that Ray fuses with the derive stage (one task per block — per-task
 scheduling overhead, not compute, dominates at small block sizes);
 custom specs (large gazetteer ObjectRefs, expensive automata) keep the
-actor-pool path where __init__ runs once per actor."""
+actor-pool path where __init__ runs once per actor, except on a 1-CPU
+cluster, where one actor would hold the only CPU and starve the read and
+derive tasks that feed it."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import pyarrow.compute as pc
 
-from nativeextractor_ray.pipelines.common import DEFAULT_BATCH_SIZE, pool_concurrency
+from nativeextractor_ray.pipelines.common import DEFAULT_BATCH_SIZE, _cpus, pool_concurrency
 from nativeextractor_ray.sources.transcripts import transcripts_dataset
 from nativeextractor_ray.stages.miner_pool import STD_MINER_SPECS, MinerPool
 
@@ -60,8 +62,9 @@ def mentions_dataset(
     names = [n for n, a, k in specs]
     std = names == [n for n, a, k in STD_MINER_SPECS]
     cheap = all(isinstance(n, str) and n in CHEAP_MINERS for n in names)
-    if std or cheap:
-        # cheap state → task mode, fused with the derive explode.
+    if std or cheap or _cpus() < 2:
+        # cheap state (or no CPU to spare for an actor) → task mode,
+        # fused with the derive explode.
         # batch_size=None is LOAD-BEARING: a fused stage applies an
         # explicit batch_size to the PRE-explosion row count (4096 docs →
         # 650k-row tasks at replicate=160, collapsing to ~2 tasks); None

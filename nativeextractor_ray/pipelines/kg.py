@@ -3,9 +3,11 @@ the canonicalization (union-find) stage.
 
 Shape (SURVEY.md §3.4): streaming read → KgExtract in task mode, fused
 with the transcripts derive (mention-detect + link + triple-emit with
-per-batch combining) → materialized partials → ``groupby((subj,pred,obj))``
-aggregate (the ONLY shuffle; it moves partial counts, not occurrences) →
-triples.  The checkpointed ``run_kg`` runs the same plan per input slice.
+per-batch combining) → materialized partials → sort by a stable hash
+``part`` of (subj, pred, obj) (the ONLY shuffle; it moves partial counts,
+not occurrences) → one Arrow group_by per sorted block (``combine_parts``)
+→ triples.  The checkpointed ``run_kg`` runs the same plan per input slice
+and ``finalize`` merges the slices with the same ``combine_parts``.
 Canonicalization groups distinct surfaces (bounded vocabulary), runs
 union-find on the driver, and the resulting surface→entity map is
 broadcast-sized."""
@@ -49,13 +51,23 @@ def _triple_part_column(t: pa.Table) -> pa.Table:
     return t.append_column("part", stable_part(t, ["subj", "pred", "obj"], N_TRIPLE_PARTS))
 
 
+def combine_parts(ds):
+    """Final combine of ``part``-keyed triple partials: sort by ``part``,
+    then ONE Arrow group_by per sorted block.  This is what
+    ``groupby("part").map_groups(_final_combine)`` does minus its
+    per-``part`` split (up to N_TRIPLE_PARTS Python calls, each with its
+    own group_by): the range-partitioned sort puts every row of one
+    ``part`` value in one block, and every row of one triple carries the
+    same ``part``, so no triple spans two blocks."""
+    return ds.sort("part").map_batches(_final_combine, batch_format="pyarrow",
+                                       batch_size=None)
+
+
 def combine_triple_partials(ds):
     """Merge triple-partial rows (e.g. per-checkpoint-partition outputs)
     with the same coarse-partitioned associative combine the live pipeline
     uses: sum support, min first_seen, max prob per (subj, pred, obj)."""
-    ds = ds.map_batches(_triple_part_column, batch_format="pyarrow")
-    agg = ds.groupby("part").map_groups(_final_combine, batch_format="pyarrow")
-    return agg.map_batches(lambda t: t.select(TRIPLE_COLS), batch_format="pyarrow")
+    return combine_parts(ds.map_batches(_triple_part_column, batch_format="pyarrow"))
 
 
 def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
@@ -72,10 +84,10 @@ def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
     stage applies to PRE-explosion row counts (see
     extract.mentions_dataset).
 
-    The final dedup/sum groups by a stable int hash of (subj, pred, obj)
-    mod N_TRIPLE_PARTS instead of the 3-string key directly: the shuffle
-    sorts a single int column, and each ``map_groups`` call combines a
-    whole partition with one vectorized Arrow group_by."""
+    The final dedup/sum sorts by ``part``, a stable int hash of
+    (subj, pred, obj) mod N_TRIPLE_PARTS, instead of the 3-string key
+    directly: the shuffle sorts a single int column, and ``combine_parts``
+    then combines each sorted block with one vectorized Arrow group_by."""
     kg = KgExtract()
     ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition,
                              fuse=True)
@@ -86,9 +98,7 @@ def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
     # 10 s at 4 CPUs, 1.6M turns; equal-or-faster at 16+).  The
     # materialized set is the compact PARTIAL aggregate — the same
     # boundary the per-partition checkpoints commit — never the input.
-    partial = partial.materialize()
-    agg = partial.groupby("part").map_groups(_final_combine, batch_format="pyarrow")
-    return agg.map_batches(lambda t: t.select(TRIPLE_COLS), batch_format="pyarrow")
+    return combine_parts(partial.materialize())
 
 
 def triples_tool(sf_dir: str):

@@ -180,6 +180,34 @@ def _render_transcripts_sql() -> str:
 TRANSCRIPTS_SQL = _render_transcripts_sql()
 
 
+def fused_blocks(n_docs: int | None, replicate: int, cpus: int) -> int:
+    """Read-block count for the fused task plan over ``n_docs`` documents
+    (``None``: unknown) exploded ``replicate``-fold on ``cpus`` Ray CPUs.
+
+    Fused task chains pay per-task scheduling overhead, not startup, so
+    the count tracks the WORKLOAD, not just the cluster: ~50k exploded
+    turns per block amortizes the per-task cost.  Three terms:
+    - a floor of ``min(8, cpus)``: no more blocks than CPUs for blocks
+      too small to pay for their own task (30k turns on 1 CPU: one block
+      ran the triples plan ~1.7x faster than eight 3.75k-turn blocks),
+      and at 8+ CPUs still 8;
+    - reach the core count when the workload supports ≥50k turns/block
+      (the previous fixed cpus//2 left half the cores idle at large
+      replicates — measured 319k → 538k turns/s at 16 CPUs / 6.4M turns,
+      and 608k → 794k at 32 CPUs; rep=160 at 32 CPUs still picks 16
+      chunky blocks, which measured best there);
+    - NEVER let a block exceed ~200k turns (``w // 4``) no matter how few
+      CPUs — the ``min(cpus, w)`` cap alone packed 625k docs/block at 4
+      CPUs on a 5M-doc corpus, halving the @4 leg's rate (memory cliff)
+      and fabricating a 1.9 "superlinear" scaling artifact.
+    """
+    floor = min(8, cpus)
+    if n_docs is None:
+        return floor
+    w = (n_docs * replicate) // 50_000
+    return max(floor, min(cpus, w), w // 4)
+
+
 def transcripts_dataset(
     sf_dir: str,
     replicate: int = 1,
@@ -209,30 +237,10 @@ def transcripts_dataset(
 
     blocks = None
     if fuse:
-        # fused task chains pay per-task scheduling overhead, not
-        # startup, so the block count must track the WORKLOAD, not just
-        # the cluster: ~50k exploded turns per block amortizes the
-        # per-task cost, and the cap at cluster CPUs stops a small run
-        # from shattering into idle-scheduling confetti.  (The previous
-        # fixed cpus//2 left half the cores idle at large replicates —
-        # measured 319k → 538k turns/s at 16 CPUs / 6.4M turns, and
-        # 608k → 794k at 32 CPUs, by letting blocks reach the core
-        # count; rep=160 at 32 CPUs still picks 16 chunky blocks, which
-        # measured best there.)
         from nativeextractor_ray.pipelines.common import _cpus
         from nativeextractor_ray.sources.tables import table_nrows
 
-        n_docs = table_nrows(sf_dir, "documents")
-        blocks = 8
-        if n_docs is not None:
-            # three terms: ≥8 always; reach the core count when the
-            # workload supports ≥50k turns/block; and NEVER let a block
-            # exceed ~200k turns (w // 4) no matter how few CPUs — the
-            # min(cpus, w) cap alone packed 625k docs/block at 4 CPUs on
-            # a 5M-doc corpus, halving the @4 leg's rate (memory cliff)
-            # and fabricating a 1.9 "superlinear" scaling artifact
-            w = (n_docs * replicate) // 50_000
-            blocks = max(8, min(_cpus(), w), w // 4)
+        blocks = fused_blocks(table_nrows(sf_dir, "documents"), replicate, _cpus())
     ds = read_table(sf_dir, "documents", ["doc_id", "text"], blocks=blocks)
     if doc_partition is not None:
         pid, n_parts = doc_partition
