@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines.common import exchange
+
 
 def _events(sf_dir: str, columns):
     from nativeextractor_ray.sources.tables import read_table
@@ -170,36 +172,32 @@ FROM hops GROUP BY 1, 2"""
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 min
 
 
+def _sessions(df):
+    """Number the sessions of one user-keyed exchange block, fully
+    vectorized: sort by (user, ts); a session starts where the user
+    changes or the gap reaches SESSION_GAP_US.  Returns the sorted
+    ``(uid, ts_us, sess)`` arrays."""
+    df = df.sort_values(["user_id", "ts"], kind="stable")
+    uid = df["user_id"].to_numpy()
+    ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+    starts = np.ones(len(uid), dtype=bool)
+    starts[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) >= SESSION_GAP_US)
+    return uid, ts, np.cumsum(starts)
+
+
 def events_sessionized(sf_dir: str):
     """Per-user sessionization (session = burst of events with < 30 min
     gaps): n_sessions, n_events, longest session length.
 
-    ``groupby(user_id)`` + in-group sort on ts — the canonical stateful
-    per-key stream operator; user_id cardinality bounds group size."""
+    ``exchange`` on user_id + in-block sort on (user, ts) — the canonical
+    stateful per-key stream operator; user_id cardinality bounds group
+    size."""
     import pandas as pd
 
     ds = _events(sf_dir, ["user_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "upart", pa.array(t.column("user_id").to_numpy() % 256)
-        )
-
     def sessions_part(part: pd.DataFrame) -> pd.DataFrame:
-        # one shuffle partition = many users; fully vectorized: sort by
-        # (user, ts), session starts where the user changes or the gap
-        # reaches the threshold, then per-(user, session) sizes
-        part = part.sort_values(["user_id", "ts"], kind="stable")
-        uid = part["user_id"].to_numpy()
-        ts = part["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        new_user = np.empty(len(part), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.empty(len(part), dtype=bool)
-        gap[0] = True
-        gap[1:] = (ts[1:] - ts[:-1]) >= SESSION_GAP_US
-        starts = new_user | gap
-        sess = np.cumsum(starts)
+        uid, _ts, sess = _sessions(part)
         df = pd.DataFrame({"user_id": uid, "sess": sess})
         per_sess = df.groupby(["user_id", "sess"], sort=False).size().reset_index(name="n")
         out = (
@@ -210,11 +208,7 @@ def events_sessionized(sf_dir: str):
         )
         return out.astype("int64")
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("upart")
-        .map_groups(sessions_part, batch_format="pandas")
-    )
+    return exchange(ds, ["user_id"], sessions_part)
 
 
 EVENTS_SESSIONIZED_SQL = f"""WITH o AS (
@@ -251,12 +245,11 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
     event_id tie-break) with the scale-correct two-level shape: every
     batch REDUCES to at most k rows per user BEFORE the shuffle (top-k is
     associative, like the pre-groupby combines elsewhere), so the
-    exchange moves O(users × k) rows instead of every event; the coarse
-    user-hash partitions then resolve exact ranks with one vectorized
-    pandas pass each — no per-user UDF calls, no global sort."""
+    exchange moves O(users × k) rows instead of every event; each
+    user-keyed block then resolves exact ranks with one vectorized
+    pandas pass — no per-user UDF calls."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["event_id", "user_id", "value"])
@@ -268,21 +261,14 @@ def top_events_per_user(sf_dir: str, k: int = TOPK_PER_USER):
         top = df.groupby("user_id", sort=False).head(k)
         return pa.Table.from_pandas(top, preserve_index=False)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("part", stable_part(t, ["user_id"], 64))
-
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(**order)
         out = df.groupby("user_id", sort=False).head(k).copy()
         out["rnk"] = (out.groupby("user_id", sort=False).cumcount() + 1).astype("int64")
         return out.drop(columns=["part"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    ["user_id"], resolve)
 
 
 def top_events_per_user_sql(k: int = TOPK_PER_USER) -> str:
@@ -300,7 +286,6 @@ FROM (
 
 
 RANGE_WINDOW_H = 24
-_RANGE_PARTS = 64
 
 
 def errors_prior_window(sf_dir: str, window_hours: int = RANGE_WINDOW_H):
@@ -308,25 +293,23 @@ def errors_prior_window(sf_dir: str, window_hours: int = RANGE_WINDOW_H):
     same user's activity in the preceding ``window_hours`` (ts in
     ``[t - W, t)``) — the blast-radius / pre-incident-activity query.
 
-    Partitioning assumption: both roles co-locate with one
-    ``hash(user_id)`` shuffle of (id, ts, cents) rows — never a
-    time-expanded row multiplication (the naive interval join emits
-    |left| × window-occupancy rows; this emits |left|).  Each partition
-    sorts once by an encoded ``user_id << 46 | Δts_micros`` uint64 key
-    (Δts spans ≪ 2^46 µs ≈ 2.2 years — documented bound) and answers
-    every left row with two vectorized ``searchsorted`` probes against
-    that order plus a prefix-sum for the windowed value total.  Money in
-    integer cents (float-free oracle hashing)."""
+    Partitioning assumption: both roles co-locate with one user_id
+    ``exchange`` of (id, ts, cents) rows — never a time-expanded row
+    multiplication (the naive interval join emits |left| ×
+    window-occupancy rows; this emits |left|).  Each block lexsorts once
+    by (user_id, ts) and answers every left row with two vectorized
+    ``searchsorted`` probes of (user_id, ts) records against that order
+    plus a prefix-sum for the windowed value total.  Money in integer
+    cents (float-free oracle hashing)."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
     win_us = np.int64(window_hours) * 3_600_000_000
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "event_id": t.column("event_id"),
             "user_id": t.column("user_id"),
             "ts": t.column("ts"),
@@ -334,37 +317,21 @@ def errors_prior_window(sf_dir: str, window_hours: int = RANGE_WINDOW_H):
             "cents": pc.cast(pc.round(pc.multiply(t.column("value"), 100.0)),
                              pa.int64()),
         })
-        return out.append_column("part", stable_part(out, ["user_id"], _RANGE_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd_
-
         ts = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        base = ts.min() if len(ts) else 0
-        # dense per-partition user index: no assumption on external id size
-        uidx = pd_.factorize(df["user_id"], sort=False)[0].astype(np.uint64)
-        # the packed sort key spends 46 bits on Δts and 18 on the user
-        # index — enforce the cardinality bound like the documented Δts
-        # bound below (silent wraparound would corrupt window counts);
-        # raise _RANGE_PARTS if a partition ever holds >2^18 users
-        if len(uidx) and int(uidx.max()) >= (1 << 18):
-            raise ValueError(
-                f"errors_prior_window: {int(uidx.max()) + 1} distinct users "
-                f"in one partition exceeds the 2^18 packed-key bound; "
-                f"increase _RANGE_PARTS")
-        enc = (uidx << np.uint64(46)) | (ts - base).astype(np.uint64)
-        order = np.argsort(enc, kind="stable")
-        enc_sorted = enc[order]
+        uid = df["user_id"].to_numpy(np.int64)
+        order = np.lexsort((ts, uid))
+        # (user, ts) records compare field by field, so searchsorted
+        # finds a user's window in the one sorted order
+        keys = np.rec.fromarrays([uid[order], ts[order]])
         pref = np.concatenate(([0], np.cumsum(df["cents"].to_numpy()[order])))
 
         em = df["is_err"].to_numpy()
         err = df[em]
         ets = ts[em]
-        eenc = (uidx[em] << np.uint64(46)) | (ets - base).astype(np.uint64)
-        lo_ts = np.maximum(ets - win_us, base)  # clamp: Δts stays unsigned
-        lenc = (uidx[em] << np.uint64(46)) | (lo_ts - base).astype(np.uint64)
-        hi = np.searchsorted(enc_sorted, eenc, side="left")
-        lo = np.searchsorted(enc_sorted, lenc, side="left")
+        hi = np.searchsorted(keys, np.rec.fromarrays([uid[em], ets]))
+        lo = np.searchsorted(keys, np.rec.fromarrays([uid[em], ets - win_us]))
         return pd.DataFrame({
             "event_id": err["event_id"].to_numpy(),
             "user_id": err["user_id"].to_numpy(),
@@ -373,11 +340,8 @@ def errors_prior_window(sf_dir: str, window_hours: int = RANGE_WINDOW_H):
             "prior_value_cents": (pref[hi] - pref[lo]).astype(np.int64),
         })
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], resolve)
 
 
 def errors_prior_window_sql(window_hours: int = RANGE_WINDOW_H) -> str:
@@ -404,61 +368,47 @@ def funnel_counts(sf_dir: str, stages=FUNNEL_STAGES):
     stage 2 AT OR AFTER their first stage-1 event, then stage 3 at or
     after that, ... — the event-analytics conversion query.
 
-    Scale shape: users co-locate with one hash(user_id) shuffle of
-    (user_id, event_type, ts) rows; each partition resolves its users'
+    Scale shape: users co-locate with one user_id ``exchange`` of
+    (user_id, event_type, ts) rows; each block resolves its users'
     whole funnel with S vectorized merge+groupby passes (no per-user
     Python) and emits ONE partial row per stage; the driver sums a
-    stages × partitions table."""
-    import pandas as pd
+    stages × blocks table, so every stage has a row even when no event
+    reaches it."""
+    import ray.data
 
-    from nativeextractor_ray.functions.hashing import stable_part
+    from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def prep(t: pa.Table) -> pa.Table:
-        m = t.filter(pc.is_in(t.column("event_type"),
-                              value_set=pa.array(list(stages))))
-        return m.append_column("part", stable_part(m, ["user_id"], 64))
+        return t.filter(pc.is_in(t.column("event_type"),
+                                 value_set=pa.array(list(stages))))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         cur = (df[df["event_type"] == stages[0]]
                .groupby("user_id", sort=False)["ts"].min())
-        out = [(0, stages[0], len(cur))]
+        out = [(0, len(cur))]
         for i, st in enumerate(stages[1:], start=1):
             prev = cur.rename("t_prev").reset_index()
             prev.columns = ["user_id", "t_prev"]
             nxt = df[df["event_type"] == st].merge(prev, on="user_id")
             cur = (nxt[nxt["ts"] >= nxt["t_prev"]]
                    .groupby("user_id", sort=False)["ts"].min())
-            out.append((i, st, len(cur)))
-        # emit arrow so every block downstream of the aggregate is arrow
-        # (mixed pandas/arrow partials confuse consumers of arrow refs)
-        return pa.table({
-            "stage_idx": pa.array([r[0] for r in out], pa.int64()),
-            "stage": pa.array([r[1] for r in out], pa.string()),
-            "n_users": pa.array([r[2] for r in out], pa.int64()),
-        })
+            out.append((i, len(cur)))
+        return pa.table({"stage_idx": pa.array([r[0] for r in out], pa.int64()),
+                         "n_users": pa.array([r[1] for r in out], pa.int64())})
 
-    partials = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve, batch_format="pandas")
-    )
-    from ray.data.aggregate import Sum
-
-    agg = partials.groupby(["stage_idx", "stage"]).aggregate(
-        Sum("n_users", alias_name="n_users")
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "stage_idx": pc.cast(t.column("stage_idx"), pa.int64()),
-            "stage": t.column("stage"),
-            "n_users": pc.cast(t.column("n_users"), pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    n_users = [0] * len(stages)
+    for t in arrow_blocks(exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                                   ["user_id"], resolve), stream=False):
+        for i, n in zip(t.column("stage_idx").to_pylist(),
+                        t.column("n_users").to_pylist()):
+            n_users[i] += n
+    return ray.data.from_arrow(pa.table({
+        "stage_idx": pa.array(range(len(stages)), pa.int64()),
+        "stage": pa.array(list(stages), pa.string()),
+        "n_users": pa.array(n_users, pa.int64())}))
 
 
 def funnel_counts_sql(stages=FUNNEL_STAGES) -> str:
@@ -902,9 +852,6 @@ SELECT segment, n_users FROM legs WHERE n_users > 0"""
 # ------------------------------------------------------- retention cohorts
 
 
-_COHORT_PARTS = 64
-
-
 def retention_cohorts(sf_dir: str):
     """Cohort retention matrix: users are cohorted by their FIRST active
     day; for every (cohort day, day offset) the number of cohort users
@@ -923,7 +870,6 @@ def retention_cohorts(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
@@ -931,12 +877,10 @@ def retention_cohorts(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         days = (t.column("ts").to_numpy().astype("datetime64[D]")
                 .astype(np.int64))
-        g = pa.table({
+        return pa.table({
             "user_id": t.column("user_id"),
             "day": pa.array(days, pa.int64()),
         }).group_by(["user_id", "day"]).aggregate([])
-        return g.append_column(
-            "part", stable_part(g, ["user_id"], _COHORT_PARTS))
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.drop_duplicates(["user_id", "day"])
@@ -953,8 +897,8 @@ def retention_cohorts(sf_dir: str):
             "day_offset": g["off"].to_numpy(np.int64),
             "n_users": g["n"].to_numpy(np.int64)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("part").map_groups(fold, batch_format="pandas")
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                     ["user_id"], fold)
             .groupby(["cohort_day", "day_offset"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -971,9 +915,6 @@ GROUP BY 1, 2"""
 
 
 # -------------------------------------------------- event-type affinity
-
-
-_AFFINITY_PARTS = 64
 
 
 def event_type_affinity(sf_dir: str):
@@ -994,15 +935,12 @@ def event_type_affinity(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
-        g = (t.group_by(["user_id", "event_type"]).aggregate([]))
-        return g.append_column(
-            "part", stable_part(g, ["user_id"], _AFFINITY_PARTS))
+        return t.group_by(["user_id", "event_type"]).aggregate([])
 
     def pairs(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.drop_duplicates(["user_id", "event_type"])
@@ -1017,8 +955,8 @@ def event_type_affinity(sf_dir: str):
             "type_b": g["event_type_y"].astype(str),
             "n_users": g["n"].to_numpy(np.int64)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("part").map_groups(pairs, batch_format="pandas")
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                     ["user_id"], pairs)
             .groupby(["type_a", "type_b"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -1172,24 +1110,10 @@ def peak_concurrency(sf_dir: str):
 
     ds = _events(sf_dir, ["user_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "upart", pa.array(t.column("user_id").to_numpy() % 256))
-
     def bounds_part(part: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
-        part = part.sort_values(["user_id", "ts"], kind="stable")
-        uid = part["user_id"].to_numpy()
-        ts = part["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        new_user = np.empty(len(part), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.empty(len(part), dtype=bool)
-        gap[0] = True
-        gap[1:] = (ts[1:] - ts[:-1]) >= SESSION_GAP_US
-        starts = new_user | gap
-        sess = np.cumsum(starts)
+        uid, ts, sess = _sessions(part)
         df = pd.DataFrame({"user_id": uid, "sess": sess, "ts": ts})
         b = (df.groupby(["user_id", "sess"], sort=False)["ts"]
              .agg(["min", "max"]).reset_index())
@@ -1211,9 +1135,7 @@ def peak_concurrency(sf_dir: str):
             "uid": pa.array(np.concatenate([uid, uid])),
             "sess": pa.array(np.concatenate([sess, sess]))})
 
-    ordered = (ds.map_batches(add_part, batch_format="pyarrow")
-               .groupby("upart")
-               .map_groups(bounds_part, batch_format="pandas")
+    ordered = (exchange(ds, ["user_id"], bounds_part)
                .map_batches(endpoints, batch_format="pyarrow")
                .sort(["tu", "delta", "uid", "sess"],
                      descending=[False, True, False, False]).materialize())
@@ -1573,7 +1495,6 @@ def weekly_active_users(sf_dir: str, window: int = WAU_WINDOW):
         off = np.tile(np.arange(window), n)
         rep = rep.assign(window_day=rep["day"].to_numpy() + off)
         rep = rep.drop(columns=["day"]).drop_duplicates()
-        rep["upart"] = rep["user_id"].to_numpy() % 256
         return pa.Table.from_pandas(rep, preserve_index=False)
 
     def dedup_count(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1609,9 +1530,8 @@ def weekly_active_users(sf_dir: str, window: int = WAU_WINDOW):
 
     def collect_counts() -> dict:
         acc: dict = {}
-        src = (ds.map_batches(cover, batch_format="pyarrow")
-               .groupby("upart")
-               .map_groups(dedup_count, batch_format="pandas"))
+        src = exchange(ds.map_batches(cover, batch_format="pyarrow"),
+                       ["user_id"], dedup_count)
         for t in arrow_blocks(src, stream=False):
             for et, wd, n in zip(t.column("event_type").to_pylist(),
                                  t.column("window_day").to_pylist(),
@@ -1675,10 +1595,6 @@ def transition_dwell(sf_dir: str):
     ds = read_table(sf_dir, "events",
                     ["event_id", "user_id", "ts", "event_type"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "upart", pa.array(t.column("user_id").to_numpy() % 256))
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = df["user_id"].to_numpy()
@@ -1698,8 +1614,7 @@ def transition_dwell(sf_dir: str):
             "n": g["size"].astype("int64"),
             "s": g["sum"].astype("int64")})
 
-    agg = (ds.map_batches(add_part, batch_format="pyarrow")
-           .groupby("upart").map_groups(partial, batch_format="pandas")
+    agg = (exchange(ds, ["user_id"], partial)
            .groupby(["t_from", "t_to"])
            .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s")))
 
@@ -1801,30 +1716,13 @@ def session_bounce_rate(sf_dir: str):
 
     ds = _events(sf_dir, ["user_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "upart", pa.array(t.column("user_id").to_numpy() % 256))
-
     def part_counts(part: "pd.DataFrame") -> "pd.DataFrame":
-        part = part.sort_values(["user_id", "ts"], kind="stable")
-        uid = part["user_id"].to_numpy()
-        ts = part["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        new_user = np.empty(len(part), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.empty(len(part), dtype=bool)
-        gap[0] = True
-        gap[1:] = (ts[1:] - ts[:-1]) >= SESSION_GAP_US
-        sess = np.cumsum(new_user | gap)
-        sizes = np.bincount(sess)[1:]
+        sizes = np.bincount(_sessions(part)[2])[1:]
         return pd.DataFrame({
             "n_sessions": np.array([len(sizes)], np.int64),
             "n_bounce": np.array([int((sizes == 1).sum())], np.int64)})
 
-    parts = (ds.map_batches(add_part, batch_format="pyarrow")
-             .groupby("upart")
-             .map_groups(part_counts, batch_format="pandas")
-             .take_all())
+    parts = exchange(ds, ["user_id"], part_counts).take_all()
     n = sum(r["n_sessions"] for r in parts)
     b = sum(r["n_bounce"] for r in parts)
     import pandas as pd

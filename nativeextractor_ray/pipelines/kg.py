@@ -1,13 +1,17 @@
 """Knowledge-graph pipeline: transcripts → (subj, pred, obj) triples, plus
-the canonicalization (union-find) stage.
+the canonicalization (union-find) stage and the per-conversation /
+per-entity reports over the same extraction.
 
 Shape (SURVEY.md §3.4): streaming read → KgExtract in task mode, fused
 with the transcripts derive (mention-detect + link + triple-emit with
 per-batch combining) → materialized partials → sort by a stable hash
 ``part`` of (subj, pred, obj) (the ONLY shuffle; it moves partial counts,
-not occurrences) → one Arrow group_by per sorted block (``combine_parts``)
-→ triples.  The checkpointed ``run_kg`` runs the same plan per input slice
-and ``finalize`` merges the slices with the same ``combine_parts``.
+not occurrences) → one Arrow group_by per sorted block (``combine_parts``,
+``common.sorted_blocks``) → triples.  The checkpointed ``run_kg`` runs
+the same plan per input slice and ``finalize`` merges the slices with
+the same ``combine_parts``.  Every keyed report (per conversation, per
+entity, per (minute, term)) co-locates its rows with ``common.exchange``
+and groups on the real key inside one call per sorted block.
 Canonicalization groups distinct surfaces (bounded vocabulary), runs
 union-find on the driver, and the resulting surface→entity map is
 broadcast-sized."""
@@ -19,6 +23,7 @@ import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.linking import DictIndex, best_dict_match
 from nativeextractor_ray.functions.unionfind import canonicalize
+from nativeextractor_ray.pipelines.common import exchange, sorted_blocks
 from nativeextractor_ray.pipelines.extract import mentions_dataset
 from nativeextractor_ray.sources.transcripts import DICT_NAMES, transcripts_dataset
 from nativeextractor_ray.stages.kg_extract import KgExtract
@@ -52,15 +57,10 @@ def _triple_part_column(t: pa.Table) -> pa.Table:
 
 
 def combine_parts(ds):
-    """Final combine of ``part``-keyed triple partials: sort by ``part``,
-    then ONE Arrow group_by per sorted block.  This is what
-    ``groupby("part").map_groups(_final_combine)`` does minus its
-    per-``part`` split (up to N_TRIPLE_PARTS Python calls, each with its
-    own group_by): the range-partitioned sort puts every row of one
-    ``part`` value in one block, and every row of one triple carries the
-    same ``part``, so no triple spans two blocks."""
-    return ds.sort("part").map_batches(_final_combine, batch_format="pyarrow",
-                                       batch_size=None)
+    """Final combine of ``part``-keyed triple partials: ONE Arrow group_by
+    per ``part``-sorted block.  Every row of one triple carries the same
+    ``part``, so no triple spans two blocks."""
+    return sorted_blocks(ds, _final_combine, batch_format="pyarrow")
 
 
 def combine_triple_partials(ds):
@@ -196,14 +196,6 @@ def conv_entity_flow(sf_dir: str):
 
     partial = ds.map_batches(partial_first_seen, batch_format="pyarrow")
 
-    # coarse partition + ONE vectorized pandas pass per shuffle partition
-    # (conv_id cardinality is unbounded, so a per-conversation UDF call
-    # would be the map_groups-overhead trap — VERDICT r1 item 7)
-    def add_gpart(t: pa.Table) -> pa.Table:
-        from nativeextractor_ray.functions.hashing import stable_part
-
-        return t.append_column("gpart", stable_part(t, ["conv_id"], 256))
-
     def flow_part(part: pd.DataFrame) -> pd.DataFrame:
         m = (
             part.groupby(["conv_id", "ent"], sort=False)["turn_idx"].min()
@@ -218,11 +210,7 @@ def conv_entity_flow(sf_dir: str):
         out["n_entities"] = out["n_entities"].astype("int64")
         return out[["conv_id", "flow", "n_entities"]]
 
-    return (
-        partial.map_batches(add_gpart, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(flow_part, batch_format="pandas")
-    )
+    return exchange(partial, ["conv_id"], flow_part)
 
 
 def top_triples(sf_dir: str, k: int = 20):
@@ -258,11 +246,6 @@ def entities_table(sf_dir: str):
             "n": pc.cast(g.column("turn_idx_count"), pa.int64()),
         })
 
-    def add_gpart(t: pa.Table) -> pa.Table:
-        from nativeextractor_ray.functions.hashing import stable_part
-
-        return t.append_column("gpart", stable_part(t, ["ent"], 256))
-
     def rollup_part(part: pd.DataFrame) -> pd.DataFrame:
         g = (
             part.groupby("ent", sort=False)
@@ -277,12 +260,8 @@ def entities_table(sf_dir: str):
         })
         return out
 
-    return (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .map_batches(add_gpart, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(rollup_part, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial_counts, batch_format="pyarrow"),
+                    ["ent"], rollup_part)
 
 
 def entity_components(sf_dir: str):
@@ -335,9 +314,8 @@ def conv_digest_salted(sf_dir: str, replicate: int = 1):
             "text": t.column("text"),
         })
 
-    # partition-wise processing (one UDF call per shuffle partition, a
-    # vectorized pandas groupby inside — never one Python call per group;
-    # at 10^12 turns the (conv, salt) group count is ~10^9)
+    # a vectorized pandas groupby per call, never one Python call per
+    # group: at 10^12 turns the (conv, salt) group count is ~10^9
     def chunk_digests(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["conv_id", "salt", "turn_idx"], kind="stable")
         out = (
@@ -362,27 +340,9 @@ def conv_digest_salted(sf_dir: str, replicate: int = 1):
         out["n_turns"] = out["n_turns"].astype("int64")
         return out[["conv_id", "digest", "n_turns"]]
 
-    from nativeextractor_ray.pipelines.common import adaptive_parts
-
-    n_parts = adaptive_parts(sf_dir, replicate=replicate)
-
-    def add_part(t: pa.Table, keys) -> pa.Table:
-        from nativeextractor_ray.functions.hashing import stable_part
-
-        return t.append_column("gpart", stable_part(t, keys, n_parts))
-
-    chunks = (
-        ds.map_batches(with_salt, batch_format="pyarrow")
-        .map_batches(lambda t: add_part(t, ["conv_id", "salt"]), batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(chunk_digests, batch_format="pandas")
-    )
-    merged = (
-        chunks.map_batches(lambda t: add_part(t, ["conv_id"]), batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(merge_digests, batch_format="pandas")
-    )
-    return merged
+    chunks = exchange(ds.map_batches(with_salt, batch_format="pyarrow"),
+                      ["conv_id", "salt"], chunk_digests)
+    return exchange(chunks, ["conv_id"], merge_digests)
 
 
 def conv_stats(sf_dir: str):
@@ -418,18 +378,14 @@ def turn_role_transitions(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
     ds = transcripts_dataset(sf_dir)
 
     def prep(t: pa.Table) -> pa.Table:
-        tbl = pa.table({
+        return pa.table({
             "conv_id": t.column("conv_id"),
             "turn_idx": t.column("turn_idx"),
             "role": t.column("role"),
         })
-        return tbl.append_column(
-            "part", stable_part(tbl, ["conv_id"], 64))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -451,9 +407,8 @@ def turn_role_transitions(sf_dir: str):
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+    return (exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                     ["conv_id"], resolve)
             .groupby(["from_role", "to_role"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -657,12 +612,8 @@ def tool_latency(sf_dir: str):
     import pandas as pd
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
 
     ds = transcripts_dataset(sf_dir)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("gpart", stable_part(t, ["conv_id"], 256))
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
@@ -682,10 +633,7 @@ def tool_latency(sf_dir: str):
                              "s": g["sum"].astype("int64")})
 
     acc: dict = {}
-    for t in arrow_blocks(
-            ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("gpart").map_groups(partial, batch_format="pandas"),
-            stream=False):
+    for t in arrow_blocks(exchange(ds, ["conv_id"], partial), stream=False):
         for tl, n, s in zip(t.column("tool").to_pylist(),
                             t.column("n").to_pylist(),
                             t.column("s").to_pylist()):
@@ -720,7 +668,6 @@ FROM s WHERE tool <> '' AND nxt IS NOT NULL GROUP BY tool"""
 
 
 TRENDING_K = 5
-_TREND_PARTS = 64
 
 
 def trending_terms(sf_dir: str, k: int = TRENDING_K):
@@ -740,7 +687,6 @@ def trending_terms(sf_dir: str, k: int = TRENDING_K):
     import numpy as np
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.transcripts import transcripts_dataset
 
     ds = transcripts_dataset(sf_dir)
@@ -758,21 +704,18 @@ def trending_terms(sf_dir: str, k: int = TRENDING_K):
             "term": flat,
         })
         g = tbl.group_by(["minute", "term"]).aggregate([("term", "count")])
-        out = pa.table({
+        return pa.table({
             "minute": g.column("minute"),
             "term": g.column("term"),
             "n": pc.cast(g.column("term_count"), pa.int64())})
-        return out.append_column(
-            "part", stable_part(out, ["minute", "term"], _TREND_PARTS))
 
     def exact_counts(df: "pd.DataFrame") -> "pd.DataFrame":
         g = (df.groupby(["minute", "term"], sort=False)["n"].sum()
              .reset_index())
         return g
 
-    counts = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("part").map_groups(exact_counts,
-                                          batch_format="pandas"))
+    counts = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["minute", "term"], exact_counts)
 
     def local_topk(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -829,20 +772,16 @@ def tool_transitions(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
     ds = transcripts_dataset(sf_dir)
 
     def prep(t: pa.Table) -> pa.Table:
         keep = pc.not_equal(t.column("tool"), "")
         t = t.filter(keep)
-        tbl = pa.table({
+        return pa.table({
             "conv_id": t.column("conv_id"),
             "turn_idx": t.column("turn_idx"),
             "tool": t.column("tool"),
         })
-        return tbl.append_column(
-            "part", stable_part(tbl, ["conv_id"], 64))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -864,9 +803,8 @@ def tool_transitions(sf_dir: str):
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+    return (exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                     ["conv_id"], resolve)
             .groupby(["from_tool", "to_tool"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -920,7 +858,7 @@ def entity_timeline(sf_dir: str):
     Scale shape: per-batch (ent, day) partials (n, min_ts, max_ts) —
     day-bucketing bounds the partial table at entities × days — ONE
     composite groupby makes them exact, and the per-entity fold (count
-    of days, sums, min/min) is a second tiny groupby.  Mentions never
+    of days, sums, min/min) is one entity ``exchange``.  Mentions never
     shuffle row-wise.
 
     Output: ``(entity_id, n_mentions, n_days, first_us, last_us)``."""
@@ -960,7 +898,7 @@ def entity_timeline(sf_dir: str):
             g[c] = g[c].astype("int64")
         return g
 
-    return per_day.groupby("ent").map_groups(fold, batch_format="pandas")
+    return exchange(per_day, ["ent"], fold)
 
 
 def entity_timeline_sql() -> str:
@@ -1093,11 +1031,6 @@ def conv_entity_density(sf_dir: str):
         ded = df.drop_duplicates()
         return pa.Table.from_pandas(ded, preserve_index=False)
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("part", stable_part(t, ["conv_id"], 64))
-
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         ents_n = (df[df["ent"] != ""].drop_duplicates(["conv_id", "ent"])
                   .groupby("conv_id", sort=False).size())
@@ -1117,8 +1050,7 @@ def conv_entity_density(sf_dir: str):
         batch_format="pyarrow")
     turn_rows = turns.map_batches(turn_partial, batch_format="pyarrow")
     both = ent_rows.union(turn_rows)
-    return (both.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(fold, batch_format="pandas"))
+    return exchange(both, ["conv_id"], fold)
 
 
 def conv_entity_density_sql() -> str:

@@ -423,11 +423,17 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
     (LSH buckets, IVF probes) are :func:`ann_lsh_topk` /
     :func:`ann_ivf_topk`; this is the exact baseline they are measured
     against."""
-    import ray  # noqa: F401  (refs resolved inside the actor)
+    import ray.data
 
     from nativeextractor_ray.sources.tables import read_table
 
     emb = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
+    if not emb.count():  # no index chunk to probe
+        return ray.data.from_arrow(pa.table({
+            "vec_id": pa.array([], pa.int64()),
+            "neighbor_id": pa.array([], pa.int64()),
+            "score": pa.array([], pa.float64()),
+            "rank": pa.array([], pa.int64())}))
     refs = emb.to_arrow_refs()
     total = emb.size_bytes() or 1
     per_block = max(1, total // max(1, len(refs)))
@@ -442,17 +448,11 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
         cand = part if cand is None else cand.union(part)
 
     # merge the per-chunk candidates with the grouped-top-k shape
-    # (events.top_events_per_user): coarse vec_id-hash partitions, one
-    # vectorized pandas pass each — a groupby(vec_id).map_groups would
-    # pay one Python call PER VECTOR (measured: the merge, not the
-    # matmul, dominated at 5k vectors)
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
-
-    n_parts = adaptive_parts(sf_dir, table="embeddings")
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("part", stable_part(t, ["vec_id"], n_parts))
+    # (events.top_events_per_user): one vec_id exchange, one vectorized
+    # pandas pass per block — a groupby(vec_id).map_groups would pay one
+    # Python call PER VECTOR (measured: the merge, not the matmul,
+    # dominated at 5k vectors)
+    from nativeextractor_ray.pipelines.common import exchange
 
     def resolve(df):
         df = df.sort_values(["vec_id", "score", "neighbor_id"],
@@ -462,8 +462,7 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
                        ).astype("int64")
         return out[["vec_id", "neighbor_id", "score", "rank"]]
 
-    return (cand.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(resolve, batch_format="pandas"))
+    return exchange(cand, ["vec_id"], resolve)
 
 
 def knn_graph_sql(k: int = KNN_K) -> str:

@@ -560,10 +560,14 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
         aoffs = ga.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         aoffs = aoffs - aoffs[0]
         aflat = pc.list_flatten(pair_t.column("grams")).to_numpy()
+        # only doc_b rows of some pair get a bitset: a partition holds
+        # ~n_docs/N_PARTS set rows but may hold few candidate pairs
+        set_t = set_t.filter(pc.is_in(set_t.column("k"),
+                                      value_set=pa.array(np.unique(db))))
         keys, gflat, goffs, order, sizes = _gram_lookup(set_t)
         bi = np.searchsorted(keys, db)
         sb = sizes[bi]
-        # partition-local dense vocab over both sides
+        # dense vocab over the pairs' grams and their doc_b rows' grams
         vocab = np.unique(np.concatenate([aflat, gflat]))
         W = max(1, (len(vocab) + 63) // 64)
         n_pairs = len(da)

@@ -5,10 +5,10 @@ The per-key operators (``event_gaps``, ``user_running_value``,
 ``first_touch``) use the same scale shape as
 :func:`~nativeextractor_ray.pipelines.events.errors_prior_window`:
 
-- ONE ``hash(user_id)`` shuffle of narrow prepared rows (ids, int64
+- ONE user_id ``common.exchange`` of narrow prepared rows (ids, int64
   timestamps, integer cents) — payloads never move twice, and no window
   ever materializes more rows than its input.
-- Inside each partition a single ``np.lexsort`` on
+- Inside each exchange block a single ``np.lexsort`` on
   ``(event_id, ts, user_id)`` establishes the exact SQL window order
   (``PARTITION BY user_id ORDER BY ts, event_id`` — event_id breaks
   timestamp ties deterministically), then the window itself is pure
@@ -35,16 +35,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-#: hash(user_id) partitions for the single window shuffle
-_WIN_PARTS = 64
+from nativeextractor_ray.pipelines.common import exchange
 
 
-def _prep(sf_dir: str, with_cents: bool = True):
-    """Shared narrow projection: (event_id, user_id, ts_us[, cents], part).
+def _by_user(sf_dir: str, resolve, with_cents: bool = True):
+    """``resolve`` once per user_id exchange block of the shared narrow
+    projection (event_id, user_id, ts_us[, cents]).
 
     ``with_cents=False`` prunes the value column at the READ for windows
     that only need timestamps (event_gaps)."""
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     cols = ["event_id", "ts", "user_id"] + (["value"] if with_cents else [])
@@ -59,11 +58,10 @@ def _prep(sf_dir: str, with_cents: bool = True):
         if with_cents:
             out["cents"] = pc.cast(
                 pc.round(pc.multiply(t.column("value"), 100.0)), pa.int64())
-        tbl = pa.table(out)
-        return tbl.append_column("part", stable_part(tbl, ["user_id"],
-                                                     _WIN_PARTS))
+        return pa.table(out)
 
-    return ds.map_batches(prep, batch_format="pyarrow")
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], resolve)
 
 
 def _window_order(df) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -126,9 +124,7 @@ def event_gaps(sf_dir: str):
             "max_gap_us": max_gap[keep],
             "sum_gap_us": sum_gap[keep]})
 
-    return (_prep(sf_dir, with_cents=False)
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return _by_user(sf_dir, resolve, with_cents=False)
 
 
 def event_gaps_sql() -> str:
@@ -182,9 +178,7 @@ def user_running_value(sf_dir: str):
             "user_id": uid_s,
             "cum_cents": cum.astype(np.int64)})
 
-    return (_prep(sf_dir)
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return _by_user(sf_dir, resolve)
 
 
 def user_running_value_sql() -> str:
@@ -213,14 +207,13 @@ def first_touch(sf_dir: str):
     import ray.data  # noqa: F401  (Dataset type)
 
     import pyarrow.compute as pc2
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events",
                     ["event_id", "ts", "user_id", "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "event_id": t.column("event_id"),
             "user_id": t.column("user_id"),
             "event_type": t.column("event_type"),
@@ -228,8 +221,6 @@ def first_touch(sf_dir: str):
             "cents": pc2.cast(pc2.round(pc2.multiply(t.column("value"),
                                                      100.0)), pa.int64()),
         })
-        return out.append_column("part", stable_part(out, ["user_id"],
-                                                     _WIN_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -244,9 +235,8 @@ def first_touch(sf_dir: str):
             "value_c": df["cents"].to_numpy()[first],
         })
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], resolve)
 
 
 def first_touch_sql() -> str:
@@ -373,22 +363,19 @@ def user_value_rank(sf_dir: str):
     Output: one row per event — ``(event_id, user_id, rnk, drnk)``."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
-    # rank orders by value alone — no ts in the shuffle (cf. _prep,
+    # rank orders by value alone — no ts in the shuffle (cf. _by_user,
     # which the gap/cumsum windows use because they sort on time)
     ds = read_table(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "event_id": t.column("event_id"),
             "user_id": t.column("user_id"),
             "cents": pc.cast(pc.round(pc.multiply(t.column("value"),
                                                   100.0)), pa.int64()),
         })
-        return out.append_column("part", stable_part(out, ["user_id"],
-                                                     _WIN_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -426,9 +413,8 @@ def user_value_rank(sf_dir: str):
             "rnk": rnk.astype(np.int64),
             "drnk": drnk.astype(np.int64)})
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    ["user_id"], resolve)
 
 
 def user_value_rank_sql() -> str:
@@ -460,21 +446,18 @@ def event_transitions(sf_dir: str):
     import pyarrow.compute as pc2
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id",
                                        "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "event_id": t.column("event_id"),
             "user_id": t.column("user_id"),
             "event_type": t.column("event_type"),
             "ts_us": pc2.cast(t.column("ts"), pa.int64()),
         })
-        return out.append_column("part", stable_part(out, ["user_id"],
-                                                     _WIN_PARTS))
 
     def local_counts(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -499,7 +482,7 @@ def event_transitions(sf_dir: str):
     # the aggregate must run over ARROW blocks: over pandas blocks it
     # emits schema-LESS empty pandas blocks (names=[]) that bypass both
     # map-fn batch conversion and to_arrow_refs (observed: raw empty
-    # DataFrames in the output stream) — so re-block the map_groups
+    # DataFrames in the output stream) — so re-block the exchange
     # output to arrow first, and pin the post-aggregate schema (the
     # hll_users_by_type ensure_regs pattern)
     def to_arrow(df: "pd.DataFrame") -> pa.Table:
@@ -507,9 +490,8 @@ def event_transitions(sf_dir: str):
             return out_schema.empty_table()
         return pa.Table.from_pandas(df, preserve_index=False).cast(out_schema)
 
-    merged = (ds.map_batches(prep, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(local_counts, batch_format="pandas")
+    merged = (exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                       ["user_id"], local_counts)
                 .map_batches(to_arrow, batch_format="pandas")
                 .groupby(["from_type", "to_type"])
                 .aggregate(Sum("n", alias_name="n")))
@@ -581,9 +563,7 @@ def user_rolling_sum(sf_dir: str, k: int = ROLL_K):
             "user_id": uid_s,
             "roll_cents": (csum - prev).astype(np.int64)})
 
-    return (_prep(sf_dir)
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return _by_user(sf_dir, resolve)
 
 
 def user_rolling_sum_sql(k: int = ROLL_K) -> str:
@@ -694,21 +674,18 @@ def late_event_stats(sf_dir: str):
 
     from ray.data.aggregate import Max, Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id",
                                        "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
-        tbl = pa.table({
+        return pa.table({
             "event_id": t.column("event_id"),
             "user_id": t.column("user_id"),
             "ts_us": pc.cast(t.column("ts"), pa.int64()),
             "event_type": t.column("event_type"),
         })
-        return tbl.append_column("part", stable_part(tbl, ["user_id"],
-                                                     _WIN_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -740,9 +717,8 @@ def late_event_stats(sf_dir: str):
             max_lateness_us=("lateness", "max")).reset_index()
         return g
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+    return (exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                     ["user_id"], resolve)
             .groupby("event_type")
             .aggregate(Sum("n_events", alias_name="n_events"),
                        Sum("n_late", alias_name="n_late"),
@@ -790,10 +766,6 @@ def event_path_trigrams(sf_dir: str):
     ds = read_table(sf_dir, "events",
                     ["event_id", "user_id", "ts", "event_type"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "upart", pa.array(t.column("user_id").to_numpy() % 256))
-
     def tri_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = df["user_id"].to_numpy()
@@ -814,11 +786,8 @@ def event_path_trigrams(sf_dir: str):
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
     acc: dict = {}
-    for t in arrow_blocks(
-            ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("upart")
-            .map_groups(tri_partial, batch_format="pandas"),
-            stream=False):
+    for t in arrow_blocks(exchange(ds, ["user_id"], tri_partial),
+                          stream=False):
         for a, b, c, n in zip(t.column("t1").to_pylist(),
                               t.column("t2").to_pylist(),
                               t.column("t3").to_pylist(),

@@ -1,0 +1,69 @@
+"""The queries that co-locate rows with ``common.exchange``, on degenerate
+inputs: copies of sf0.001 whose ``documents``, ``events`` and
+``embeddings`` tables hold no rows, or one row.  Each query is compared
+with its DuckDB oracle as in ``test_oracle_parity.py``.  An empty Ray
+Dataset carries no schema, so where the oracle returns no rows the query
+must return no rows, with the oracle's columns if it has any."""
+
+import shutil
+
+import duckdb
+import pandas as pd
+import pyarrow.parquet as pq
+import pytest
+
+from test_oracle_parity import TABLES, _norm, _to_table
+
+DEGENERATE = ["documents", "events", "embeddings"]
+
+QUERIES = [
+    # kg
+    "conv_entity_flow", "entities", "conv_digest_salted",
+    "turn_role_transitions", "tool_latency", "trending_terms",
+    "tool_transitions", "conv_entity_density", "entity_timeline",
+    # events
+    "events_sessionized", "top_events_per_user", "errors_prior_window",
+    "funnel_counts", "retention_cohorts", "event_type_affinity",
+    "peak_concurrency", "weekly_active_users", "transition_dwell",
+    "session_bounce_rate",
+    # windows
+    "event_gaps", "user_running_value", "first_touch", "user_value_rank",
+    "event_transitions", "user_rolling_sum", "late_event_stats",
+    "event_path_trigrams",
+    # similarity
+    "knn_graph",
+]
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["empty", "one_row"])
+def degenerate(request, sf_dir, tmp_path_factory):
+    """(sf_dir copy, DuckDB connection on it) with the DEGENERATE tables
+    cut to their first ``param`` rows."""
+    out = tmp_path_factory.mktemp(f"sf_rows{request.param}")
+    con = duckdb.connect()
+    for name in TABLES:
+        t = pq.read_table(f"{sf_dir}/{name}.parquet")
+        if name in DEGENERATE:
+            t = t.slice(0, request.param)
+        pq.write_table(t, out / f"{name}.parquet")
+        con.register(name, t)
+    yield str(out), con
+    con.close()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
+    import __ray_entry__ as e
+
+    run_dir, con = degenerate
+    got = _to_table(e.queries()[name](run_dir))
+    want = _norm(con.sql(e.oracle_sql()[name]).arrow())
+    if got.num_columns == 0:
+        assert got.num_rows == 0 and len(want) == 0, (name, len(want))
+        return
+    got = _norm(got)
+    assert list(got.columns) == list(want.columns), name
+    assert len(got) == len(want), f"{name}: {len(got)} vs {len(want)} rows"
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=False, rtol=1e-6)

@@ -104,6 +104,27 @@ def test_ssjoin_joinback_path_identical(ray_session, tmp_path,
     assert len(a) > 0
 
 
+def test_ssjoin_joinback_sparse_pairs_identical(ray_session, tmp_path,
+                                                monkeypatch):
+    """The join-back verify builds bitsets only for the set rows that
+    some candidate pair references.  On a corpus where most docs share
+    no gram with any other, its pair set must still equal the broadcast
+    path's."""
+    from nativeextractor_ray.pipelines import ssjoin
+
+    docs = [(i, " ".join(f"u{i}x{j}" for j in range(6))) for i in range(60)]
+    docs += [(100, "x y z t u v"), (101, "x y z t u q"),
+             (200, "p q r s t u v"), (201, "p q r s t u w")]
+    sf = _write_docs(tmp_path, docs)
+    a = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
+        ["doc_a", "doc_b"]).reset_index(drop=True)
+    monkeypatch.setattr(ssjoin, "SETS_BROADCAST_BOUND", 0)
+    b = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
+        ["doc_a", "doc_b"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+    assert a[["doc_a", "doc_b"]].values.tolist() == [[100, 101], [200, 201]]
+
+
 def test_ssjoin_prefix_payload_linear_in_doc_length():
     """The prefix exchange ships O((1-τ)·s) BYTES per doc, linear in the
     gram-set size — the round-4 shape tiled the full rank array once per
