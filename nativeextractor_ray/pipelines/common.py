@@ -12,6 +12,16 @@ sorted blocks; empty blocks never reach ``fn``.  ``fn`` is passed to
 ``map_batches`` as is, so Ray's operator names are the callers' names.
 ``map_groups`` is this same sort plus one Python call per key value.
 
+Why a hashed ``part`` and not ``sort(keys)``, which co-locates equal
+key tuples just as well: Ray 2.49's sort map step finds each range
+boundary with ``find_partition_index``, which converts the key column
+to numpy once per boundary.  For a string key that is an object-array
+copy per reducer.  Measured on one 200k-row block of ``conv-%08d``
+keys (1 CPU): ``sort(["k"])`` takes 0.18 / 0.91 / 2.6 s at 8 / 64 / 256
+reducers; tag + ``sort("part")`` takes 0.08 s at each.  An int64 key
+sorts about 6 ms (20 %) faster on itself than through the tag, too
+little to justify a second code path.
+
 Measured on the sf0.1 bench (200k turns, 32 CPUs): large batches amortize
 per-call overhead AND shrink the shuffled partial tables (more per-batch
 combining); a fixed half-the-CPUs actor pool beats both a (1, N) autoscaler
@@ -40,13 +50,13 @@ def _tag_part(t, keys: list[str]):
     return t.append_column("part", stable_part(t, keys, EXCHANGE_MODULUS))
 
 
-def exchange(ds, keys: list[str], fn, batch_format: str = "pandas"):
+def exchange(ds, keys: list[str], fn):
     """Co-locate the rows of ``ds`` by ``keys`` and call ``fn`` once per
-    block (module docstring).  ``fn`` receives the extra ``part``
-    column."""
+    block (module docstring) on a pandas frame that carries the extra
+    ``part`` column."""
     tagged = ds.map_batches(_tag_part, batch_format="pyarrow",
                             fn_kwargs={"keys": list(keys)})
-    return sorted_blocks(tagged, fn, batch_format)
+    return sorted_blocks(tagged, fn, "pandas")
 
 
 def _cpus() -> int:

@@ -388,6 +388,89 @@ def _broadcast_verifier(side_ref, num: int, den: int):
     return verify_bucket
 
 
+def _split_group(t: pa.Table):
+    """(set rows, pair rows) of a join-back tagged-union group."""
+    is_set = t.column("is_set").to_numpy(zero_copy_only=False)
+    return t.filter(pa.array(is_set)), t.filter(pa.array(~is_set))
+
+
+def _gram_lookup(set_tbl: pa.Table):
+    """(sorted keys, flat grams, offsets, sorted→orig row map, sizes)
+    for partition-local docs.  ``keys``/``sizes`` are key-sorted;
+    ``goffs``/``gflat`` stay in ORIGINAL row order — callers must go
+    through ``order[ai]`` to slice a doc's grams."""
+    keys = set_tbl.column("k").to_numpy(zero_copy_only=False)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    sizes = set_tbl.column("s").to_numpy(zero_copy_only=False)[order]
+    grams = set_tbl.column("grams").combine_chunks()
+    goffs = grams.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    goffs = goffs - goffs[0]
+    gflat = pc.list_flatten(set_tbl.column("grams")).to_numpy()
+    return keys, gflat, goffs, order, sizes
+
+
+_JACC_EMPTY = pa.table({"doc_a": pa.array([], pa.int64()),
+                        "doc_b": pa.array([], pa.int64()),
+                        "inter": pa.array([], pa.int64()),
+                        "un": pa.array([], pa.int64()),
+                        "jacc_micro": pa.array([], pa.int64())})
+
+
+def _verify_joined(t: pa.Table, num: int, den: int) -> pa.Table:
+    """Join-back verify (exchange 3: pairs land in doc_b's partition):
+    partition-local bitset popcount-AND between the carried grams_a and
+    the co-partitioned grams_b — no per-pair Python."""
+    set_t, pair_t = _split_group(t)
+    if pair_t.num_rows == 0 or set_t.num_rows == 0:
+        return _JACC_EMPTY
+    db = pair_t.column("k").to_numpy(zero_copy_only=False)
+    da = pair_t.column("other").to_numpy(zero_copy_only=False)
+    sa = pair_t.column("s").to_numpy(zero_copy_only=False)
+    ga = pair_t.column("grams").combine_chunks()
+    aoffs = ga.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    aoffs = aoffs - aoffs[0]
+    aflat = pc.list_flatten(pair_t.column("grams")).to_numpy()
+    # only doc_b rows of some pair get a bitset: a partition holds
+    # ~n_docs/N_PARTS set rows but may hold few candidate pairs
+    set_t = set_t.filter(pc.is_in(set_t.column("k"),
+                                  value_set=pa.array(np.unique(db))))
+    keys, gflat, goffs, order, sizes = _gram_lookup(set_t)
+    bi = np.searchsorted(keys, db)
+    sb = sizes[bi]
+    # dense vocab over the pairs' grams and their doc_b rows' grams
+    vocab = np.unique(np.concatenate([aflat, gflat]))
+    W = max(1, (len(vocab) + 63) // 64)
+    n_pairs = len(da)
+    a_bs = np.zeros((n_pairs, W), np.uint64)
+    loc = np.searchsorted(vocab, aflat)
+    row_of = np.repeat(np.arange(n_pairs), aoffs[1:] - aoffs[:-1])
+    np.bitwise_or.at(a_bs, (row_of, loc >> 6),
+                     np.uint64(1) << (loc & 63).astype(np.uint64))
+    m = len(keys)
+    # b_bs rows are in ORIGINAL set-row order (goffs is unsorted) —
+    # index through order[bi] to pick doc_b's bitset
+    b_bs = np.zeros((m, W), np.uint64)
+    loc_b = np.searchsorted(vocab, gflat)
+    row_b = np.repeat(np.arange(m), goffs[1:] - goffs[:-1])
+    np.bitwise_or.at(b_bs, (row_b, loc_b >> 6),
+                     np.uint64(1) << (loc_b & 63).astype(np.uint64))
+    inter = _popcount_rows(a_bs & b_bs[order[bi]])
+    ok = (den + num) * inter >= num * (sa + sb)
+    da, db, sa, sb, inter = da[ok], db[ok], sa[ok], sb[ok], inter[ok]
+    if not len(da):
+        return _JACC_EMPTY
+    un = sa + sb - inter
+    lo, hi = np.minimum(da, db), np.maximum(da, db)
+    return pa.table({
+        "doc_a": pa.array(lo.astype(np.int64)),
+        "doc_b": pa.array(hi.astype(np.int64)),
+        "inter": pa.array(inter.astype(np.int64)),
+        "un": pa.array(un.astype(np.int64)),
+        "jacc_micro": pa.array(
+            (2 * inter * 1_000_000 + un) // (2 * un))})
+
+
 def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
     """All document pairs with distinct-bigram-set Jaccard ≥ τ:
     ``(doc_a, doc_b, inter, un, jacc_micro)``, ``doc_a < doc_b``."""
@@ -476,27 +559,6 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
             "part": pa.array(k.to_numpy(zero_copy_only=False)
                              % N_PARTS)})
 
-    def _split_group(t: pa.Table):
-        is_set = t.column("is_set").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(is_set)), t.filter(pa.array(~is_set))
-
-    def _gram_lookup(set_tbl: pa.Table):
-        """(sorted keys, flat grams, offsets, sorted→orig row map, sizes)
-        for partition-local docs.  ``keys``/``sizes`` are key-sorted;
-        ``goffs``/``gflat`` stay in ORIGINAL row order — callers must go
-        through ``order[ai]`` to slice a doc's grams."""
-        keys = set_tbl.column("k").to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        sizes = set_tbl.column("s").to_numpy(
-            zero_copy_only=False)[order]
-        grams = set_tbl.column("grams").combine_chunks()
-        goffs = grams.offsets.to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        goffs = goffs - goffs[0]
-        gflat = pc.list_flatten(set_tbl.column("grams")).to_numpy()
-        return keys, gflat, goffs, order, sizes
-
     # ---- exchange 2: pair lands in doc_a's partition, attach grams_a --
     pair_empty = pa.table({
         "k": pa.array([], pa.int64()),
@@ -540,65 +602,6 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
             "is_set": pa.array(np.zeros(len(da), bool)),
             "part": pa.array(db % N_PARTS)})
 
-    empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                      "doc_b": pa.array([], pa.int64()),
-                      "inter": pa.array([], pa.int64()),
-                      "un": pa.array([], pa.int64()),
-                      "jacc_micro": pa.array([], pa.int64())})
-
-    # ---- exchange 3: pair lands in doc_b's partition, verify ----------
-    def verify(t: pa.Table) -> pa.Table:
-        """Partition-local bitset popcount-AND between the carried
-        grams_a and the co-partitioned grams_b — no per-pair Python."""
-        set_t, pair_t = _split_group(t)
-        if pair_t.num_rows == 0 or set_t.num_rows == 0:
-            return empty
-        db = pair_t.column("k").to_numpy(zero_copy_only=False)
-        da = pair_t.column("other").to_numpy(zero_copy_only=False)
-        sa = pair_t.column("s").to_numpy(zero_copy_only=False)
-        ga = pair_t.column("grams").combine_chunks()
-        aoffs = ga.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        aoffs = aoffs - aoffs[0]
-        aflat = pc.list_flatten(pair_t.column("grams")).to_numpy()
-        # only doc_b rows of some pair get a bitset: a partition holds
-        # ~n_docs/N_PARTS set rows but may hold few candidate pairs
-        set_t = set_t.filter(pc.is_in(set_t.column("k"),
-                                      value_set=pa.array(np.unique(db))))
-        keys, gflat, goffs, order, sizes = _gram_lookup(set_t)
-        bi = np.searchsorted(keys, db)
-        sb = sizes[bi]
-        # dense vocab over the pairs' grams and their doc_b rows' grams
-        vocab = np.unique(np.concatenate([aflat, gflat]))
-        W = max(1, (len(vocab) + 63) // 64)
-        n_pairs = len(da)
-        a_bs = np.zeros((n_pairs, W), np.uint64)
-        loc = np.searchsorted(vocab, aflat)
-        row_of = np.repeat(np.arange(n_pairs), aoffs[1:] - aoffs[:-1])
-        np.bitwise_or.at(a_bs, (row_of, loc >> 6),
-                         np.uint64(1) << (loc & 63).astype(np.uint64))
-        m = len(keys)
-        # b_bs rows are in ORIGINAL set-row order (goffs is unsorted) —
-        # index through order[bi] to pick doc_b's bitset
-        b_bs = np.zeros((m, W), np.uint64)
-        loc_b = np.searchsorted(vocab, gflat)
-        row_b = np.repeat(np.arange(m), goffs[1:] - goffs[:-1])
-        np.bitwise_or.at(b_bs, (row_b, loc_b >> 6),
-                         np.uint64(1) << (loc_b & 63).astype(np.uint64))
-        inter = _popcount_rows(a_bs & b_bs[order[bi]])
-        ok = (den + num) * inter >= num * (sa + sb)
-        da, db, sa, sb, inter = da[ok], db[ok], sa[ok], sb[ok], inter[ok]
-        if not len(da):
-            return empty
-        un = sa + sb - inter
-        lo, hi = np.minimum(da, db), np.maximum(da, db)
-        return pa.table({
-            "doc_a": pa.array(lo.astype(np.int64)),
-            "doc_b": pa.array(hi.astype(np.int64)),
-            "inter": pa.array(inter.astype(np.int64)),
-            "un": pa.array(un.astype(np.int64)),
-            "jacc_micro": pa.array(
-                (2 * inter * 1_000_000 + un) // (2 * un))})
-
     cand = (sets_ds.map_batches(emit_prefix, batch_format="pyarrow")
             .groupby("part").map_groups(candidates,
                                         batch_format="pyarrow"))
@@ -607,7 +610,9 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
               .groupby("part").map_groups(attach_a,
                                           batch_format="pyarrow"))
     return (sets_tagged.union(with_a)
-            .groupby("part").map_groups(verify, batch_format="pyarrow"))
+            .groupby("part").map_groups(_verify_joined,
+                                        batch_format="pyarrow",
+                                        fn_kwargs={"num": num, "den": den}))
 
 
 def ssjoin_jaccard_sql() -> str:

@@ -104,25 +104,42 @@ def test_ssjoin_joinback_path_identical(ray_session, tmp_path,
     assert len(a) > 0
 
 
-def test_ssjoin_joinback_sparse_pairs_identical(ray_session, tmp_path,
-                                                monkeypatch):
-    """The join-back verify builds bitsets only for the set rows that
-    some candidate pair references.  On a corpus where most docs share
-    no gram with any other, its pair set must still equal the broadcast
-    path's."""
+def test_ssjoin_joinback_bitsets_cover_only_referenced_sets(monkeypatch):
+    """The join-back verify builds its gram lookup, vocabulary and
+    bitsets only for the set rows some candidate pair names as doc_b —
+    not for every set row co-partitioned with the pairs."""
     from nativeextractor_ray.pipelines import ssjoin
 
-    docs = [(i, " ".join(f"u{i}x{j}" for j in range(6))) for i in range(60)]
-    docs += [(100, "x y z t u v"), (101, "x y z t u q"),
-             (200, "p q r s t u v"), (201, "p q r s t u w")]
-    sf = _write_docs(tmp_path, docs)
-    a = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
-        ["doc_a", "doc_b"]).reset_index(drop=True)
-    monkeypatch.setattr(ssjoin, "SETS_BROADCAST_BOUND", 0)
-    b = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
-        ["doc_a", "doc_b"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert a[["doc_a", "doc_b"]].values.tolist() == [[100, 101], [200, 201]]
+    def union_rows(k, other, grams, is_set):
+        return {"k": k, "other": other, "s": len(grams), "grams": grams,
+                "is_set": is_set, "part": 0}
+
+    # 40 set rows no pair references, plus doc_b rows 101 and 201
+    rows = [union_rows(i, 0, [1000 + 3 * i, 1001 + 3 * i], True)
+            for i in range(40)]
+    rows += [union_rows(101, 0, [1, 2, 3, 4, 5], True),
+             union_rows(201, 0, [10, 11, 12], True)]
+    # pair rows: k = doc_b, other = doc_a, grams = doc_a's grams
+    rows += [union_rows(101, 100, [1, 2, 3, 4, 6], False),
+             union_rows(201, 200, [20, 21, 22], False)]
+    t = pa.Table.from_pylist(rows, schema=pa.schema([
+        ("k", pa.int64()), ("other", pa.int64()), ("s", pa.int64()),
+        ("grams", pa.list_(pa.int64())), ("is_set", pa.bool_()),
+        ("part", pa.int64())]))
+
+    seen = []
+    real = ssjoin._gram_lookup
+
+    def spy(set_tbl):
+        seen.append(sorted(set_tbl.column("k").to_pylist()))
+        return real(set_tbl)
+
+    monkeypatch.setattr(ssjoin, "_gram_lookup", spy)
+    got = ssjoin._verify_joined(t, ssjoin.TAU_NUM, ssjoin.TAU_DEN)
+    assert seen == [[101, 201]]
+    # |{1..5} ∩ {1,2,3,4,6}| = 4, union 6 → J = 2/3; 200/201 share nothing
+    assert got.to_pylist() == [{"doc_a": 100, "doc_b": 101, "inter": 4,
+                                "un": 6, "jacc_micro": 666667}]
 
 
 def test_ssjoin_prefix_payload_linear_in_doc_length():
