@@ -1,12 +1,20 @@
-"""Native execution for the reference-dialect regex DFA.
+"""Native execution for the reference-dialect regex DFA — one of the three
+native scan kernels.
 
-The reference's regex pitch is codegen: it renders each pattern's automaton
-to C, compiles a ``.so`` and dlopens it (``src/regex_generator.c:1212-1258``,
-README "Native RegExps").  Re-deriving that economics here does NOT need
-per-pattern codegen: :class:`CompiledRegex` already materializes a powerset
-DFA as dense tables, so ONE generic 30-line table-walk kernel (compiled once
-per machine, cached in ``/tmp``) executes every pattern — the tables ride in
-as numpy arrays.  The kernel implements exactly the scan-loop semantics of
+The reference's engine is native: regexes become DFAs and then C
+(``src/regex_generator.c:1212-1258``, README "Native RegExps"), and its
+hand-written FSM miners are C too (``naive_email_miner.c:29-148``).  The
+same economics here comes from three generic kernels, each ONE C source
+compiled once per machine by the shared loader (``miners/cc.py``) and fed
+per-pattern *data* as numpy arrays, never per-pattern codegen:
+
+- this module: a table walk over the powerset DFA that
+  :class:`CompiledRegex` materializes, for every dialect regex;
+- ``miners/globcc.py``: a direct C mirror of the glob interpreter;
+- ``miners/stdcc.py``: the five standard miners (email FSM, URL, date,
+  phone, dictionary NER) in one pass per row over an Arrow text column.
+
+The DFA kernel implements exactly the scan-loop semantics of
 ``extractor.c:55-93`` + the maximal-run acceptance of the generated matchers
 (run to the first dead transition, then test acceptance at the stop state;
 position 0 uses the BOF start state and — exactly like the NFA oracle — is
@@ -14,19 +22,18 @@ attempted only once: a failed BOF attempt advances, never retries the same
 position with the mid-state closure).
 
 Parity with the pure-Python DFA/NFA walk is asserted by
-``tests/test_regex_dfa.py``; availability is best-effort — no compiler (or
-``NXR_NO_CC=1``) silently falls back to the Python engines.
+``tests/test_regex_dfa.py``; ``tests/test_native_kernels.py`` fails when a
+compiler is present but a kernel does not build.  No compiler (or
+``NXR_NO_CC=1``) falls back to the Python engines.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
 import numpy as np
+
+from nativeextractor_ray.miners.cc import Kernel
 
 _C_SRC = r"""
 #include <stdint.h>
@@ -103,61 +110,27 @@ long nxr_scan8(const uint8_t *txt, long n, const int32_t *lut,
 }
 """
 
-_lib = None
-_lib_tried = False
-
-
-def _load() -> "ctypes.CDLL | None":
-    """Compile (once per machine, content-addressed in /tmp) and dlopen the
-    generic scan kernel.  Any failure — no gcc, read-only /tmp, opt-out via
-    NXR_NO_CC — degrades to None and callers use the Python DFA walk."""
-    global _lib, _lib_tried
-    if _lib_tried:
-        return _lib
-    _lib_tried = True
-    if os.environ.get("NXR_NO_CC"):
-        return None
-    try:
-        tag = hashlib.md5(_C_SRC.encode()).hexdigest()[:16]
-        so_path = os.path.join(tempfile.gettempdir(), f"nxr_scan_{tag}.so")
-        if not os.path.exists(so_path):
-            with tempfile.TemporaryDirectory() as td:
-                c_path = os.path.join(td, "scan.c")
-                tmp_so = os.path.join(td, "scan.so")
-                with open(c_path, "w") as f:
-                    f.write(_C_SRC)
-                subprocess.run(
-                    ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                    check=True, capture_output=True, timeout=60,
-                )
-                # atomic publish: concurrent workers race benignly
-                os.replace(tmp_so, so_path)
-        lib = ctypes.CDLL(so_path)
-        lib.nxr_scan.restype = ctypes.c_long
-        lib.nxr_scan.argtypes = [
-            ctypes.c_void_p, ctypes.c_long,   # cls, n
-            ctypes.c_void_p, ctypes.c_long,   # trans, ncls
-            ctypes.c_void_p, ctypes.c_void_p,  # acc_mid, acc_eof
-            ctypes.c_long, ctypes.c_long,      # start_bof, start_mid
-            ctypes.c_void_p, ctypes.c_long,    # out, cap
-        ]
-        lib.nxr_scan8.restype = ctypes.c_long
-        lib.nxr_scan8.argtypes = [
-            ctypes.c_char_p, ctypes.c_long,   # txt, n
-            ctypes.c_void_p,                   # lut (256 x int32)
-            ctypes.c_void_p, ctypes.c_long,   # trans, ncls
-            ctypes.c_void_p, ctypes.c_void_p,  # acc_mid, acc_eof
-            ctypes.c_long, ctypes.c_long,      # start_bof, start_mid
-            ctypes.c_void_p, ctypes.c_long,    # out, cap
-        ]
-        _lib = lib
-    except Exception:
-        _lib = None
-    return _lib
+_KERNEL = Kernel("dfa", _C_SRC, {
+    "nxr_scan": (ctypes.c_long, [
+        ctypes.c_void_p, ctypes.c_long,    # cls, n
+        ctypes.c_void_p, ctypes.c_long,    # trans, ncls
+        ctypes.c_void_p, ctypes.c_void_p,  # acc_mid, acc_eof
+        ctypes.c_long, ctypes.c_long,      # start_bof, start_mid
+        ctypes.c_void_p, ctypes.c_long,    # out, cap
+    ]),
+    "nxr_scan8": (ctypes.c_long, [
+        ctypes.c_char_p, ctypes.c_long,    # txt, n
+        ctypes.c_void_p,                   # lut (256 x int32)
+        ctypes.c_void_p, ctypes.c_long,    # trans, ncls
+        ctypes.c_void_p, ctypes.c_void_p,  # acc_mid, acc_eof
+        ctypes.c_long, ctypes.c_long,      # start_bof, start_mid
+        ctypes.c_void_p, ctypes.c_long,    # out, cap
+    ]),
+})
 
 
 def available() -> bool:
-    return _load() is not None
+    return _KERNEL.available()
 
 
 def scan(cls_arr: np.ndarray, trans: np.ndarray, acc_mid: np.ndarray,
@@ -166,24 +139,11 @@ def scan(cls_arr: np.ndarray, trans: np.ndarray, acc_mid: np.ndarray,
 
     ``cls_arr`` int32 class ids; ``trans`` a C-contiguous int16
     ``(n_states, n_classes)`` table; acc arrays uint8."""
-    lib = _load()
     n = len(cls_arr)
-    if lib is None or n == 0:
-        raise RuntimeError("native scanner unavailable")
-    cap = max(16, n // 8)
-    while True:
-        out = np.empty(2 * cap, dtype=np.int64)
-        m = lib.nxr_scan(
-            cls_arr.ctypes.data, n,
-            trans.ctypes.data, trans.shape[1],
-            acc_mid.ctypes.data, acc_eof.ctypes.data,
-            start_bof, start_mid,
-            out.ctypes.data, cap,
-        )
-        if m <= cap:
-            spans = out[: 2 * m].reshape(m, 2)
-            return spans[:, 0].copy(), spans[:, 1].copy()
-        cap = m  # exact rerun (truncated first pass still counted all)
+    return _KERNEL.columns(
+        "nxr_scan", 2, max(16, n // 8),
+        cls_arr.ctypes.data, n, trans.ctypes.data, trans.shape[1],
+        acc_mid.ctypes.data, acc_eof.ctypes.data, start_bof, start_mid)
 
 
 def scan_ascii(txt: bytes, lut: np.ndarray, trans: np.ndarray,
@@ -194,25 +154,8 @@ def scan_ascii(txt: bytes, lut: np.ndarray, trans: np.ndarray,
     because large fresh-process numpy temporaries hit multi-second
     page-fault storms on some hosts (measured: an 8 M-element gather
     costing 2-4 s in a cold Ray worker, 30 ms warm)."""
-    lib = _load()
     n = len(txt)
-    if lib is None:
-        raise RuntimeError("native scanner unavailable")
-    if n == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    cap = max(16, n // 32)
-    while True:
-        out = np.empty(2 * cap, dtype=np.int64)
-        m = lib.nxr_scan8(
-            txt, n,
-            lut.ctypes.data,
-            trans.ctypes.data, trans.shape[1],
-            acc_mid.ctypes.data, acc_eof.ctypes.data,
-            start_bof, start_mid,
-            out.ctypes.data, cap,
-        )
-        if m <= cap:
-            spans = out[: 2 * m].reshape(m, 2)
-            return spans[:, 0].copy(), spans[:, 1].copy()
-        cap = m
+    return _KERNEL.columns(
+        "nxr_scan8", 2, max(16, n // 32),
+        txt, n, lut.ctypes.data, trans.ctypes.data, trans.shape[1],
+        acc_mid.ctypes.data, acc_eof.ctypes.data, start_bof, start_mid)

@@ -19,20 +19,22 @@ cached next to the .so, keyed by the unicodedata version).
 
 Parity with the pure-Python interpreter is asserted by
 ``tests/test_glob_parity.py`` (the reference's own cmocka cases plus a
-randomized dual-engine sweep); availability is best-effort — no compiler
-(or ``NXR_NO_CC=1``) silently falls back to the Python engine.
+randomized dual-engine sweep).  The shared loader (``miners/cc.py``)
+builds it; no compiler (or ``NXR_NO_CC=1``) falls back to the Python
+engine, and ``tests/test_native_kernels.py`` fails when a compiler is
+present but the kernel does not build.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
 import tempfile
 import unicodedata
 
 import numpy as np
+
+from nativeextractor_ray.miners.cc import Kernel
 
 _C_SRC = r"""
 #include <stdint.h>
@@ -136,48 +138,19 @@ long nxr_glob_scan(const uint32_t *txt, long n,
 }
 """
 
-_lib = None
-_lib_tried = False
+_KERNEL = Kernel("glob", _C_SRC, {
+    "nxr_glob_scan": (ctypes.c_long, [
+        ctypes.c_void_p, ctypes.c_long,    # txt, n
+        ctypes.c_void_p, ctypes.c_void_p,  # seqs, ops
+        ctypes.c_void_p, ctypes.c_void_p,  # cls, delim
+        ctypes.c_void_p, ctypes.c_long,    # out, cap
+    ]),
+})
 _delim_tbl: np.ndarray | None = None
 
 
-def _load() -> "ctypes.CDLL | None":
-    global _lib, _lib_tried
-    if _lib_tried:
-        return _lib
-    _lib_tried = True
-    if os.environ.get("NXR_NO_CC"):
-        return None
-    try:
-        tag = hashlib.md5(_C_SRC.encode()).hexdigest()[:16]
-        so_path = os.path.join(tempfile.gettempdir(), f"nxr_glob_{tag}.so")
-        if not os.path.exists(so_path):
-            with tempfile.TemporaryDirectory() as td:
-                c_path = os.path.join(td, "glob.c")
-                tmp_so = os.path.join(td, "glob.so")
-                with open(c_path, "w") as f:
-                    f.write(_C_SRC)
-                subprocess.run(
-                    ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                    check=True, capture_output=True, timeout=60,
-                )
-                os.replace(tmp_so, so_path)  # atomic: worker races are benign
-        lib = ctypes.CDLL(so_path)
-        lib.nxr_glob_scan.restype = ctypes.c_long
-        lib.nxr_glob_scan.argtypes = [
-            ctypes.c_void_p, ctypes.c_long,    # txt, n
-            ctypes.c_void_p, ctypes.c_void_p,  # seqs, ops
-            ctypes.c_void_p, ctypes.c_void_p,  # cls, delim
-            ctypes.c_void_p, ctypes.c_long,    # out, cap
-        ]
-        _lib = lib
-    except Exception:
-        _lib = None
-    return _lib
-
-
 def available() -> bool:
-    return _load() is not None
+    return _KERNEL.available()
 
 
 def delim_table() -> np.ndarray:
@@ -261,26 +234,10 @@ def compile_program(seq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def scan(text: str, prog) -> tuple[np.ndarray, np.ndarray]:
     """Run the native glob scan; returns (starts, ends) int64 codepoint
     spans.  ``prog`` is a :func:`compile_program` result."""
-    lib = _load()
-    if lib is None:
-        raise RuntimeError("native glob scanner unavailable")
     seqs, ops, cls = prog
     cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     n = len(cp)
-    if n == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    delim = delim_table()
-    cap = max(16, n // 16)
-    while True:
-        out = np.empty(2 * cap, dtype=np.int64)
-        m = lib.nxr_glob_scan(
-            cp.ctypes.data, n,
-            seqs.ctypes.data, ops.ctypes.data,
-            cls.ctypes.data, delim.ctypes.data,
-            out.ctypes.data, cap,
-        )
-        if m <= cap:
-            spans = out[: 2 * m].reshape(m, 2)
-            return spans[:, 0].copy(), spans[:, 1].copy()
-        cap = m  # exact rerun (truncated first pass still counted all)
+    return _KERNEL.columns(
+        "nxr_glob_scan", 2, max(16, n // 16),
+        cp.ctypes.data, n, seqs.ctypes.data, ops.ctypes.data,
+        cls.ctypes.data, delim_table().ctypes.data)

@@ -78,10 +78,15 @@ class DictionaryMiner(Miner):
         # tokens on natural text.  Non-ASCII first chars bypass the filter:
         # partial lead-byte matches inside one multi-byte char can still
         # reach the ratio (e.g. 3 of 4 bytes = 0.75).
+        #: the sorted blob + offsets layout the native scan searches
+        #: (miners/stdcc.py); a PatriciaTrie converts here, once
+        self.flat = None
         if threshold <= 0:
             first_bytes: list[int] | None = None
             self._first = None
         else:
+            self.flat = (self.trie if isinstance(self.trie, FlatDictionary)
+                         else FlatDictionary(k for k, _ in self.trie.items()))
             if hasattr(self.trie, "first_bytes"):
                 # flat artifact: O(distinct first bytes), no full traversal
                 first_bytes = sorted(self.trie.first_bytes())

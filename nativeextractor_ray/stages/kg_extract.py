@@ -20,12 +20,16 @@ order for the non-negative ``turn_idx`` the transcript derivation gives);
 
 Everything runs through one **(row, ent) pair table** per batch
 (:meth:`KgExtract.entity_pairs`): one row per distinct entity per turn,
-sorted by ``(row, ent)``.  Its spans come from MinerPool's joined-batch
-scan (:func:`~nativeextractor_ray.stages.miner_pool.joined_scan`) — the
-same miners and the same scan the mention pipeline runs — and KgExtract
-only maps each span to its canonical entity (``linking.entity_id``, once
-per distinct ``(miner, surface)``); the triples are then built
-column-wise in Arrow:
+sorted by ``(row, ent)``.  Its spans come from MinerPool's batch scan
+(:func:`~nativeextractor_ray.stages.miner_pool.scan_batch`: the native
+standard-miner kernel, or the Python engine) — the same miners and the
+same scan contract the mention pipeline runs.  KgExtract only maps each
+span to its canonical entity: the scan's Arrow ``surface`` column is
+dictionary-encoded, ``linking.entity_id`` runs once per distinct
+``(miner, surface)`` (memoized across batches), and a ``take`` spreads
+the result back over the spans.  NULL text gives no entities; the row's
+``uses_tool`` triple still counts.  The triples are then built column-wise
+in Arrow:
 
 - ``mentions``       — ``take`` of the per-row speaker / provenance keys
   by ``row``;
@@ -36,7 +40,7 @@ column-wise in Arrow:
 
 then ONE ``group_by((subj, pred, obj))`` with ``count`` / ``min`` of the
 provenance key and the ``stable_part`` partition column.  Python code runs
-per regex match and per BOF-quirk row, never per row or per triple.
+per distinct surface, never per row, span or triple.
 """
 
 from __future__ import annotations
@@ -48,14 +52,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.linking import DictIndex, entity_id
+from nativeextractor_ray.miners import stdcc
 from nativeextractor_ray.miners.base import run_miners
 from nativeextractor_ray.sources.transcripts import DICT_NAMES
 from nativeextractor_ray.stages.miner_pool import (
     STD_MINER_SPECS,
     MinerSpec,
     _fast_scan_safe,
+    _text_array,
     build_miners,
-    joined_scan,
+    scan_batch,
 )
 
 TRIPLE_PARTIAL_SCHEMA = pa.schema(
@@ -86,16 +92,17 @@ class KgExtract:
         self.miners = build_miners(specs)
         self.index = DictIndex(dict_words)
         # entity extraction needs only the SET of (label, surface) per turn,
-        # so any miner set MinerPool can scan joined can be scanned here the
+        # so any miner set MinerPool can batch-scan is scanned here the
         # same way; others fall back to the per-row parity engine
-        self._fast_ok = _fast_scan_safe(self.miners)
+        self._joined_ok = _fast_scan_safe(self.miners)
+        self._fast_ok = self._joined_ok or stdcc.eligible(self.miners)
         #: per miner: surface -> entity id (None when it does not link)
         self._memo: list[dict[str, str | None]] = [{} for _ in self.miners]
 
     def turn_entities(self, text: str) -> list[str]:
         """Distinct canonical entities mentioned in one turn, sorted."""
         ents = set()
-        for m in run_miners(text, self.miners, sort=False):
+        for m in run_miners(text or "", self.miners, sort=False):  # NULL: none
             e = entity_id(m.label, m.surface, self.index)
             if e:
                 ents.add(e)
@@ -117,13 +124,10 @@ class KgExtract:
         ``text`` column: one row per distinct entity per turn, sorted by
         ``(row, ent)``.
 
-        For a fast-safe miner set: MinerPool's :func:`joined_scan` spans,
-        each mapped to its entity by ``entity_id`` once per distinct
-        ``(miner, surface)`` (memoized across batches), then dedup + sort
-        in Arrow (UTF-8 byte order is code-point order, so it equals
-        Python's ``sorted``)."""
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        For a batch-scannable miner set: the :func:`scan_batch` spans, each
+        linked by :meth:`_link_spans`, then dedup + sort in Arrow (UTF-8
+        byte order is code-point order, so it equals Python's ``sorted``)."""
+        text = _text_array(text)
         if not self._fast_ok:
             per_row = [self.turn_entities(t) for t in text.to_pylist()]
             rows = np.repeat(np.arange(len(text), dtype=np.int64),
@@ -131,27 +135,34 @@ class KgExtract:
             return pa.table([pa.array(rows), pa.array([e for es in per_row for e in es],
                                                       pa.string())], schema=PAIR_SCHEMA)
 
-        joined, _starts, rows, gu0, gu1, lab, _prob = joined_scan(self.miners, text)
-        # spans are miner-major: one run of lab per miner
-        bounds = np.searchsorted(lab, np.arange(len(self.miners) + 1)).tolist()
-        g0, g1 = gu0.tolist(), gu1.tolist()
-        ents: list[str | None] = []
-        for mi, miner in enumerate(self.miners):
-            memo, label, index = self._memo[mi], miner.label, self.index
-            for a, b in zip(g0[bounds[mi]:bounds[mi + 1]], g1[bounds[mi]:bounds[mi + 1]]):
-                surface = joined[a:b]
-                e = memo.get(surface, _UNSEEN)
-                if e is _UNSEEN:
-                    e = entity_id(label, surface, index)
-                    if len(memo) < 1_000_000:  # bounded memo per instance
-                        memo[surface] = e
-                ents.append(e)
-
-        pairs = pa.table([pa.array(rows), pa.array(ents, pa.string())], schema=PAIR_SCHEMA)
+        s = scan_batch(self.miners, text, self._joined_ok)
+        pairs = pa.table([pa.array(s.rows), self._link_spans(s.lab, s.surface)],
+                         schema=PAIR_SCHEMA)
         return (pairs.filter(pc.is_valid(pairs.column("ent")))
                 .group_by(["row", "ent"]).aggregate([])
                 .sort_by([("row", "ascending"), ("ent", "ascending")])
                 .select(["row", "ent"]))
+
+    def _link_spans(self, lab: np.ndarray, surface: pa.Array) -> pa.Array:
+        """Entity id (NULL when it does not link) of every span:
+        ``entity_id`` once per distinct ``(miner, surface)`` — memoized
+        per instance across batches — spread back by one ``take``."""
+        enc = surface.dictionary_encode()
+        words = enc.dictionary.to_numpy(zero_copy_only=False).tolist()
+        nm = len(self.miners)
+        idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        keys, inverse = np.unique(idx * nm + lab, return_inverse=True)
+        ents: list[str | None] = []
+        for key in keys.tolist():
+            mi, surf = key % nm, words[key // nm]
+            memo = self._memo[mi]
+            e = memo.get(surf, _UNSEEN)
+            if e is _UNSEEN:
+                e = entity_id(self.miners[mi].label, surf, self.index)
+                if len(memo) < 1_000_000:  # bounded memo per instance
+                    memo[surf] = e
+            ents.append(e)
+        return pa.array(ents, pa.string()).take(pa.array(inverse))
 
     #: max rows processed per internal slice.  ``__call__`` must accept
     #: arbitrarily large blocks (a fused upstream explode stage can hand it

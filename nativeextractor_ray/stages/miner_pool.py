@@ -11,9 +11,24 @@ specs, or the class with ``concurrency=N`` as an actor pool for costly
 ones — and ``__call__`` processes one Arrow batch per invocation,
 emitting one mention row per occurrence.
 
-:func:`joined_scan` is the one batch scan: every fast-safe miner set
-(:func:`_fast_scan_safe`) is scanned once per miner over the
-newline-joined batch, here and in ``KgExtract``.
+**The scan contract.**  :func:`scan_batch` is the one batch scan, here and
+in ``KgExtract``.  It returns :class:`Spans`: per mention its batch row,
+miner index, row-local byte and codepoint spans, prob, and an Arrow
+``surface`` array gathered from the text column's data buffer — in the
+per-row engine's order (row, then miner, then start).  Two engines fill it:
+
+- the native kernel (``miners/stdcc.py``) when every miner is a standard
+  one: one C call over the column's Arrow buffers, each row scanned on its
+  own; rows with non-ASCII bytes go to the Python engine and are merged
+  back by row (spans never cross rows, so the split is exact);
+- the Python engine otherwise, or under ``NXR_NO_CC=1`` — the parity
+  reference: :func:`joined_scan`, one ``re``/FSM pass per miner over the
+  newline-joined batch, for every fast-safe miner set
+  (:func:`_fast_scan_safe`), else each miner's ``find`` per row.
+
+NULL text gives no mentions (DuckDB's ``regexp_extract_all(NULL)`` unnests
+to no rows).  Miner sets neither engine can run joined (e.g. a glob with a
+mid-pattern ``*``) take the per-row ``run_miners`` loop in ``MinerPool``.
 
 The reference runs miners on parallel threads *within* one scan window and
 barriers on the slowest (extractor.c:236-239); at cluster scale the right
@@ -24,12 +39,13 @@ coupling between miners.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.miners import stdcc
 from nativeextractor_ray.miners.base import (
     Miner,
     make_miner,
@@ -94,7 +110,7 @@ def _quirk_rows(text: pa.Array) -> list[int]:
     return np.flatnonzero(mask.to_numpy(zero_copy_only=False)).tolist()
 
 
-def joined_scan(miners: Sequence[Miner], text: pa.Array | pa.ChunkedArray):
+def joined_scan(miners: Sequence[Miner], text: pa.Array):
     """ONE global scan per miner over a batch's ``text`` column joined
     with "\\n" (in Arrow), returning numpy span arrays — no per-mention
     Python objects.
@@ -110,18 +126,16 @@ def joined_scan(miners: Sequence[Miner], text: pa.Array | pa.ChunkedArray):
     global scan (dict words never start with a delimiter — checked in
     ``_fast_scan_safe``).
 
-    Returns ``(joined, starts, rows, gu0, gu1, lab, prob)``: ``starts`` the
-    codepoint offset of each row in ``joined`` (plus the end sentinel),
-    gu0/gu1 codepoint spans into ``joined``, ``rows`` the batch row of each
+    Returns ``(starts, rows, gu0, gu1, lab, prob)``: ``starts`` the
+    codepoint offset of each row in the joined text (plus the end sentinel),
+    gu0/gu1 codepoint spans into the joined text, ``rows`` the batch row of each
     span, ``lab`` the miner index.  Array order is miner-major with spans
     ascending within each miner — i.e. per row, exactly the per-row
     engine's insertion order (found.extend per miner in miner order)."""
     from nativeextractor_ray.miners.ner import _TOKEN_RE, DictionaryMiner
 
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
     one_list = pa.ListArray.from_arrays(pa.array([0, len(text)], pa.int32()), text)
-    joined = pc.binary_join(one_list, "\n")[0].as_py()
+    joined = pc.binary_join(one_list, pa.scalar("\n", text.type))[0].as_py()
     starts = np.zeros(len(text) + 1, dtype=np.int64)
     np.cumsum(pc.utf8_length(text).to_numpy(zero_copy_only=False) + 1, out=starts[1:])
 
@@ -179,7 +193,97 @@ def joined_scan(miners: Sequence[Miner], text: pa.Array | pa.ChunkedArray):
     lab = np.concatenate(lab_parts) if lab_parts else np.empty(0, np.int64)
     prob = np.concatenate(prob_parts) if prob_parts else np.empty(0, np.float32)
     rows = np.searchsorted(starts, gu0, side="right") - 1
-    return joined, starts, rows, gu0, gu1, lab, prob
+    return starts, rows, gu0, gu1, lab, prob
+
+
+class Spans(NamedTuple):
+    """One batch scan (:func:`scan_batch`): one entry per mention, ordered
+    as the per-row engine inserts them (row, then miner, then start)."""
+
+    rows: np.ndarray     # int64 batch row
+    lab: np.ndarray      # int64 miner index
+    b0: np.ndarray       # int64 row-local byte span
+    b1: np.ndarray
+    u0: np.ndarray       # int64 row-local codepoint span
+    u1: np.ndarray
+    prob: np.ndarray     # float32
+    surface: pa.Array    # string, gathered from the text data buffer
+
+
+def _text_array(text: pa.Array | pa.ChunkedArray) -> pa.Array:
+    if isinstance(text, pa.ChunkedArray):  # one chunk: no copy
+        text = text.chunk(0) if text.num_chunks == 1 else text.combine_chunks()
+    if not (pa.types.is_string(text.type) or pa.types.is_large_string(text.type)):
+        text = text.cast(pa.string())
+    return text
+
+
+def _gather(text: pa.Array, rows: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> pa.Array:
+    """The byte spans ``[b0, b1)`` of rows ``rows`` as one string array,
+    copied straight out of the text column's data buffer."""
+    _valid, _voff, offs, data = stdcc.text_buffers(text)
+    lens = b1 - b0
+    out_off = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(lens, out=out_off[1:])
+    total = int(out_off[-1])
+    src = np.repeat(offs[rows] + b0 - out_off[:-1], lens) + np.arange(total)
+    small = total < 2**31
+    return pa.Array.from_buffers(
+        pa.string() if small else pa.large_string(), len(rows),
+        [None, pa.py_buffer(out_off.astype(np.int32) if small else out_off),
+         pa.py_buffer(data[src])])
+
+
+def _byte_spans(text: pa.Array, rows, u0, u1):
+    """Row-local codepoint spans → row-local byte spans, through the byte
+    position of every codepoint start in the data buffer."""
+    _valid, _voff, offs, data = stdcc.text_buffers(text)
+    body = data[offs[0]:offs[-1]]
+    if pc.sum(pc.utf8_length(text)).as_py() in (None, len(body)):  # ASCII
+        return u0, u1
+    lead = np.append(np.flatnonzero((body & 0xC0) != 0x80) + offs[0], offs[-1])
+    first = np.searchsorted(lead, offs[:-1])[rows]
+    return lead[first + u0] - offs[rows], lead[first + u1] - offs[rows]
+
+
+def _python_scan(miners: Sequence[Miner], text: pa.Array, joined_ok: bool) -> Spans:
+    """The Python engine: :func:`joined_scan` when ``joined_ok``
+    (:func:`_fast_scan_safe`), else each miner's ``find`` per row."""
+    text = pc.fill_null(text, "")
+    if joined_ok:
+        starts, rows, gu0, gu1, lab, prob = joined_scan(miners, text)
+        order = np.argsort(rows, kind="stable")
+        rows, lab, prob = rows[order], lab[order], prob[order]
+        u0, u1 = gu0[order] - starts[rows], gu1[order] - starts[rows]
+    else:
+        found = [(r, mi, a, b, p) for r, t in enumerate(text.to_pylist())
+                 for mi, m in enumerate(miners) for a, b, p in m.find(t)]
+        cols = list(zip(*found)) or [()] * 5
+        rows, lab, u0, u1 = (np.asarray(c, np.int64) for c in cols[:4])
+        prob = np.asarray(cols[4], np.float32)
+    b0, b1 = _byte_spans(text, rows, u0, u1)
+    return Spans(rows, lab, b0, b1, u0, u1, prob, _gather(text, rows, b0, b1))
+
+
+def scan_batch(miners: Sequence[Miner], text: pa.Array | pa.ChunkedArray,
+               joined_ok: bool) -> Spans:
+    """THE batch scan of a ``text`` column (see the module docstring):
+    the native kernel when it implements every miner and loads, with the
+    Python engine for its non-ASCII rows; else the Python engine.
+    ``joined_ok`` is :func:`_fast_scan_safe` of ``miners``."""
+    text = _text_array(text)
+    if not (stdcc.eligible(miners) and stdcc.available()):
+        return _python_scan(miners, text, joined_ok)
+    rows, lab, b0, b1, rest = stdcc.scan(miners, text)
+    spans = Spans(rows, lab, b0, b1, b0, b1, np.ones(len(rows), np.float32),
+                  _gather(text, rows, b0, b1))
+    if len(rest):  # non-ASCII rows: the Python engine, merged back by row
+        py = _python_scan(miners, text.take(pa.array(rest)), joined_ok)
+        py = py._replace(rows=rest[py.rows], surface=py.surface.cast(spans.surface.type))
+        order = np.argsort(np.concatenate([rows, py.rows]), kind="stable")
+        spans = Spans(*(np.concatenate([a, b])[order] for a, b in zip(spans[:-1], py[:-1])),
+                      pa.concat_arrays([spans.surface, py.surface]).take(pa.array(order)))
+    return spans
 
 # (miner_name_or_class, args, kwargs) — the config-driven pipeline assembly
 # surface (the analogue of add_miner_so(path, symbol, params),
@@ -219,57 +323,38 @@ class MinerPool:
         self.no_enclosed = no_enclosed
         self.sort = sort
         self.carry = tuple(carry)
-        self._fast_ok = _fast_scan_safe(self.miners)
+        self._joined_ok = _fast_scan_safe(self.miners)
+        #: batch engines (scan_batch) or the per-row run_miners loop
+        self._fast_ok = self._joined_ok or stdcc.eligible(self.miners)
         labels = [m.label for m in self.miners]
-        self._label_arr = np.asarray(labels, dtype=object)
+        self._labels = pa.array(labels, pa.string())
         ranks = {l: i for i, l in enumerate(sorted(set(labels)))}
         self._label_rank = np.asarray([ranks[l] for l in labels], dtype=np.int64)
 
     def _call_fast(self, batch: pa.Table) -> pa.Table:
-        """Vectorized batch path: numpy span arrays end to end, one Arrow
-        ``take`` for the carried columns, one ``pa.array`` per output
-        column — no per-mention Python append loop (the round-1 output
+        """Vectorized batch path: the :class:`Spans` of :func:`scan_batch`
+        end to end, one Arrow ``take`` for the carried columns and the
+        surfaces — no per-mention Python object (the round-1 output
         assembly was the mention-scan wall; VERDICT.md r1 item 1)."""
-        joined, starts, rows, gu0, gu1, lab, prob = joined_scan(
-            self.miners, batch.column("text"))
+        text = _text_array(batch.column("text"))
+        s = scan_batch(self.miners, text, self._joined_ok)
+        rows, lab = s.rows, s.lab
+        blen = s.b1 - s.b0
 
-        # local codepoint spans
-        lu0 = gu0 - starts[rows]
-        ulen = gu1 - gu0
-        # byte spans, vectorized: per-codepoint UTF-8 widths via the
-        # UTF-32 view of the joined batch (equals the reference's
-        # unicode_getbytesize, include/nativeextractor/unicode.h:36-44)
-        if joined.isascii():
-            pos, blen = lu0, ulen
-            gb0, gbend = gu0, gu1
-            total_bytes = len(joined)
-        else:
-            cp = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-            w = (
-                1
-                + (cp >= 0x80).astype(np.int64)
-                + (cp >= 0x800)
-                + (cp >= 0x10000)
-            )
-            gboff = np.zeros(len(cp) + 1, dtype=np.int64)
-            np.cumsum(w, out=gboff[1:])
-            gb0, gbend = gboff[gu0], gboff[gu1]
-            pos = gb0 - gboff[starts[rows]]
-            blen = gbend - gb0
-            total_bytes = int(gboff[-1])
-
-        # Enclosed filter as ONE global sweep in byte coordinates: rows
-        # occupy disjoint global intervals (a previous row's max end is
-        # always < the next row's span ends), so the global sweep equals
-        # the per-row filter_enclosed (extractor.c:145-203) — drop spans
-        # properly contained in another, keep identical intervals.
+        # Enclosed filter as ONE global sweep in data-buffer byte
+        # coordinates: rows occupy disjoint byte intervals and spans are
+        # non-empty, so no span of one row properly contains a span of
+        # another and the global sweep equals the per-row filter_enclosed
+        # (extractor.c:145-203) — drop spans properly contained in
+        # another, keep identical intervals.
         sel = np.arange(len(rows))
         if self.no_enclosed and len(rows) > 1:
+            gb0 = stdcc.text_buffers(text)[2][rows] + s.b0
             order = np.lexsort((-blen, gb0))  # pos asc, len desc
             end_o = (gb0 + blen)[order]
             # c encodes (end, -pos) lexicographically: prefix-max(c) > c_k
             # iff an earlier-in-sweep span (pos<=pos_k) properly contains k
-            M = np.int64(total_bytes) + 2
+            M = np.int64(end_o.max()) + 2
             c = end_o * M - gb0[order]
             prefix = np.empty_like(c)
             prefix[0] = np.iinfo(np.int64).min
@@ -283,28 +368,23 @@ class MinerPool:
             # (extractor.c:102-112 + the deterministic label tiebreak of
             # sort_occurrences)
             order = np.lexsort(
-                (self._label_rank[lab[sel]], blen[sel], pos[sel], rows[sel])
+                (self._label_rank[lab[sel]], blen[sel], s.b0[sel], rows[sel])
             )
-        else:
-            # keep per-row insertion order (miner-major, spans ascending)
-            order = np.argsort(rows[sel], kind="stable")
-        sel = sel[order]
+            sel = sel[order]
+        # else: Spans order IS the per-row insertion order
 
-        idx = pa.array(rows[sel])
-        base = batch.select(["conv_id", "turn_idx", *self.carry]).take(idx)
-        labels = self._label_arr[lab[sel]]
-        g0 = gu0[sel].tolist()
-        g1 = gu1[sel].tolist()
+        idx = pa.array(sel)
+        base = batch.select(["conv_id", "turn_idx", *self.carry]).take(pa.array(rows[sel]))
         data = {
             "conv_id": base.column("conv_id"),
             "turn_idx": base.column("turn_idx"),
-            "label": pa.array(labels, pa.string()),
-            "pos": pa.array(pos[sel], pa.int64()),
-            "upos": pa.array(lu0[sel], pa.int64()),
+            "label": self._labels.take(pa.array(lab[sel])),
+            "pos": pa.array(s.b0[sel], pa.int64()),
+            "upos": pa.array(s.u0[sel], pa.int64()),
             "len": pa.array(blen[sel].astype(np.int32)),
-            "ulen": pa.array(ulen[sel].astype(np.int32)),
-            "surface": pa.array([joined[a:b] for a, b in zip(g0, g1)], pa.string()),
-            "prob": pa.array(prob[sel], pa.float32()),
+            "ulen": pa.array((s.u1 - s.u0)[sel].astype(np.int32)),
+            "surface": s.surface.take(idx),
+            "prob": pa.array(s.prob[sel], pa.float32()),
         }
         for c in self.carry:
             data[c] = base.column(c)
@@ -338,8 +418,8 @@ class MinerPool:
         cols: dict[str, list] = {name: [] for name in MENTIONS_SCHEMA.names}
         carried_out: dict[str, list] = {c: [] for c in self.carry}
         for r, text in enumerate(texts):
-            found = run_miners(
-                text, self.miners, no_enclosed=self.no_enclosed, sort=self.sort
+            found = run_miners(  # NULL text: no mentions
+                text or "", self.miners, no_enclosed=self.no_enclosed, sort=self.sort
             )
             for m in found:
                 cols["conv_id"].append(conv[r])

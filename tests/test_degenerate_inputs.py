@@ -67,3 +67,45 @@ def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
     assert len(got) == len(want), f"{name}: {len(got)} vs {len(want)} rows"
     pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                   check_exact=False, rtol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def null_text(sf_dir, tmp_path_factory):
+    """(sf_dir copy, DuckDB connection on it) with every third
+    ``documents.text`` NULL; the derived turns of those documents have NULL
+    text too, except where the derivation substitutes its constant text."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    out = tmp_path_factory.mktemp("sf_null_text")
+    con = duckdb.connect()
+    for name in TABLES:
+        t = pq.read_table(f"{sf_dir}/{name}.parquet")
+        if name == "documents":
+            null = pa.array(np.arange(t.num_rows) % 3 == 1)
+            text = pc.if_else(null, pa.scalar(None, t.schema.field("text").type), t["text"])
+            t = t.set_column(t.schema.get_field_index("text"), "text", text)
+        pq.write_table(t, out / f"{name}.parquet")
+        con.register(name, t)
+    from nativeextractor_ray.sources.transcripts import TRANSCRIPTS_SQL
+
+    assert con.sql(f"SELECT count(*) FROM ({TRANSCRIPTS_SQL}) WHERE text IS NULL").fetchone()[0]
+    yield str(out), con
+    con.close()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.mark.parametrize("name", ["mention_counts", "mentions_dict", "triples"])
+def test_null_text_gives_no_mentions_or_entities(name, null_text, ray_session):
+    """NULL text: no mentions and no entities (``regexp_extract_all(NULL)``
+    unnests to no rows), while the turn's ``uses_tool`` triple counts."""
+    import __ray_entry__ as e
+
+    run_dir, con = null_text
+    got = _norm(_to_table(e.queries()[name](run_dir)))
+    want = _norm(con.sql(e.oracle_sql()[name]).arrow())
+    assert list(got.columns) == list(want.columns), name
+    assert len(got) == len(want), f"{name}: {len(got)} vs {len(want)} rows"
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=False, rtol=1e-6)
