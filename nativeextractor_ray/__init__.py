@@ -15,8 +15,10 @@ top of ``ray.data.Dataset`` pipelines:
 - plus the large-scale training-data operators (dedup exact/MinHash/SimHash,
   similarity search, text quality stats, multimodal plumbing).
 
-Everything is expressed Ray-Data-first: ``read_parquet`` → ``map_batches``
-over zero-copy Arrow with actor pools for compile-once miner state →
+Everything is expressed Ray-Data-first: a Parquet read planned from file
+footers (``sources.tables.read_table``, a ``ray.data`` Datasource) →
+``map_batches`` over zero-copy Arrow with actor pools for compile-once
+miner state →
 ``groupby``/``aggregate`` for the wide steps → partitioned ``write_parquet``
 with per-partition manifests for resume.
 

@@ -53,6 +53,10 @@ _EMAIL_DOM = re.compile(r"@[\w.\-]*")
 class EmailMiner(Miner):
     label = "Email"  # miner name stamp (naive_email_miner.c:153)
 
+    def __init__(self, label: str | None = None):
+        if label is not None:
+            self.label = label
+
     def find(self, text: str):
         """Regex-candidate rendering of the per-'@' FSM scan — identical
         output (asserted by tests/test_email_parity.py):

@@ -1,5 +1,6 @@
-"""The one loader of the native scan kernels (``dfacc``, ``globcc``,
-``stdcc``).
+"""The one loader of the four native kernels: the scans ``dfacc``,
+``globcc`` and ``stdcc``, and the transcripts derive in
+``sources/transcripts.py``.
 
 Each kernel is one C source string, compiled once per machine with
 ``gcc -O2`` into a ``.so`` named by the md5 of its source in the temp
@@ -11,6 +12,7 @@ ctypes handle.
 ``NXR_NO_CC=1`` is read on every call, so it switches every kernel off
 (the callers then run their Python engines) even after a kernel loaded.
 A failed build keeps gcc's stderr in :attr:`Kernel.error`.
+:func:`text_buffers` hands a kernel an Arrow string column's buffers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import tempfile
 
 import numpy as np
+import pyarrow as pa
 
 
 class Kernel:
@@ -85,3 +88,20 @@ class Kernel:
             fn = getattr(lib, sym)
             fn.restype, fn.argtypes = restype, argtypes
         return lib
+
+
+def text_buffers(text: pa.Array):
+    """``(validity bitmap or None, its bit offset, int64 row offsets,
+    uint8 data)`` of a ``string`` / ``large_string`` array, read from its
+    Arrow buffers without a copy of the data.  Row ``r`` is
+    ``data[offsets[r]:offsets[r + 1]]``."""
+    width = np.int64 if pa.types.is_large_string(text.type) else np.int32
+    bufs = text.buffers()
+    n = len(text)
+    if n == 0 or bufs[1] is None:
+        offs = np.zeros(n + 1, np.int64)
+    else:
+        offs = np.frombuffer(bufs[1], width)[text.offset:text.offset + n + 1].astype(np.int64)
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.zeros(0, np.uint8)
+    valid = np.frombuffer(bufs[0], np.uint8) if bufs[0] is not None and text.null_count else None
+    return valid, text.offset, offs, data

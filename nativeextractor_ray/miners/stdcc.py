@@ -46,7 +46,7 @@ from nativeextractor_ray.miners.builtin import (
     UrlMiner,
     _email_valid,
 )
-from nativeextractor_ray.miners.cc import Kernel
+from nativeextractor_ray.miners.cc import Kernel, text_buffers
 from nativeextractor_ray.miners.ner import DictionaryMiner
 from nativeextractor_ray.unicode import is_delimiter
 
@@ -288,23 +288,6 @@ def eligible(miners) -> bool:
     dictionaries with a prefix-ratio threshold > 0."""
     return all(type(m) in _KINDS and (type(m) is not DictionaryMiner or m.threshold > 0)
                for m in miners)
-
-
-def text_buffers(text: pa.Array):
-    """``(validity bitmap or None, its bit offset, int64 row offsets,
-    uint8 data)`` of a ``string`` / ``large_string`` array, read from its
-    Arrow buffers without a copy of the data.  Row ``r`` is
-    ``data[offsets[r]:offsets[r + 1]]``."""
-    width = np.int64 if pa.types.is_large_string(text.type) else np.int32
-    bufs = text.buffers()
-    n = len(text)
-    if n == 0 or bufs[1] is None:
-        offs = np.zeros(n + 1, np.int64)
-    else:
-        offs = np.frombuffer(bufs[1], width)[text.offset:text.offset + n + 1].astype(np.int64)
-    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.zeros(0, np.uint8)
-    valid = np.frombuffer(bufs[0], np.uint8) if bufs[0] is not None and text.null_count else None
-    return valid, text.offset, offs, data
 
 
 def scan(miners, text: pa.Array):

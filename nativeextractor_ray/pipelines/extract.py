@@ -1,6 +1,7 @@
 """Mention extraction pipeline: transcripts → mentions.
 
-``read_parquet`` (column-pruned) → stateless derive →
+``sources.tables.read_table`` (column-pruned, planned from Parquet
+footers) → stateless derive (one C pass for the text) →
 ``map_batches(MinerPool)`` → mentions rows.  Mention detection is per-turn
 and embarrassingly parallel: no grouping, no shuffle anywhere
 (SURVEY.md §4.3.1).

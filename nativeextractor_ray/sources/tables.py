@@ -1,32 +1,39 @@
-"""The one place that knows how an ``sf_dir`` table is laid out on disk.
+"""The one place that knows how an ``sf_dir`` table is laid out on disk,
+and the one Parquet reader of the Ray pipelines.
 
 A table is either a single file (``<sf_dir>/<name>.parquet``) or a
 DIRECTORY of parquet files (``<sf_dir>/<name>/part-*.parquet``, as
-``scripts/split_table.py`` writes).  The distinction matters beyond
-convenience: Ray decodes each parquet FILE as ONE read task, so a multi-GB
-single-file table serializes the whole pipeline behind one core's decode
-(measured: a 1.6 GB lineitem cost ~24 s of serial read at EVERY cpu
-count, capping 4→16 scaling at 0.3) — directory tables decode
-file-parallel, which is how any real 100-TB corpus is laid out anyway.
+``scripts/split_table.py`` writes).  Every reader resolves the layout
+through ``table_path``: ``read_table`` (a Ray Dataset), ``load_table`` (an
+in-memory Arrow table, for dimension tables and reference builders), and
+the metadata-only ``table_nrows`` and ``table_bytes``.
 
-Every reader resolves the layout through ``table_path``: ``read_table``
-(a Ray Dataset), ``load_table`` (an in-memory Arrow table, for dimension
-tables and reference builders), and the metadata-only ``table_nrows`` and
-``table_bytes``.
-
-The driver's test tables are single-row-group files, which Ray Data reads
-as ONE block — serializing every downstream stage behind a single task.  At
-real scale the input has thousands of files/row-groups and this never
-triggers; for small inputs ``read_table`` splits the read into enough
-blocks to feed the cluster.
+``read_table`` (and ``read_parquet_files``, for a list of part files)
+reads through :class:`ParquetSource`, which plans its read tasks from
+file sizes and Parquet footers only: no sampling task, no
+``ParquetDataset``.  With at least as many files as requested blocks,
+each task reads a contiguous group of whole files and no footer is read
+at plan time.  With fewer files, the footers are read and the tasks split
+the row groups into contiguous ranges, so a multi-row-group single file
+decodes in parallel (reading it as one task serialized a 1.6 GB lineitem
+behind one core, ~24 s at every cpu count).  When there are still fewer
+tasks than blocks (a single-row-group file is one task, and the test
+tables are such files), Ray's ``SetReadParallelism`` splits each task's
+output to reach the requested block count: a cheap streaming slice after
+the read, never a downstream ``repartition``, which plans as an AllToAll
+barrier.  ``events.high_value_events`` alone keeps ``ray.data.read_parquet``:
+it needs row-group filter pushdown, which this reader does not do.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data import Datasource, ReadTask, read_datasource
+from ray.data.block import BlockMetadata
 
 
 def table_path(sf_dir: str, name: str) -> str:
@@ -71,18 +78,88 @@ def target_parallelism() -> int:
     return max(8, _cpus() * 2)
 
 
+def _runs(items: list, k: int) -> list[list]:
+    """``items`` cut into at most ``k`` contiguous runs of near-equal length."""
+    q, r = divmod(len(items), k)
+    cuts = [0]
+    for j in range(k):
+        cuts.append(cuts[-1] + q + (j < r))
+    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _read_pieces(pieces: list, columns: list[str] | None):
+    """One table per ``(path, its row groups, or None for the whole file)``."""
+    for path, groups in pieces:
+        f = pq.ParquetFile(path)
+        if groups is None:
+            yield f.read(columns, use_threads=False)
+        else:
+            yield f.read_row_groups(groups, columns, use_threads=False)
+
+
+class ParquetSource(Datasource):
+    """Parquet ``files`` (in order) as a Ray Data source, its read tasks
+    planned from file sizes and footers (module docstring)."""
+
+    def __init__(self, files: list[str], columns: list[str] | None = None):
+        self._files, self._columns = list(files), columns
+        self._sizes = [os.path.getsize(f) for f in self._files]
+        self._footers: list | None = None  # read once, when first needed
+
+    def get_name(self) -> str:
+        return "Parquet"  # the operator is ReadParquet, as with read_parquet
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._sizes)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        n = len(self._files)
+        if n >= parallelism:  # whole files; no footer read
+            return [self._task({i: None for i in run}, None, sum(self._sizes[i] for i in run))
+                    for run in _runs(list(range(n)), parallelism)]
+        if self._footers is None:
+            self._footers = [pq.read_metadata(f) for f in self._files]
+        row_groups = [(i, g) for i, md in enumerate(self._footers)
+                      for g in range(md.num_row_groups)]
+        if not row_groups:  # no file, or no row group: the schema only
+            return [self._task({i: None for i in range(n)}, 0, 0, self._schema())] if n else []
+        tasks = []
+        for run in _runs(row_groups, parallelism):
+            groups: dict[int, list[int]] = {}
+            for i, g in run:
+                groups.setdefault(i, []).append(g)
+            stats = [self._footers[i].row_group(g) for i, g in run]
+            tasks.append(self._task(groups, sum(s.num_rows for s in stats),
+                                    sum(s.total_byte_size for s in stats), self._schema()))
+        return tasks
+
+    def _schema(self) -> pa.Schema:
+        schema = self._footers[0].schema.to_arrow_schema()
+        return schema if self._columns is None else pa.schema(
+            [schema.field(c) for c in self._columns])
+
+    def _task(self, groups: dict, num_rows, size_bytes, schema=None) -> ReadTask:
+        """A task reading ``{file index: its row groups, or None for all}``."""
+        pieces = [(self._files[i], gs) for i, gs in groups.items()]
+        meta = BlockMetadata(num_rows=num_rows, size_bytes=size_bytes,
+                             input_files=[p for p, _ in pieces], exec_stats=None)
+        return ReadTask(functools.partial(_read_pieces, pieces, self._columns), meta,
+                        schema=schema)
+
+
+def read_parquet_files(files: list[str], columns: list[str] | None = None,
+                       blocks: int | None = None):
+    """A Ray Dataset of the Parquet ``files``, in order.  ``blocks``:
+    the read's block count (``None``: Ray's own choice)."""
+    return read_datasource(
+        ParquetSource(files, columns), override_num_blocks=blocks)
+
+
 def read_table(
     sf_dir: str, name: str, columns: list[str] | None = None,
     blocks: int | None = None,
 ):
-    import ray.data
-
-    # single-row-group small files come back as one block; override the
-    # block count so the READ op itself splits (SplitBlocks — a cheap
-    # post-read slice, streaming) instead of a downstream ``repartition``,
-    # which plans as an AllToAll BARRIER and serializes pipeline start.
-    return ray.data.read_parquet(
-        table_path(sf_dir, name),
-        columns=columns,
-        override_num_blocks=blocks or target_parallelism(),
-    )
+    """The table as a Ray Dataset of ``blocks`` blocks (default
+    :func:`target_parallelism`), either layout."""
+    return read_parquet_files(_parquet_files(table_path(sf_dir, name)), columns,
+                              blocks or target_parallelism())

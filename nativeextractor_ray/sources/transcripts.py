@@ -4,10 +4,17 @@ The target input (BASELINE.json ``input_hint``) is a Parquet table of
 multi-turn transcripts ``(conv_id, turn_idx, role, text, tool, ts)``.  The
 driver's test data has no such table, so we derive one *deterministically*
 from ``documents.parquet`` (doc_id, text) with a pure function of
-``doc_id`` — defined ONCE here and rendered both as vectorizable Python
-(:func:`derive_transcripts_table`) and as a DuckDB SQL CTE
-(:data:`TRANSCRIPTS_SQL`) so the correctness oracle sees the exact same
-table.  ``tests/test_transcripts_parity.py`` asserts bit-equality of the two.
+``doc_id``, defined ONCE here and rendered three ways so the correctness
+oracle sees the exact same table:
+
+- the scalar spec :func:`_enrich` (per row, Python; it runs when the
+  kernel cannot, under ``NXR_NO_CC=1`` or without a compiler);
+- a C kernel (``_C_SRC``, loaded by ``miners/cc.Kernel``) that writes the
+  ``text`` column of :func:`derive_transcripts_table` straight into Arrow
+  buffers, lengths first, then bytes;
+- the DuckDB SQL CTE :data:`TRANSCRIPTS_SQL`.
+
+``tests/test_transcripts_parity.py`` asserts that all three agree.
 
 Design notes for scale:
 - the derivation is a stateless per-batch map (no shuffle);
@@ -22,8 +29,12 @@ Design notes for scale:
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pyarrow as pa
+
+from nativeextractor_ray.miners.cc import Kernel, text_buffers
 
 # dictionary of person names; first letters chosen to not collide with the
 # documents word-salad vocabulary (so prefix-ratio hits are intentional)
@@ -39,10 +50,17 @@ DUP_TEXT = "the quick brown fox jumps over the lazy dog"
 
 EPOCH_US = np.datetime64("2024-01-01T00:00:00", "us")
 
+#: conv_id by ``doc_id % 97``: the hot conversation takes residues 0-4
+CONV_IDS = ["c_hot" if k < 5 else f"c{k}" for k in range(97)]
 
-def _enrich(d: int, base: str) -> str:
-    """Append deterministic entity snippets to a turn text.  MUST stay in
-    lockstep with the SQL rendering below."""
+
+def _enrich(d: int, base: str | None) -> str | None:
+    """Append deterministic entity snippets to a turn text (``None``: a
+    NULL text, which stays NULL unless the row takes ``DUP_TEXT``).  The
+    spec: the C kernel and the SQL rendering below MUST stay in lockstep
+    with it."""
+    if base is None and d % 13 != 7:
+        return None
     parts = [DUP_TEXT if d % 13 == 7 else base]
     if d % 3 == 0:
         parts.append(" contact " + DICT_NAMES[d % 10])
@@ -65,74 +83,149 @@ def _enrich(d: int, base: str) -> str:
     return "".join(parts)
 
 
-def _pc_enrich(d_arr: pa.Array, base: pa.Array) -> pa.Array:
-    """Vectorized (pyarrow.compute) rendering of :func:`_enrich` — the
-    scalar version remains the spec; ``tests/test_transcripts_parity.py``
-    asserts all three renderings (scalar, vectorized, SQL) agree."""
-    import pyarrow.compute as pc
+_C_SRC = r"""
+#include <stdint.h>
+#include <string.h>
 
-    d64 = pc.cast(d_arr, pa.int64())
+static const char *const NAMES[] = {@NAMES@};
+static const long NAME_LEN[] = {@NAME_LENS@};
+static const char DUP[] = "@DUP@";
 
-    def mod(k):
-        # pyarrow has no modulo kernel; numpy round-trip is zero-copy
-        return pa.array((d64.to_numpy() % k).astype(np.int64))
+/* counts bytes when p is NULL, writes them otherwise: one renderer for
+   both passes */
+typedef struct { uint8_t *p; int64_t n; } out;
 
-    def s(x):
-        return pc.cast(x, pa.string())
+static void put(out *w, const void *s, long n) {
+    if (w->p) memcpy(w->p + w->n, s, n);
+    w->n += n;
+}
+#define LIT(w, s) put(w, s, sizeof(s) - 1)
 
-    def take(values, idx):
-        return pc.take(pa.array(values, pa.string()), idx)
+static int64_t fmod_(int64_t d, int64_t k) {  /* Python's floor % */
+    int64_t m = d % k;
+    return m < 0 ? m + k : m;
+}
 
-    def when(mask_np, *parts):
-        joined = pc.binary_join_element_wise(*parts, "")
-        return pc.if_else(pa.array(mask_np), joined, "")
+static void num(out *w, uint64_t v, int width) {  /* zero-padded decimal */
+    char b[24];
+    int i = 24;
+    do { b[--i] = (char)('0' + v % 10); v /= 10; } while (v);
+    while (24 - i < width) b[--i] = '0';
+    put(w, b + i, 24 - i);
+}
 
-    dn = d64.to_numpy()
-    names = lambda idx: take(DICT_NAMES, idx)  # noqa: E731
+static void name(out *w, int64_t i) { put(w, NAMES[i], NAME_LEN[i]); }
 
-    p0 = pc.if_else(pa.array(dn % 13 == 7), DUP_TEXT, base)
-    p1 = when(dn % 3 == 0, " contact ", names(mod(10)))
-    p2 = when(dn % 4 == 0, " email user", s(mod(50)), "@example.com")
-    p3 = when(dn % 4 == 2, " email ",
-              take(DICT_NAMES, pa.array((dn + 3) % 10)), ".", s(mod(7)),
-              "@mail.example.org")
-    p4 = when(dn % 5 == 0, " visit https://svc", s(mod(20)), ".example.org/p/", s(d64))
-    p5 = when(dn % 6 == 0, " on 2024-03-",
-              pc.utf8_lpad(s(pa.array(dn % 28 + 1)), 2, "0"))
-    p6 = when(dn % 6 == 3, " on ", s(pa.array(dn % 28 + 1)), ".",
-              s(pa.array(dn % 12 + 1)), ".2024")
-    p7 = when(dn % 11 == 0, " call +4201",
-              pc.utf8_lpad(s(mod(100000000)), 8, "0"))
-    p8 = when(dn % 9 == 0, " ping ", names(mod(10)), "x")
-    p9 = when(dn % 9 == 5, " ping ", names(mod(10)), "xx")
-    return pc.binary_join_element_wise(p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, "")
+static void render(out *w, int64_t d, const uint8_t *base, long blen) {
+    int64_t m4 = fmod_(d, 4), m6 = fmod_(d, 6), m9 = fmod_(d, 9), m10 = fmod_(d, 10);
+    if (fmod_(d, 13) == 7) LIT(w, DUP); else put(w, base, blen);
+    if (fmod_(d, 3) == 0) { LIT(w, " contact "); name(w, m10); }
+    if (m4 == 0) { LIT(w, " email user"); num(w, fmod_(d, 50), 0); LIT(w, "@example.com"); }
+    if (m4 == 2) {
+        LIT(w, " email "); name(w, (m10 + 3) % 10); LIT(w, ".");
+        num(w, fmod_(d, 7), 0); LIT(w, "@mail.example.org");
+    }
+    if (fmod_(d, 5) == 0) {
+        LIT(w, " visit https://svc"); num(w, fmod_(d, 20), 0); LIT(w, ".example.org/p/");
+        if (d < 0) LIT(w, "-");
+        num(w, d < 0 ? 0 - (uint64_t)d : (uint64_t)d, 0);
+    }
+    if (m6 == 0) { LIT(w, " on 2024-03-"); num(w, fmod_(d, 28) + 1, 2); }
+    if (m6 == 3) {
+        LIT(w, " on "); num(w, fmod_(d, 28) + 1, 0); LIT(w, ".");
+        num(w, fmod_(d, 12) + 1, 0); LIT(w, ".2024");
+    }
+    if (fmod_(d, 11) == 0) { LIT(w, " call +4201"); num(w, fmod_(d, 100000000), 8); }
+    if (m9 == 0) { LIT(w, " ping "); name(w, m10); LIT(w, "x"); }
+    if (m9 == 5) { LIT(w, " ping "); name(w, m10); LIT(w, "xx"); }
+}
+
+/* NULL text stays NULL, except on the DUP_TEXT rows */
+static int is_null(const uint8_t *valid, long voff, long r, int64_t d) {
+    return valid && !((valid[(voff + r) >> 3] >> ((voff + r) & 7)) & 1) && fmod_(d, 13) != 7;
+}
+
+/* buf == NULL, pass 1: row r's bytes are [out_off[r], out_off[r + 1]),
+   from out_off[0] on; buf set, pass 2: the bytes.  ok[r] = 0 on a NULL row */
+void nxr_derive(const int64_t *d, const int64_t *off, const uint8_t *data,
+                const uint8_t *valid, long voff, long n,
+                int64_t *out_off, uint8_t *ok, uint8_t *buf) {
+    for (long r = 0; r < n; r++) {
+        out w = {buf ? buf + out_off[r] : NULL, 0};
+        if (is_null(valid, voff, r, d[r])) ok[r] = 0;
+        else render(&w, d[r], data + off[r], off[r + 1] - off[r]);
+        if (!buf) out_off[r + 1] = out_off[r] + w.n;
+    }
+}
+"""
+
+
+def _c_source() -> str:
+    quoted = ", ".join(f'"{n}"' for n in DICT_NAMES)
+    lens = ", ".join(str(len(n.encode())) for n in DICT_NAMES)
+    return (_C_SRC.replace("@NAMES@", quoted).replace("@NAME_LENS@", lens)
+            .replace("@DUP@", DUP_TEXT))
+
+
+_P = ctypes.c_void_p
+_KERNEL = Kernel("derive", _c_source(), {
+    "nxr_derive": (None, [_P, _P, _P, _P, ctypes.c_long, ctypes.c_long, _P, _P, _P]),
+})
+
+#: the most bytes a ``string`` (int32-offset) column holds; beyond it the
+#: kernel emits ``large_string``
+_STRING_MAX = 2**31 - 1
+
+
+def enrich_text(doc_id: np.ndarray, text: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """The ``text`` column: :func:`_enrich` over int64 ``doc_id`` and a
+    ``string`` / ``large_string`` column, in the C kernel when it loads and
+    in the scalar spec otherwise (``NXR_NO_CC=1``, no compiler)."""
+    lib = _KERNEL.lib()
+    if lib is None:
+        return pa.array(map(_enrich, doc_id.tolist(), text.to_pylist()), pa.string())
+    chunks = text.chunks if isinstance(text, pa.ChunkedArray) else [text]
+    d = np.ascontiguousarray(doc_id, np.int64)
+    n = len(d)
+    out_off = np.zeros(n + 1, np.int64)
+    ok = np.ones(n, np.uint8)
+    keep, calls, r0 = [], [], 0  # keep: the offsets copies, alive through both passes
+    for chunk in chunks:
+        valid, voff, offs, data = text_buffers(chunk)
+        keep += [offs, data]
+        calls.append((d[r0:].ctypes.data, offs.ctypes.data, data.ctypes.data,
+                      None if valid is None else valid.ctypes.data, voff, len(chunk),
+                      out_off[r0:].ctypes.data, ok[r0:].ctypes.data))
+        r0 += len(chunk)
+    for args in calls:  # pass 1, every chunk: the lengths
+        lib.nxr_derive(*args, None)
+    buf = np.empty(out_off[-1], np.uint8)
+    for args in calls:  # pass 2: the bytes
+        lib.nxr_derive(*args, buf.ctypes.data)
+    nulls = n - int(np.count_nonzero(ok))
+    bitmap = pa.py_buffer(np.packbits(ok, bitorder="little")) if nulls else None
+    if out_off[-1] <= _STRING_MAX:
+        typ, out_off = pa.string(), out_off.astype(np.int32)
+    else:
+        typ = pa.large_string()
+    return pa.Array.from_buffers(
+        typ, n, [bitmap, pa.py_buffer(out_off), pa.py_buffer(buf)], null_count=nulls)
 
 
 def derive_transcripts_table(batch: pa.Table) -> pa.Table:
     """(doc_id, text) batch → transcripts batch.  Pure, per-row, stateless;
-    text built with vectorized Arrow kernels (the per-row ``_enrich`` is
-    the readable spec and the property-test oracle)."""
+    the text is :func:`enrich_text`, the other columns Arrow kernels."""
     import pyarrow.compute as pc
 
     d = batch.column("doc_id").to_numpy()
 
     hot = (d % 97) < 5
-    # Arrow kernels end to end (np.char + .tolist() round-trips were ~40%
-    # of the derive cpu): conv_id = "c_hot" | "c" + str(d % 97)
-    conv_id = pc.if_else(
-        pa.array(hot),
-        pa.scalar("c_hot"),
-        pc.binary_join_element_wise(
-            "c", pc.cast(pa.array(d % 97), pa.string()), ""
-        ),
-    )
+    conv_id = pc.take(pa.array(CONV_IDS, pa.string()), pa.array(d % 97))
     turn_idx = np.where(hot, (d // 97) * 5 + d % 97, d // 97).astype(np.int32)
     role = pc.take(pa.array(ROLES, pa.string()), pa.array(d % 3))
     tool = pc.take(pa.array(TOOLS, pa.string()), pa.array(d % 5))
     ts = EPOCH_US + (d * 1_000_000).astype("timedelta64[us]")
-    text = _pc_enrich(
-        batch.column("doc_id").combine_chunks(), batch.column("text").combine_chunks()
-    )
+    text = enrich_text(d, batch.column("text"))
 
     return pa.table(
         {

@@ -51,6 +51,7 @@ from nativeextractor_ray.miners.base import (
     make_miner,
     run_miners,
 )
+from nativeextractor_ray.miners.cc import text_buffers
 from nativeextractor_ray.occurrence import MENTIONS_SCHEMA
 from nativeextractor_ray.sources.transcripts import DICT_NAMES
 from nativeextractor_ray.unicode import is_delimiter
@@ -221,7 +222,7 @@ def _text_array(text: pa.Array | pa.ChunkedArray) -> pa.Array:
 def _gather(text: pa.Array, rows: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> pa.Array:
     """The byte spans ``[b0, b1)`` of rows ``rows`` as one string array,
     copied straight out of the text column's data buffer."""
-    _valid, _voff, offs, data = stdcc.text_buffers(text)
+    _valid, _voff, offs, data = text_buffers(text)
     lens = b1 - b0
     out_off = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(lens, out=out_off[1:])
@@ -237,7 +238,7 @@ def _gather(text: pa.Array, rows: np.ndarray, b0: np.ndarray, b1: np.ndarray) ->
 def _byte_spans(text: pa.Array, rows, u0, u1):
     """Row-local codepoint spans → row-local byte spans, through the byte
     position of every codepoint start in the data buffer."""
-    _valid, _voff, offs, data = stdcc.text_buffers(text)
+    _valid, _voff, offs, data = text_buffers(text)
     body = data[offs[0]:offs[-1]]
     if pc.sum(pc.utf8_length(text)).as_py() in (None, len(body)):  # ASCII
         return u0, u1
@@ -349,7 +350,7 @@ class MinerPool:
         # another, keep identical intervals.
         sel = np.arange(len(rows))
         if self.no_enclosed and len(rows) > 1:
-            gb0 = stdcc.text_buffers(text)[2][rows] + s.b0
+            gb0 = text_buffers(text)[2][rows] + s.b0
             order = np.lexsort((-blen, gb0))  # pos asc, len desc
             end_o = (gb0 + blen)[order]
             # c encodes (end, -pos) lexicographically: prefix-max(c) > c_k

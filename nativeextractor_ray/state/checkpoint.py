@@ -332,7 +332,7 @@ def finalize(out_dir: str, pipeline: str = "triples"):
     """Merge per-partition partials into the final Dataset with the
     pipeline's own associative combine (concat for pipelines whose
     partition outputs are globally disjoint)."""
-    import ray.data
+    from nativeextractor_ray.sources.tables import read_parquet_files
 
     _factory, combine, _w = _pipelines()[pipeline]
     files = [
@@ -340,5 +340,5 @@ def finalize(out_dir: str, pipeline: str = "triples"):
         for p in sorted(Path(out_dir).glob("parts/*"))
         for f in sorted(p.glob("*.parquet"))
     ]
-    ds = ray.data.read_parquet(files)
+    ds = read_parquet_files(files)
     return combine(ds)

@@ -1,4 +1,4 @@
-"""The native scan kernels must build wherever a compiler is present.
+"""The native kernels must build wherever a compiler is present.
 
 The kernels' parity tests skip when a kernel is unavailable, and every
 caller falls back to its Python engine, so a C source that stops compiling
@@ -11,8 +11,10 @@ import pytest
 
 from nativeextractor_ray.miners import dfacc, globcc, stdcc
 from nativeextractor_ray.miners.cc import Kernel
+from nativeextractor_ray.sources import transcripts
 
-KERNELS = {"dfacc": dfacc, "globcc": globcc, "stdcc": stdcc}
+KERNELS = {"dfacc": dfacc._KERNEL, "globcc": globcc._KERNEL, "stdcc": stdcc._KERNEL,
+           "derive": transcripts._KERNEL}
 
 needs_gcc = pytest.mark.skipif(
     shutil.which("gcc") is None or bool(os.environ.get("NXR_NO_CC")),
@@ -22,17 +24,17 @@ needs_gcc = pytest.mark.skipif(
 @needs_gcc
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernel_builds_where_gcc_is(name):
-    mod = KERNELS[name]
-    assert mod.available(), f"{name} kernel did not load:\n{mod._KERNEL.error}"
+    kernel = KERNELS[name]
+    assert kernel.available(), f"{name} kernel did not load:\n{kernel.error}"
 
 
 @needs_gcc
 def test_no_cc_is_read_at_call_time(monkeypatch):
-    assert all(m.available() for m in KERNELS.values())
+    assert all(k.available() for k in KERNELS.values())
     monkeypatch.setenv("NXR_NO_CC", "1")
-    assert not any(m.available() for m in KERNELS.values())
+    assert not any(k.available() for k in KERNELS.values())
     monkeypatch.delenv("NXR_NO_CC")
-    assert all(m.available() for m in KERNELS.values())
+    assert all(k.available() for k in KERNELS.values())
 
 
 @needs_gcc

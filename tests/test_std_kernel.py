@@ -67,7 +67,7 @@ SPEC_SETS = {
     "std": list(STD_MINER_SPECS),
     "reordered_relabelled": [
         ("ner", (DICT_NAMES,), {"label": "Who"}), ("phone", (), {"label": "Tel"}),
-        ("date", (), {}), ("url", (), {"label": "Link"}), ("email", (), {})],
+        ("date", (), {}), ("url", (), {"label": "Link"}), ("email", (), {"label": "Mail"})],
     "subset": [("phone", (), {}), ("ner", (DICT_NAMES,), {"label": "Dict"})],
     # one dictionary the joined Python scan cannot take (a delimiter-first
     # and a non-ASCII-first word): its Python engine is the per-row find
@@ -122,6 +122,17 @@ def test_per_row_engine_agrees_on_null_and_non_ascii_rows():
             kg = KgExtract()
             assert kg.batch_entities(texts) == [kg.turn_entities(t) for t in texts]
     assert {r["turn_idx"] for r in slow(batch).to_pylist()} == {1, 2, 5}
+
+
+def test_native_kernel_reports_custom_labels():
+    _native_or_skip()
+    specs = SPEC_SETS["reordered_relabelled"]
+    batch = _batch(["erin me@host.cc https://h.x/p +420123456789 1.2.2024"])
+    with engine(True):
+        pool = MinerPool(specs)
+        assert stdcc.eligible(pool.miners)
+        got = {r["label"] for r in pool(batch).to_pylist()}
+    assert got == {"Who", "Tel", "Date", "Link", "Mail"}
 
 
 def test_kernel_reads_sliced_and_large_string_columns():

@@ -80,3 +80,59 @@ def test_table_helpers_agree_across_layouts(tmp_path, layout):
     assert table_nrows(sf, "missing") is None
     with pytest.raises(OSError):
         table_bytes(sf, "missing")
+
+
+@pytest.fixture
+def read_tables(tmp_path):
+    """``rg``: one file of 7 row groups; ``parts``: a directory table;
+    ``empty``: a zero-row table."""
+    t = pa.table({"a": pa.array(range(1000), pa.int64()),
+                  "b": [f"s{i}" for i in range(1000)],
+                  "c": pa.array(np.arange(1000) / 4, pa.float64())})
+    pq.write_table(t, tmp_path / "rg.parquet", row_group_size=150)
+    (tmp_path / "parts").mkdir()
+    for i, (lo, hi) in enumerate([(0, 300), (300, 600), (600, 1000)]):
+        pq.write_table(t.slice(lo, hi - lo), tmp_path / "parts" / f"part-{i}.parquet")
+    pq.write_table(t.slice(0, 0), tmp_path / "empty.parquet")
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("columns", [None, ["c", "a"]])
+@pytest.mark.parametrize("blocks", [1, 3, 8])
+@pytest.mark.parametrize("name", ["rg", "parts", "empty"])
+def test_read_table_equals_load_table(ray_session, read_tables, name, blocks, columns):
+    import ray
+    from ray.data import DataContext
+
+    from nativeextractor_ray.sources.tables import load_table, read_table
+
+    ctx = DataContext.get_current()
+    old, ctx.execution_options.preserve_order = ctx.execution_options.preserve_order, True
+    try:
+        ds = read_table(read_tables, name, columns, blocks=blocks)
+        got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    finally:
+        ctx.execution_options.preserve_order = old
+    want = load_table(read_tables, name, columns)
+    assert got.schema.remove_metadata() == want.schema.remove_metadata()
+    assert got.equals(want)  # rows and their order
+    assert "ReadParquet" in ds.stats()
+
+
+def test_read_tasks_are_planned_from_footers(read_tables):
+    from nativeextractor_ray.sources.tables import ParquetSource
+
+    # fewer files than blocks: one task per row group of the 7-group file
+    rg = ParquetSource([f"{read_tables}/rg.parquet"])
+    assert rg.get_name() == "Parquet"
+    tasks = rg.get_read_tasks(8)
+    assert len(tasks) == 7
+    assert [t.metadata.num_rows for t in tasks] == [150] * 6 + [100]
+    assert len(rg.get_read_tasks(3)) == 3
+    # at least as many files as blocks: contiguous whole-file groups, and
+    # no footer is read
+    files = [f"{read_tables}/parts/part-{i}.parquet" for i in range(3)]
+    parts = ParquetSource(files)
+    groups = [t.metadata.input_files for t in parts.get_read_tasks(2)]
+    assert groups == [files[:2], files[2:]]
+    assert parts._footers is None
