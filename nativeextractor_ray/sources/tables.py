@@ -10,19 +10,21 @@ the metadata-only ``table_nrows`` and ``table_bytes``.
 
 ``read_table`` (and ``read_parquet_files``, for a list of part files)
 reads through :class:`ParquetSource`, which plans its read tasks from
-file sizes and Parquet footers only: no sampling task, no
-``ParquetDataset``.  With at least as many files as requested blocks,
-each task reads a contiguous group of whole files and no footer is read
-at plan time.  With fewer files, the footers are read and the tasks split
-the row groups into contiguous ranges, so a multi-row-group single file
-decodes in parallel (reading it as one task serialized a 1.6 GB lineitem
-behind one core, ~24 s at every cpu count).  When there are still fewer
-tasks than blocks (a single-row-group file is one task, and the test
-tables are such files), Ray's ``SetReadParallelism`` splits each task's
-output to reach the requested block count: a cheap streaming slice after
-the read, never a downstream ``repartition``, which plans as an AllToAll
-barrier.  ``events.high_value_events`` alone keeps ``ray.data.read_parquet``:
-it needs row-group filter pushdown, which this reader does not do.
+Parquet footers only: no sampling task, no ``ParquetDataset``.  The
+footers are read once, when the source is built; the tasks split the
+row groups of all the files, in order, into contiguous runs, so a
+multi-row-group single file decodes in parallel (reading it as one task
+serialized a 1.6 GB lineitem behind one core, ~24 s at every cpu count).
+Every task carries its row count and schema, so ``Dataset.count()`` and
+the schema come from the footers without running the read.  A task
+streams its row groups batch by batch, so its peak memory is a batch,
+not its share of the file.  When there are still fewer tasks than blocks
+(a single-row-group file is one task, and the test tables are such
+files), Ray's ``SetReadParallelism`` splits each task's output to reach
+the requested block count: a cheap streaming slice after the read, never
+a downstream ``repartition``, which plans as an AllToAll barrier.
+``events.high_value_events`` alone keeps ``ray.data.read_parquet``: it
+needs row-group filter pushdown, which this reader does not do.
 """
 
 from __future__ import annotations
@@ -87,64 +89,60 @@ def _runs(items: list, k: int) -> list[list]:
     return [items[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _read_pieces(pieces: list, columns: list[str] | None):
-    """One table per ``(path, its row groups, or None for the whole file)``."""
+def _read_pieces(pieces: list, columns: list[str] | None, schema: pa.Schema):
+    """Stream ``(path, its row groups)`` pieces batch by batch; a task that
+    reads no row yields one empty table of ``schema``."""
+    empty = True
     for path, groups in pieces:
-        f = pq.ParquetFile(path)
-        if groups is None:
-            yield f.read(columns, use_threads=False)
-        else:
-            yield f.read_row_groups(groups, columns, use_threads=False)
+        batches = pq.ParquetFile(path).iter_batches(
+            row_groups=groups, columns=columns, use_threads=False)
+        for batch in batches:
+            empty = False
+            yield pa.Table.from_batches([batch])
+    if empty:
+        yield schema.empty_table()
 
 
 class ParquetSource(Datasource):
     """Parquet ``files`` (in order) as a Ray Data source, its read tasks
-    planned from file sizes and footers (module docstring)."""
+    planned from their footers (module docstring)."""
 
     def __init__(self, files: list[str], columns: list[str] | None = None):
         self._files, self._columns = list(files), columns
-        self._sizes = [os.path.getsize(f) for f in self._files]
-        self._footers: list | None = None  # read once, when first needed
+        footers = [pq.read_metadata(f) for f in self._files]
+        self._row_groups = []  # (file index, row group, its rows, its bytes), in order
+        for i, md in enumerate(footers):
+            for g in range(md.num_row_groups):
+                rg = md.row_group(g)
+                self._row_groups.append((i, g, rg.num_rows, rg.total_byte_size))
+        self._schema = footers[0].schema.to_arrow_schema() if footers else None
+        if footers and columns is not None:
+            self._schema = pa.schema([self._schema.field(c) for c in columns])
 
     def get_name(self) -> str:
         return "Parquet"  # the operator is ReadParquet, as with read_parquet
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(self._sizes)
+        return sum(b for *_, b in self._row_groups)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        n = len(self._files)
-        if n >= parallelism:  # whole files; no footer read
-            return [self._task({i: None for i in run}, None, sum(self._sizes[i] for i in run))
-                    for run in _runs(list(range(n)), parallelism)]
-        if self._footers is None:
-            self._footers = [pq.read_metadata(f) for f in self._files]
-        row_groups = [(i, g) for i, md in enumerate(self._footers)
-                      for g in range(md.num_row_groups)]
-        if not row_groups:  # no file, or no row group: the schema only
-            return [self._task({i: None for i in range(n)}, 0, 0, self._schema())] if n else []
-        tasks = []
-        for run in _runs(row_groups, parallelism):
-            groups: dict[int, list[int]] = {}
-            for i, g in run:
-                groups.setdefault(i, []).append(g)
-            stats = [self._footers[i].row_group(g) for i, g in run]
-            tasks.append(self._task(groups, sum(s.num_rows for s in stats),
-                                    sum(s.total_byte_size for s in stats), self._schema()))
-        return tasks
+        if not self._files:
+            return []
+        if not self._row_groups:  # no row group: a task yielding the schema only
+            return [self._task([])]
+        return [self._task(run) for run in _runs(self._row_groups, parallelism)]
 
-    def _schema(self) -> pa.Schema:
-        schema = self._footers[0].schema.to_arrow_schema()
-        return schema if self._columns is None else pa.schema(
-            [schema.field(c) for c in self._columns])
-
-    def _task(self, groups: dict, num_rows, size_bytes, schema=None) -> ReadTask:
-        """A task reading ``{file index: its row groups, or None for all}``."""
+    def _task(self, run: list) -> ReadTask:
+        """A task reading the contiguous ``run`` of row groups."""
+        groups: dict[int, list[int]] = {}
+        for i, g, _, _ in run:
+            groups.setdefault(i, []).append(g)
         pieces = [(self._files[i], gs) for i, gs in groups.items()]
-        meta = BlockMetadata(num_rows=num_rows, size_bytes=size_bytes,
+        meta = BlockMetadata(num_rows=sum(r[2] for r in run),
+                             size_bytes=sum(r[3] for r in run),
                              input_files=[p for p, _ in pieces], exec_stats=None)
-        return ReadTask(functools.partial(_read_pieces, pieces, self._columns), meta,
-                        schema=schema)
+        read = functools.partial(_read_pieces, pieces, self._columns, self._schema)
+        return ReadTask(read, meta, schema=self._schema)
 
 
 def read_parquet_files(files: list[str], columns: list[str] | None = None,

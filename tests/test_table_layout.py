@@ -122,17 +122,49 @@ def test_read_table_equals_load_table(ray_session, read_tables, name, blocks, co
 def test_read_tasks_are_planned_from_footers(read_tables):
     from nativeextractor_ray.sources.tables import ParquetSource
 
-    # fewer files than blocks: one task per row group of the 7-group file
+    # one task per row group of the 7-group file, at most one per block
     rg = ParquetSource([f"{read_tables}/rg.parquet"])
     assert rg.get_name() == "Parquet"
     tasks = rg.get_read_tasks(8)
     assert len(tasks) == 7
     assert [t.metadata.num_rows for t in tasks] == [150] * 6 + [100]
     assert len(rg.get_read_tasks(3)) == 3
-    # at least as many files as blocks: contiguous whole-file groups, and
-    # no footer is read
+    # a directory table: contiguous runs of its files' row groups, each
+    # task with its row count and schema
     files = [f"{read_tables}/parts/part-{i}.parquet" for i in range(3)]
-    parts = ParquetSource(files)
-    groups = [t.metadata.input_files for t in parts.get_read_tasks(2)]
-    assert groups == [files[:2], files[2:]]
-    assert parts._footers is None
+    tasks = ParquetSource(files, ["c", "a"]).get_read_tasks(2)
+    assert [t.metadata.input_files for t in tasks] == [files[:2], files[2:]]
+    assert [t.metadata.num_rows for t in tasks] == [600, 400]
+    assert all(t.schema.names == ["c", "a"] for t in tasks)
+    # the in-memory estimate is the footers' decoded size, not the files'
+    est = ParquetSource(files).estimate_inmemory_data_size()
+    assert est == sum(pq.read_metadata(f).row_group(0).total_byte_size for f in files)
+
+
+def test_read_tasks_stream_and_keep_the_schema(tmp_path):
+    from nativeextractor_ray.sources.tables import ParquetSource
+
+    # a task yields its row groups batch by batch, not as one table
+    big = pa.table({"a": pa.array(range(70_000), pa.int64())})
+    pq.write_table(big, tmp_path / "big.parquet")
+    (task,) = ParquetSource([str(tmp_path / "big.parquet")]).get_read_tasks(1)
+    parts = list(task())
+    assert len(parts) > 1 and pa.concat_tables(parts).equals(big)
+    # a file with no row group plans one zero-row task yielding the schema
+    pq.ParquetWriter(tmp_path / "none.parquet", big.schema).close()
+    (task,) = ParquetSource([str(tmp_path / "none.parquet")]).get_read_tasks(4)
+    assert task.metadata.num_rows == 0
+    assert [t.schema for t in task()] == [big.schema]
+
+
+def test_count_and_schema_come_from_footers(ray_session, read_tables):
+    """``count()`` and ``schema()`` run no read: they still answer once
+    the table's files are gone."""
+    import shutil
+
+    from nativeextractor_ray.sources.tables import read_table
+
+    ds = read_table(read_tables, "parts", blocks=2)
+    shutil.rmtree(f"{read_tables}/parts")
+    assert ds.count() == 1000
+    assert ds.schema().names == ["a", "b", "c"]
