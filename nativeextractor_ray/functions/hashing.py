@@ -127,6 +127,45 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cnt
 
 
+def sorted_lookup(keys: np.ndarray, x, valid: np.ndarray | None = None):
+    """Look ``x`` up in the sorted array ``keys`` with one vectorized
+    ``searchsorted``: returns ``(hit, pos)``, where ``hit[i]`` says
+    ``x[i]`` is in ``keys`` and then ``keys[pos[i]] == x[i]``.  ``pos`` is
+    clipped into ``keys`` (zeros when there are none), so arrays parallel
+    to ``keys`` are read at ``pos[hit]``.  A probe whose ``valid`` is
+    False misses whatever its value: a NULL key matches nothing."""
+    x = np.asarray(x)
+    if len(keys) == 0:
+        return np.zeros(len(x), bool), np.zeros(len(x), np.intp)
+    pos = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    hit = keys[pos] == x
+    if valid is not None:
+        hit &= valid
+    return hit, pos
+
+
+class SortedLookup:
+    """The small side of a broadcast join: ``keys`` sorted once, and each
+    of ``values`` (numpy or Arrow arrays) put in the same order.  Built
+    on the driver, broadcast once via ``ray.put`` and probed per batch
+    with :meth:`get` — the trie probe of the reference's NER, one
+    ``searchsorted`` per batch."""
+
+    def __init__(self, keys, *values):
+        keys = np.asarray(keys)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.values = tuple(v.take(order) for v in values)
+
+    def get(self, x, valid: np.ndarray | None = None) -> tuple:
+        """``(hit, *values)`` for the probes ``x``: ``hit`` as in
+        :func:`sorted_lookup`, and each value array read at the hits
+        only, in probe order (``hit.sum()`` entries)."""
+        hit, pos = sorted_lookup(self.keys, x, valid)
+        at = pos[hit]
+        return (hit, *(v.take(at) for v in self.values))
+
+
 class ExactIdFilter:
     """Membership filter over an int64 id set as a SORTED numpy array:
     8 bytes/id (vs ~60 for a Python set) and a vectorized ``searchsorted``
@@ -136,13 +175,10 @@ class ExactIdFilter:
     def __init__(self, ids: np.ndarray):
         self.ids = np.unique(np.asarray(ids, dtype=np.int64))
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        ids = self.ids
-        if ids.size == 0:
-            return np.zeros(len(x), dtype=bool)
-        x = np.asarray(x, dtype=np.int64)
-        pos = np.searchsorted(ids, x).clip(0, ids.size - 1)
-        return ids[pos] == x
+    def contains(self, x: np.ndarray,
+                 valid: np.ndarray | None = None) -> np.ndarray:
+        return sorted_lookup(self.ids, np.asarray(x, dtype=np.int64),
+                             valid)[0]
 
 
 _BLOOM_SALTS = np.array(

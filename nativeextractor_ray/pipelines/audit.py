@@ -53,6 +53,7 @@ def referential_audit(sf_dir: str,
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
+    from nativeextractor_ray.functions.hashing import sorted_lookup
     from nativeextractor_ray.pipelines.relational import (
         SEMI_BROADCAST_BOUND, fk_int64, semi_anti_join)
     from nativeextractor_ray.sources.tables import read_table
@@ -128,13 +129,7 @@ def referential_audit(sf_dir: str,
                     # null-safe extraction: a NULL FK is an orphan
                     # (NOT-EXISTS semantics, same as semi_anti_join)
                     v, valid = fk_int64(t.column(fk))
-                    if len(keys) == 0:
-                        miss = len(v)
-                    else:
-                        pos = np.searchsorted(keys, v)
-                        hit = (pos < len(keys)) & (
-                            keys[np.minimum(pos, len(keys) - 1)] == v)
-                        miss = int(len(v) - (hit & valid).sum())
+                    miss = int(len(v) - sorted_lookup(keys, v, valid)[0].sum())
                     names.append(name)
                     rows_.append(t.num_rows)
                     orph_.append(miss)
@@ -159,7 +154,7 @@ def referential_audit(sf_dir: str,
             c, p = fallback_ds[name]
             return {name: (
                 c.count(),
-                semi_anti_join(c, p, fk, anti=True, sf_dir=sf_dir).count())}
+                semi_anti_join(c, p, fk, anti=True).count())}
 
         results: dict[str, tuple[int, int]] = {}
         jobs = [pool.submit(child_pass, ch) for ch in by_child]

@@ -86,8 +86,7 @@ def order_count_distribution(
 
     # LEFT-domain guard: drop counts whose custkey is not a customer
     # (keys-only semi join — no payloads move either way)
-    per_cust = semi_anti_join(per_cust, cust, "o_custkey", anti=False,
-                              sf_dir=sf_dir)
+    per_cust = semi_anti_join(per_cust, cust, "o_custkey", anti=False)
 
     def hist_partial(t: pa.Table) -> pa.Table:
         g = t.group_by("c_count").aggregate([("c_count", "count")])

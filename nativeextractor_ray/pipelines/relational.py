@@ -4,6 +4,20 @@ operation is a broadcast dictionary probe (trie lookup, ner.c:29-31), and
 at cluster scale the same shape — **broadcast the small side, probe inside
 map_batches, never shuffle the big side** — replaces a hash join whenever
 one side fits in the object store.
+
+Each join here takes one of two physical shapes, written once:
+
+- **broadcast**: the small side is collected on the driver into one
+  :class:`~nativeextractor_ray.functions.hashing.SortedLookup`
+  (:func:`_collect_lookup`), ``ray.put`` once, and every batch of the big
+  side probes it inside ``map_batches``;
+- **shuffle**: both sides are padded to one non-null schema
+  (:func:`_union_side`), unioned, and co-located by key with
+  :func:`~nativeextractor_ray.pipelines.common.exchange`; the body
+  resolves every key of its block with one vectorized pandas
+  ``merge`` / ``groupby`` / ``isin``.
+
+The ``*_BOUND`` constants choose between them per query.
 """
 
 from __future__ import annotations
@@ -11,6 +25,72 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from nativeextractor_ray.functions.hashing import (
+    ExactIdFilter, SortedLookup, sorted_lookup)
+from nativeextractor_ray.pipelines.common import exchange
+
+
+def _us(col) -> np.ndarray:
+    """A timestamp column as int64 microseconds since the epoch."""
+    return col.to_numpy().astype("datetime64[us]").view(np.int64)
+
+
+def _collect_lookup(ds, key: str, *cols: str, fold=None) -> SortedLookup:
+    """Collect ``key`` and ``cols`` of a bounded dataset on the driver into
+    one :class:`SortedLookup` (timestamps as int64 µs).  ``fold`` (a ufunc
+    such as ``np.add``) merges the rows of one key into one row."""
+    from nativeextractor_ray.functions.blocks import arrow_blocks
+
+    blocks = list(arrow_blocks(ds, stream=False))
+
+    def column(c: str) -> np.ndarray:
+        if not blocks:
+            return np.array([], np.int64)
+        a = np.concatenate([b.column(c).to_numpy() for b in blocks])
+        return a.astype("datetime64[us]").view(np.int64) \
+            if a.dtype.kind == "M" else a
+
+    side = SortedLookup(column(key), *(column(c) for c in cols))
+    if fold is None:
+        return side
+    k = side.keys
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]) if len(k) \
+        else np.array([], np.intp)
+    return SortedLookup(k[starts],
+                        *(fold.reduceat(v, starts) for v in side.values))
+
+
+def _filler(typ, n: int, value=None) -> pa.Array:
+    """``n`` copies of ``value``, or of a typed non-null default ("", 0,
+    False, the epoch) when ``value`` is None."""
+    if value is None:
+        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+            value = ""
+        elif pa.types.is_boolean(typ):
+            value = False
+        elif (pa.types.is_integer(typ) or pa.types.is_floating(typ)
+              or pa.types.is_timestamp(typ)):
+            value = 0
+        else:
+            return pa.nulls(n, typ)  # exotic types: accept the pandas widening
+    return pa.repeat(pa.scalar(value, typ), n)
+
+
+def _union_side(schema: pa.Schema, n: int, cols: dict) -> pa.Table:
+    """One side of a tagged union under ``schema``: the arrays in ``cols``
+    (a scalar there is repeated ``n`` times), and a typed non-null filler
+    in every other field.  Both sides of a union pad to the same non-null
+    columns: null padding would widen int64 to float64 in the pandas body
+    (lossy above 2^53), and a block from one side only would lack the
+    other side's columns."""
+    def column(f):
+        v = cols.get(f.name)
+        if isinstance(v, (np.ndarray, pa.Array, pa.ChunkedArray)):
+            return v
+        return _filler(f.type, n, v)
+
+    return pa.table({f.name: column(f) for f in schema}, schema=schema)
 
 
 def _key_index(keys, values, fill) -> np.ndarray:
@@ -162,11 +242,8 @@ GROUP BY n.n_name"""
 # ------------------------------------------------------------------ as-of join
 
 
-N_ASOF_PARTS = 256
-
-
 def asof_join(left, right, by: str, on: str, right_keep: list[str],
-              suffix: str = "_r", num_parts: int = N_ASOF_PARTS):
+              suffix: str = "_r"):
     """Distributed AS-OF JOIN (a join family Ray Data has no primitive
     for): for every left row, attach the LATEST right row of the same
     ``by`` key with ``right.on <= left.on`` (backward as-of, exact
@@ -174,12 +251,12 @@ def asof_join(left, right, by: str, on: str, right_keep: list[str],
     ``(on, *right_keep)`` order, deterministically).
 
     Partitioning assumption (documented per the custom-operator rule):
-    both sides are co-located by ``hash(by) % num_parts`` — one int-key
-    sort shuffle each — and each partition is resolved with ONE
-    vectorized ``pandas.merge_asof`` pass (no per-key UDF calls, no
-    global sort: ``on`` ordering is only ever needed *within* a
-    partition).  Skewed ``by`` keys cost what they cost in any keyed
-    join; the merge itself stays O(n log n) in the partition size.
+    both sides are co-located by ``by`` through ``common.exchange`` and
+    each sorted block is resolved with ONE vectorized
+    ``pandas.merge_asof`` pass over all of its keys (no per-key UDF
+    calls, no global sort: ``on`` ordering is only ever needed *within*
+    a block).  Skewed ``by`` keys cost what they cost in any keyed join;
+    the merge itself stays O(n log n) in the block size.
 
     Left rows with no earlier right row keep nulls in the attached
     columns (left-outer semantics).  The attached columns come back named
@@ -188,25 +265,26 @@ def asof_join(left, right, by: str, on: str, right_keep: list[str],
     if needed)."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
     payload = [c for c in right_keep if c not in (by, on)]
     suffixed = [c + suffix for c in payload]
     # int columns must survive union null-filling and merge_asof's
-    # unmatched-row float widening with ONE schema across all partitions
-    lschema, rschema = left.schema().base_schema, right.schema().base_schema
+    # unmatched-row float widening with ONE schema across all blocks; a
+    # dataset with no rows has no schema
+    lschema, rschema = left.schema(), right.schema()
+    if lschema is None:
+        return left  # no left rows: nothing to attach to
     int_restore = [
-        f.name for f in lschema if pa.types.is_integer(f.type)
+        f.name for f in lschema.base_schema if pa.types.is_integer(f.type)
     ] + [
         c + suffix for c in payload
-        if pa.types.is_integer(rschema.field(c).type)
+        if rschema is not None
+        and pa.types.is_integer(rschema.base_schema.field(c).type)
     ]
 
     def tag(side: int, project):
         def fn(t: pa.Table) -> pa.Table:
             t = project(t)
-            t = t.append_column("side", pa.array(np.full(t.num_rows, side, np.int8)))
-            return t.append_column("part", stable_part(t, [by], num_parts))
+            return t.append_column("side", pa.array(np.full(t.num_rows, side, np.int8)))
         return fn
 
     # right's payload columns are renamed to their suffixed OUTPUT names
@@ -237,8 +315,7 @@ def asof_join(left, right, by: str, on: str, right_keep: list[str],
                 out[c] = out[c].astype("Int64")
         return out
 
-    both = lt.union(rt)
-    return both.groupby("part").map_groups(resolve, batch_format="pandas")
+    return exchange(lt.union(rt), [by], resolve)
 
 
 def purchases_asof_clicks(sf_dir: str):
@@ -291,8 +368,8 @@ FROM (
 # ------------------------------------------------------------ semi/anti join
 
 #: broadcast the distinct-key side when its encoded size is under this
-#: bound; above it, both sides co-partition by key hash and the membership
-#: test runs per partition (tests force 0 to drive the shuffle path)
+#: bound; above it, both sides meet in ``common.exchange`` and the
+#: membership test runs per block (tests force 0 to drive the shuffle path)
 SEMI_BROADCAST_BOUND = 64 << 20
 
 
@@ -314,8 +391,7 @@ def fk_int64(col) -> tuple[np.ndarray, np.ndarray]:
     return a.to_numpy(), valid
 
 
-def semi_anti_join(left, keys, left_key: str, anti: bool,
-                   sf_dir: str | None = None):
+def semi_anti_join(left, keys, left_key: str, anti: bool):
     """Distributed SEMI / ANTI join (EXISTS / NOT EXISTS — a join family
     Ray's ``Dataset.join`` does not expose): keep the left rows whose
     ``left_key`` does / does not appear in ``keys`` (a one-column key
@@ -325,15 +401,14 @@ def semi_anti_join(left, keys, left_key: str, anti: bool,
 
     Scale shape: the key side is first shrunk to per-batch DISTINCT keys
     (combiner), then either (a) collected + broadcast as ONE sorted int64
-    array when under ``SEMI_BROADCAST_BOUND`` — membership is a vectorized
-    ``np.searchsorted`` probe inside a streaming ``map_batches``, the
-    trie-probe shape of `/root/reference/src/ner.c:29-31` — or (b) both
-    sides co-partition by ``hash(key) % P`` (one coarse shuffle of 8-byte
-    keys + the left rows) and each partition resolves membership locally.
-    Path (b) keeps nothing on the driver and is forced in tests."""
+    array (:class:`ExactIdFilter`) when under ``SEMI_BROADCAST_BOUND`` —
+    membership is a vectorized ``np.searchsorted`` probe inside a
+    streaming ``map_batches``, the trie-probe shape of
+    `/root/reference/src/ner.c:29-31` — or (b) both sides are co-located
+    by key through ``common.exchange`` (one shuffle of 8-byte keys + the
+    left rows) and each block resolves membership locally.  Path (b)
+    keeps nothing on the driver and is forced in tests."""
     import ray
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
 
     def distinct_keys(t: pa.Table) -> pa.Table:
         # NULL on the key side matches nothing (SQL `x = NULL` is never
@@ -344,74 +419,35 @@ def semi_anti_join(left, keys, left_key: str, anti: bool,
     key_ds = keys.map_batches(distinct_keys, batch_format="pyarrow")
 
     if (key_ds.size_bytes() or 0) <= SEMI_BROADCAST_BOUND:
-        from nativeextractor_ray.functions.blocks import arrow_blocks
-
-        arr = np.unique(np.concatenate(
-            [p.column("k").to_numpy()
-             for p in arrow_blocks(key_ds, stream=False)]
-            or [np.array([], np.int64)]))
-        side = ray.put(arr)
+        side = ray.put(ExactIdFilter(_collect_lookup(key_ds, "k").keys))
 
         def probe(t: pa.Table) -> pa.Table:
-            sorted_keys = ray.get(side)
             lk, valid = fk_int64(t.column(left_key))
-            if len(sorted_keys) == 0:
-                hit = np.zeros(len(lk), bool)
-            else:
-                pos = np.searchsorted(sorted_keys, lk)
-                hit = (pos < len(sorted_keys)) & (
-                    sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == lk)
-            hit &= valid  # NULL key matches nothing
+            hit = ray.get(side).contains(lk, valid)  # NULL matches nothing
             return t.filter(pa.array(~hit if anti else hit))
 
         return left.map_batches(probe, batch_format="pyarrow")
 
-    n_parts = adaptive_parts(sf_dir or ".", table="orders") if sf_dir else 64
-
-    # both union sides are padded to ONE identical, fully NON-NULL schema
-    # (key rows carry typed default fillers in the left's payload columns,
-    # and their key value in left_key itself).  Null-padding instead would
-    # flip int64 columns to float64 in the per-partition pandas frames —
-    # lossy above 2^53 on the membership compare — and a partition whose
-    # blocks all come from one side would miss the other side's columns
-    # entirely (KeyError in resolve).
-    lschema = left.schema().base_schema
-    lcols = [f.name for f in lschema]
-
-    def _filler(typ, n: int) -> pa.Array:
-        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-            return pa.array([""] * n, typ)
-        if pa.types.is_integer(typ) or pa.types.is_floating(typ):
-            return pa.array(np.zeros(n, typ.to_pandas_dtype()), typ)
-        if pa.types.is_boolean(typ):
-            return pa.array(np.zeros(n, bool))
-        if pa.types.is_timestamp(typ):
-            return pa.array(np.zeros(n, "int64"), pa.int64()).cast(typ)
-        return pa.nulls(n, typ)  # exotic types: accept the pandas widening
+    # key rows carry fillers in the left's payload columns and their key
+    # value in left_key itself (see _union_side)
+    lschema = left.schema()
+    if lschema is None:
+        return left  # a dataset with no rows has no schema: nothing to keep
+    lschema = lschema.base_schema
+    lcols = lschema.names
+    schema = pa.schema(list(lschema) + [
+        ("k", pa.int64()), ("k_valid", pa.bool_()), ("is_key", pa.bool_())])
 
     def tag_left(t: pa.Table) -> pa.Table:
         k, valid = fk_int64(t.column(left_key))
-        t = t.append_column("k", pa.array(k, pa.int64()))
-        t = t.append_column("k_valid", pa.array(valid))
-        t = t.append_column("is_key", pa.array(np.zeros(t.num_rows, bool)))
-        return t.append_column("part", stable_part(t, ["k"], n_parts))
+        return _union_side(schema, t.num_rows, {
+            **{c: t.column(c) for c in lcols},
+            "k": k, "k_valid": valid, "is_key": False})
 
     def tag_key(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in lschema:
-            if f.name == left_key:
-                cols[f.name] = pc.cast(t.column("k"), f.type)
-            else:
-                cols[f.name] = _filler(f.type, t.num_rows)
-        cols["k"] = t.column("k")
-        out = pa.table(cols)
-        out = out.append_column("k_valid",
-                                pa.array(np.ones(t.num_rows, bool)))
-        out = out.append_column("is_key", pa.array(np.ones(t.num_rows, bool)))
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    kt = key_ds.map_batches(tag_key, batch_format="pyarrow")
+        return _union_side(schema, t.num_rows, {
+            left_key: t.column("k"), "k": t.column("k"),
+            "k_valid": True, "is_key": True})
 
     def resolve(df):
         keys_here = df.loc[df["is_key"], "k"].to_numpy()
@@ -423,8 +459,10 @@ def semi_anti_join(left, keys, left_key: str, anti: bool,
             & l["k_valid"].to_numpy()
         return (l[~hit if anti else hit])[lcols]
 
-    return lt.union(kt).groupby("part").map_groups(
-        resolve, batch_format="pandas")
+    return exchange(left.map_batches(tag_left, batch_format="pyarrow")
+                    .union(key_ds.map_batches(tag_key,
+                                              batch_format="pyarrow")),
+                    ["k"], resolve)
 
 
 ANTI_PRIORITY = "1-URGENT"
@@ -448,7 +486,7 @@ def customers_without_orders(sf_dir: str, priority: str = ANTI_PRIORITY):
                 .select(["o_custkey"]))
 
     keys = okeys.map_batches(urgent, batch_format="pyarrow")
-    return semi_anti_join(cust, keys, "c_custkey", anti=True, sf_dir=sf_dir)
+    return semi_anti_join(cust, keys, "c_custkey", anti=True)
 
 
 CUSTOMERS_WITHOUT_ORDERS_SQL = f"""SELECT c_custkey, c_name, c_mktsegment
@@ -660,7 +698,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
     orders_f = semi_anti_join(
         orders.map_batches(open_orders, batch_format="pyarrow"),
         cust.map_batches(seg_keys, batch_format="pyarrow"),
-        "o_custkey", anti=False, sf_dir=sf_dir,
+        "o_custkey", anti=False,
     )
 
     items = read_table(sf_dir, "lineitem",
@@ -679,51 +717,25 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
         return pa.table({"l_orderkey": g.column("l_orderkey"),
                          "revenue_c": g.column("rev_sum")})
 
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
     rev_parts = items.map_batches(rev_partial, batch_format="pyarrow")
 
     # Gate on the ORDERS row count (metadata only): when every per-order
     # 16-byte (key, cents) pair fits the driver bound, the per-order
-    # revenue rollup folds on the driver with np.unique + np.add.at (the
-    # Q21 lesson — partial volume is bounded by orders × blocks) and the
-    # date attach + top-k finish run as local array ops: ZERO AllToAll in
-    # the whole query.  Above the bound the distributed groupby + attach
-    # + per-block top-k pipeline runs; a pytest forces bound=0 and
-    # asserts both paths bit-identical.
+    # revenue rollup folds on the driver (the Q21 lesson — partial
+    # volume is bounded by orders × blocks) and the date attach + top-k
+    # finish run as local array ops: ZERO AllToAll in the whole query.
+    # Above the bound the distributed groupby + attach + per-block top-k
+    # pipeline runs; a pytest forces bound=0 and asserts both paths
+    # bit-identical.
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q3_DRIVER_FOLD_BOUND:
-        ks, vs = [], []
-        for t in arrow_blocks(rev_parts, stream=False):
-            ks.append(t.column("l_orderkey").to_numpy())
-            vs.append(t.column("revenue_c").to_numpy())
-        if not ks:
-            kk = np.array([], np.int64)
-            cc = np.array([], np.int64)
-        else:
-            k_all = np.concatenate(ks)
-            kk, inv = np.unique(k_all, return_inverse=True)
-            cc = np.zeros(len(kk), np.int64)
-            np.add.at(cc, inv, np.concatenate(vs))
+        rev = _collect_lookup(rev_parts, "l_orderkey", "revenue_c",
+                              fold=np.add)
         # filtered orders (o_orderkey, o_orderdate) — same collection the
         # broadcast attach performs; inner-join + top-k locally
-        oks, ods = [], []
-        for t in arrow_blocks(
-                orders_f.select_columns(["o_orderkey", "o_orderdate"]),
-                stream=False):
-            oks.append(t.column("o_orderkey").to_numpy())
-            ods.append(t.column("o_orderdate").to_numpy()
-                       .astype("datetime64[us]").view(np.int64))
-        ok_ = np.concatenate(oks) if oks else np.array([], np.int64)
-        od_ = np.concatenate(ods) if ods else np.array([], np.int64)
-        oorder = np.argsort(ok_)
-        ok_, od_ = ok_[oorder], od_[oorder]
-        pos = np.searchsorted(ok_, kk)
-        hit = ((pos < len(ok_))
-               & (ok_[np.minimum(pos, max(0, len(ok_) - 1))] == kk)
-               if len(ok_) else np.zeros(len(kk), bool))
-        jk, jc = kk[hit], cc[hit]
-        jd = od_[pos[hit]] if len(ok_) else np.array([], np.int64)
+        hit, jd = _collect_lookup(orders_f, "o_orderkey",
+                                  "o_orderdate").get(rev.keys)
+        jk, jc = rev.keys[hit], rev.values[0][hit]
         top = np.lexsort((jk, -jc))[:k]
         return pa.table({
             "o_orderkey": pa.array(jk[top]),
@@ -747,7 +759,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
 
     rev = rev.map_batches(ensure_rev_schema, batch_format="pyarrow")
 
-    joined = _attach_order_dates(rev, orders_f, sf_dir)
+    joined = _attach_order_dates(rev, orders_f)
     # top-k via per-block partials + driver fold — the sort+limit(k)
     # AllToAll was pure fixed cost for k=10 rows
     return _topk_fold(joined, ["revenue_c", "o_orderkey"],
@@ -755,7 +767,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
 
 
 #: broadcast the filtered (orderkey, orderdate) side when its encoded size
-#: is under this bound; above it, both sides co-partition by orderkey hash
+#: is under this bound; above it, both sides meet in ``common.exchange``
 #: (tests force 0 to drive the merge path)
 Q3_ATTACH_BOUND = 64 << 20
 
@@ -764,82 +776,46 @@ Q3_ATTACH_BOUND = 64 << 20
 Q3_DRIVER_FOLD_BOUND = 64 << 20
 
 
-def _attach_order_dates(rev, orders_f, sf_dir: str | None):
+def _attach_order_dates(rev, orders_f):
     """Inner-attach ``o_orderdate`` onto ``(l_orderkey, revenue_c)`` rows.
 
     Broadcast path: the doubly-filtered orders collect as ONE sorted
-    (key, date-µs) array pair, ``ray.put`` once; the revenue side — which
+    (key, date-µs) lookup, ``ray.put`` once; the revenue side — which
     is already partitioned by orderkey from its groupby — streams through
     a vectorized ``searchsorted`` probe with no further shuffle.  Merge
-    path: tagged union co-partitioned by ``hash(key) % P`` (the
-    :func:`semi_anti_join` shape — identical non-null columns on both
-    sides), one pandas inner merge per partition."""
+    path: a tagged union co-located by key through ``common.exchange``
+    (identical non-null columns on both sides, :func:`_union_side`), one
+    pandas inner merge per block."""
     import ray
-
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
 
     kd = orders_f.select_columns(["o_orderkey", "o_orderdate"])
 
     if (kd.size_bytes() or 0) <= Q3_ATTACH_BOUND:
-        ks, dts = [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("o_orderkey").to_numpy())
-            dts.append(t.column("o_orderdate").to_numpy()
-                       .astype("datetime64[us]").view(np.int64))
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        dd = np.concatenate(dts) if dts else np.array([], np.int64)
-        order = np.argsort(kk)
-        side = ray.put((kk[order], dd[order]))
+        side = ray.put(_collect_lookup(kd, "o_orderkey", "o_orderdate"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, dates = ray.get(side)
-            lk = t.column("l_orderkey").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
+            hit, dates = ray.get(side).get(t.column("l_orderkey").to_numpy())
             t = t.filter(pa.array(hit))
-            lk2 = t.column("l_orderkey").to_numpy()
-            dv = (dates[np.searchsorted(keys, lk2)] if t.num_rows
-                  else np.array([], np.int64))
             return pa.table({
                 "o_orderkey": t.column("l_orderkey"),
                 "revenue_c": t.column("revenue_c"),
-                "o_orderdate": pa.array(dv.view("datetime64[us]")),
+                "o_orderdate": pa.array(dates.view("datetime64[us]")),
             })
 
         return rev.map_batches(probe, batch_format="pyarrow")
 
-    n_parts = adaptive_parts(sf_dir or ".", table="orders") if sf_dir else 64
+    schema = pa.schema([("k", pa.int64()), ("revenue_c", pa.int64()),
+                        ("date_us", pa.int64()), ("is_rev", pa.bool_())])
 
-    # tagged union: identical non-null columns on BOTH sides (the
-    # semi_anti_join lesson — null padding widens int64 to float64 and
-    # one-sided partitions lose columns entirely)
     def tag_rev(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": pc.cast(t.column("l_orderkey"), pa.int64()),
-            "revenue_c": t.column("revenue_c"),
-            "date_us": pa.array(np.zeros(t.num_rows, np.int64)),
-            "is_rev": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("l_orderkey"), "revenue_c": t.column("revenue_c"),
+            "is_rev": True})
 
     def tag_ord(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": pc.cast(t.column("o_orderkey"), pa.int64()),
-            "revenue_c": pa.array(np.zeros(t.num_rows, np.int64)),
-            "date_us": pa.array(t.column("o_orderdate").to_numpy()
-                                .astype("datetime64[us]").view(np.int64)),
-            "is_rev": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    rt = rev.map_batches(tag_rev, batch_format="pyarrow")
-    ot = kd.map_batches(tag_ord, batch_format="pyarrow")
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("o_orderkey"),
+            "date_us": _us(t.column("o_orderdate")), "is_rev": False})
 
     def resolve(df):
         import pandas as pd
@@ -855,8 +831,9 @@ def _attach_order_dates(rev, orders_f, sf_dir: str | None):
                 .view("datetime64[us]")),
         })
 
-    return rt.union(ot).groupby("part").map_groups(
-        resolve, batch_format="pandas")
+    return exchange(rev.map_batches(tag_rev, batch_format="pyarrow")
+                    .union(kd.map_batches(tag_ord, batch_format="pyarrow")),
+                    ["k"], resolve)
 
 
 def shipping_priority_topk_sql(segment: str = Q3_SEGMENT,
@@ -908,19 +885,18 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
       nations INSIDE ``map_batches`` — the join's only shuffled side is
       this doubly-pruned (o_orderkey, cust_nation) projection.
     - lineitem never shuffles whole either: projected to
-      (l_orderkey, l_suppkey, revenue cents) before the single
-      co-partitioned tagged-union hash exchange (the two_hop_counts
+      (l_orderkey, supp_nation, revenue cents) before the single
+      tagged-union ``common.exchange`` on orderkey (the two_hop_counts
       lesson: same exchange as ``Dataset.join``, no aggregator
       overhead — measured 12.2 s → 7.2 s at sf0.1 bit-identically).
     - the local-supplier predicate (supp_nation == cust_nation) AND the
-      per-nation rollup resolve INSIDE each partition; ≤ nations rows
-      leave it for the final groupby.
+      per-nation rollup resolve INSIDE each block; ≤ nations rows
+      leave it for the driver fold.
 
     Output: ``(n_name, revenue_c)`` — revenue in exact integer cents
     (row-wise half-up ``floor(x*100+0.5)``, the repo float-parity rule).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
@@ -939,19 +915,21 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
     lo, hi = np.datetime64(date_lo), np.datetime64(date_hi)
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate"])
+    # both pruned sides are already the two sides of the tagged union:
+    # ``nation`` is the customer's nation on orders, the supplier's on
+    # lineitem
+    schema = pa.schema([("k", pa.int64()), ("nation", pa.int64()),
+                        ("rev_c", pa.int64()), ("is_ord", pa.bool_())])
 
     def prune_orders(t: pa.Table) -> pa.Table:
         _s2n, c2n_, nset = ray.get(side)
         d = t.column("o_orderdate").to_numpy()
         keep = (d >= lo) & (d < hi)
-        ck = t.column("o_custkey").to_numpy()[keep]
-        cn = c2n_[ck]
+        cn = c2n_[t.column("o_custkey").to_numpy()[keep]]
         in_region = np.isin(cn, np.fromiter(nset, dtype=np.int64))
-        return pa.table({
-            "o_orderkey": pa.array(
-                t.column("o_orderkey").to_numpy()[keep][in_region]),
-            "cust_nation": pa.array(cn[in_region]),
-        })
+        return _union_side(schema, int(in_region.sum()), {
+            "k": t.column("o_orderkey").to_numpy()[keep][in_region],
+            "nation": cn[in_region], "is_ord": True})
 
     items = read_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_suppkey", "l_extendedprice",
@@ -961,135 +939,66 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
         s2n_, _c2n, _ = ray.get(side)
         ep = t.column("l_extendedprice").to_numpy()
         disc = t.column("l_discount").to_numpy()
-        return pa.table({
-            "l_orderkey": t.column("l_orderkey"),
-            "supp_nation": pa.array(s2n_[t.column("l_suppkey").to_numpy()]),
-            "rev_c": pa.array(np.floor(ep * (1.0 - disc) * 100.0 + 0.5)
-                              .astype(np.int64)),
-        })
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("l_orderkey"),
+            "nation": s2n_[t.column("l_suppkey").to_numpy()],
+            "rev_c": np.floor(ep * (1.0 - disc) * 100.0 + 0.5)
+            .astype(np.int64),
+            "is_ord": False})
+
+    def nation_revenue(nk: np.ndarray, rev: np.ndarray) -> pa.Table:
+        g = pa.table({"nk": nk, "rev_c": rev}).group_by("nk").aggregate(
+            [("rev_c", "sum")])
+        return pa.table({"nk": g.column("nk"),
+                         "rev_c": g.column("rev_c_sum")})
 
     # Gate on the ORDERS row count (metadata only): the doubly-pruned
     # (orderkey, cust_nation) projection is 16 B/order upper-bound —
     # under the driver bound it collects once, broadcasts sorted, and
     # lineitem streams through a probe whose ≤25-row nation rollups fold
     # on the driver: ZERO AllToAll for the 6-table join.  Above it the
-    # co-partitioned exchange below runs; a pytest forces bound=0 and
-    # asserts both paths bit-identical.
+    # single exchange on orderkey runs (the two_hop_counts lesson — same
+    # exchange as Dataset.join without its aggregator overhead), with the
+    # local-supplier predicate AND the per-nation rollup resolved inside
+    # each block; a pytest forces bound=0 and asserts both paths
+    # bit-identical.
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
+    pruned = orders.map_batches(prune_orders, batch_format="pyarrow")
+    lines = items.map_batches(prune_items, batch_format="pyarrow")
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q5_DRIVER_FOLD_BOUND:
-        oks, cns = [], []
-        for t in arrow_blocks(
-                orders.map_batches(prune_orders, batch_format="pyarrow"),
-                stream=False):
-            oks.append(t.column("o_orderkey").to_numpy())
-            cns.append(t.column("cust_nation").to_numpy())
-        ok_ = np.concatenate(oks) if oks else np.array([], np.int64)
-        cn_ = np.concatenate(cns) if cns else np.array([], np.int64)
-        oorder = np.argsort(ok_)
-        oside = ray.put((ok_[oorder], cn_[oorder]))
+        oside = ray.put(_collect_lookup(pruned, "k", "nation"))
 
         def probe_items(t: pa.Table) -> pa.Table:
-            keys, cn = ray.get(oside)
-            lk = t.column("l_orderkey").to_numpy()
-            sn = t.column("supp_nation").to_numpy()
-            rv = t.column("rev_c").to_numpy()
-            if len(keys):
-                pos = np.clip(np.searchsorted(keys, lk), 0,
-                              len(keys) - 1)
-                keep = (keys[pos] == lk) & (cn[pos] == sn)
-            else:
-                keep = np.zeros(len(lk), bool)
-            nk = sn[keep]
-            rv = rv[keep]
-            uniq, inv = np.unique(nk, return_inverse=True)
-            acc_ = np.zeros(len(uniq), np.int64)
-            np.add.at(acc_, inv, rv)
-            return pa.table({"nk": pa.array(uniq),
-                             "rev_c": pa.array(acc_)})
+            hit, cn = ray.get(oside).get(t.column("k").to_numpy())
+            sn = t.column("nation").to_numpy()[hit]
+            local = cn == sn
+            return nation_revenue(
+                sn[local], t.column("rev_c").to_numpy()[hit][local])
 
-        acc: dict[int, int] = {}
-        for t in arrow_blocks(
-                items.map_batches(prune_items, batch_format="pyarrow")
-                .map_batches(probe_items, batch_format="pyarrow"),
-                stream=False):
-            for k, v in zip(t.column("nk").to_pylist(),
-                            t.column("rev_c").to_pylist()):
-                acc[k] = acc.get(k, 0) + int(v)
-        nks = sorted(acc)
-        return pa.table({
-            "n_name": pa.array([names[k] for k in nks], pa.string()),
-            "revenue_c": pa.array([acc[k] for k in nks], pa.int64())})
+        partials = lines.map_batches(probe_items, batch_format="pyarrow")
+    else:
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "nation"]]
+            l = df[~df["is_ord"]][["k", "nation", "rev_c"]]
+            m = l.merge(o, on=["k", "nation"], how="inner")
+            return nation_revenue(m["nation"].to_numpy(np.int64),
+                                  m["rev_c"].to_numpy(np.int64))
 
-    # the single hash exchange: co-partitioned tagged union on orderkey
-    # (the two_hop_counts lesson — same exchange as Dataset.join without
-    # its aggregator overhead), with the local-supplier predicate AND the
-    # per-nation rollup resolved INSIDE each partition, so only ≤ nations
-    # rows leave it
-    from nativeextractor_ray.functions.hashing import stable_part
+        partials = exchange(pruned.union(lines), ["k"], join_part)
 
-    def tag_ord(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": pc.cast(t.column("o_orderkey"), pa.int64()),
-            "nation": pc.cast(t.column("cust_nation"), pa.int64()),
-            "rev_c": pa.array(np.zeros(t.num_rows, np.int64)),
-            "is_ord": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], 64))
-
-    def tag_item(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": pc.cast(t.column("l_orderkey"), pa.int64()),
-            "nation": pc.cast(t.column("supp_nation"), pa.int64()),
-            "rev_c": t.column("rev_c"),
-            "is_ord": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], 64))
-
-    both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-            .map_batches(tag_ord, batch_format="pyarrow")
-            .union(items.map_batches(prune_items, batch_format="pyarrow")
-                   .map_batches(tag_item, batch_format="pyarrow")))
-
-    def join_part(df):
-        import pandas as pd
-
-        o = df[df["is_ord"]][["k", "nation"]].rename(
-            columns={"nation": "cn"})
-        l = df[~df["is_ord"]][["k", "nation", "rev_c"]].rename(
-            columns={"nation": "sn"})
-        m = l.merge(o, on="k", how="inner")
-        m = m[m["cn"] == m["sn"]]
-        g = m.groupby("cn", sort=False)["rev_c"].sum().reset_index()
-        return pd.DataFrame({"nk": g["cn"].to_numpy(np.int64),
-                             "rev_c": g["rev_c"].to_numpy(np.int64)})
-
-    name_map = ray.put(names)
-
-    def to_names(t: pa.Table) -> pa.Table:
-        nm = ray.get(name_map)
-        return pa.table({
-            "n_name": pa.array([nm[k] for k in t.column("nk").to_pylist()],
-                               pa.string()),
-            "revenue_c": t.column("rev_c"),
-        })
-
-    # per-partition partials are ≤ |nations| rows each — fold them on
-    # the driver instead of a second AllToAll (the Q21 lesson)
-    acc2: dict[str, int] = {}
-    for t in arrow_blocks(
-            both.groupby("part").map_groups(join_part,
-                                            batch_format="pandas")
-            .map_batches(to_names, batch_format="pyarrow"),
-            stream=False):
-        for nm_, v in zip(t.column("n_name").to_pylist(),
-                          t.column("revenue_c").to_pylist()):
-            acc2[nm_] = acc2.get(nm_, 0) + int(v)
-    nms = sorted(acc2)
+    # the partials are ≤ |nations| rows each — fold them on the driver
+    # instead of a second AllToAll (the Q21 lesson)
+    acc: dict[int, int] = {}
+    for t in arrow_blocks(partials, stream=False):
+        for k, v in zip(t.column("nk").to_pylist(),
+                        t.column("rev_c").to_pylist()):
+            acc[k] = acc.get(k, 0) + int(v)
+    nks = sorted(acc)
     return pa.table({
-        "n_name": pa.array(nms, pa.string()),
-        "revenue_c": pa.array([acc2[n] for n in nms], pa.int64())})
+        "n_name": pa.array([names[k] for k in nks], pa.string()),
+        "revenue_c": pa.array([acc[k] for k in nks], pa.int64())})
 
 
 def local_supplier_volume_sql(region: str = Q5_REGION,
@@ -1256,9 +1165,6 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     items = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -1282,35 +1188,22 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
         t = t.select(["l_orderkey", "sum_qty"]).cast(qty_schema)
         return t.filter(pc.greater(t.column("sum_qty"), threshold))
 
-
     # Gate on the ORDERS row count (metadata only): when every per-order
     # 16-byte (key, qty) pair fits the driver bound, the HAVING rollup
-    # folds on the driver (np.unique + np.add.at — the Q21 lesson) and
-    # the hot set broadcasts straight into the orders probe: the whole
-    # query runs with ZERO AllToAll.  Above the bound the distributed
-    # groupby + semi-join + attach pipeline runs; a pytest forces
-    # bound=0 and asserts both paths bit-identical.
+    # folds on the driver (the Q21 lesson) and the hot set broadcasts
+    # straight into the orders probe: the whole query runs with ZERO
+    # AllToAll.  Above the bound the distributed groupby + semi-join +
+    # attach pipeline runs; a pytest forces bound=0 and asserts both
+    # paths bit-identical.
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    hot_arrays = None
+    hot_side = None
     if n_orders is not None and n_orders * 16 <= Q18_DRIVER_FOLD_BOUND:
-        from nativeextractor_ray.functions.blocks import arrow_blocks
-
-        ks, qs = [], []
-        for t in arrow_blocks(
-                items.map_batches(qty_partial, batch_format="pyarrow"),
-                stream=False):
-            ks.append(t.column("l_orderkey").to_numpy())
-            qs.append(t.column("sum_qty").to_numpy())
-        if ks:
-            kk, inv = np.unique(np.concatenate(ks), return_inverse=True)
-            qq = np.zeros(len(kk), np.int64)
-            np.add.at(qq, inv, np.concatenate(qs))
-            keep = qq > threshold
-            hot_arrays = (kk[keep], qq[keep])  # sorted by key
-        else:
-            hot_arrays = (np.array([], np.int64), np.array([], np.int64))
-
-    if hot_arrays is None:
+        q = _collect_lookup(
+            items.map_batches(qty_partial, batch_format="pyarrow"),
+            "l_orderkey", "sum_qty", fold=np.add)
+        keep = q.values[0] > threshold
+        hot_side = ray.put(SortedLookup(q.keys[keep], q.values[0][keep]))
+    else:
         # materialize: the HAVING output is the small side and feeds
         # THREE consumers (semi-join keys, the size gate, the attach) —
         # without it the lineitem aggregate would re-execute per consumer
@@ -1323,37 +1216,27 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate",
                          "o_totalprice"])
-    if hot_arrays is not None:
-        hk_ref = ray.put(hot_arrays[0])
-
+    if hot_side is not None:
         def hot_filter(t: pa.Table) -> pa.Table:
-            hk = ray.get(hk_ref)
-            okn = t.column("o_orderkey").to_numpy()
-            if not len(hk):
-                return t.slice(0, 0)
-            pos = np.clip(np.searchsorted(hk, okn), 0, len(hk) - 1)
-            return t.filter(pa.array(hk[pos] == okn))
+            hit = ray.get(hot_side).get(t.column("o_orderkey").to_numpy())[0]
+            return t.filter(pa.array(hit))
 
         orders_f = orders.map_batches(hot_filter, batch_format="pyarrow")
     else:
         orders_f = semi_anti_join(
             orders, hot.select_columns(["l_orderkey"]),
-            "o_orderkey", anti=False, sf_dir=sf_dir)
+            "o_orderkey", anti=False)
 
     cust = load_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    ck = cust.column("c_custkey").to_numpy()
-    corder = np.argsort(ck)
-    cust_side = ray.put((ck[corder],
-                         cust.column("c_name").take(
-                             pa.array(corder)).combine_chunks()))
+    cust_side = ray.put(SortedLookup(cust.column("c_custkey").to_numpy(),
+                                     cust.column("c_name")))
 
     def finish_row(t: pa.Table, qv: np.ndarray) -> pa.Table:
-        keys, names = ray.get(cust_side)
-        cidx = np.searchsorted(keys, t.column("o_custkey").to_numpy())
+        _, names = ray.get(cust_side).get(t.column("o_custkey").to_numpy())
         price_c = pc.cast(pc.round(pc.multiply(
             t.column("o_totalprice"), 100.0)), pa.int64())
         return pa.table({
-            "c_name": names.take(pa.array(cidx)),
+            "c_name": names,
             "c_custkey": t.column("o_custkey"),
             "o_orderkey": t.column("o_orderkey"),
             "o_orderdate": t.column("o_orderdate"),
@@ -1361,60 +1244,35 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
             "sum_qty": pa.array(qv),
         })
 
-    if hot_arrays is not None or (hot.size_bytes() or 0) <= Q18_ATTACH_BOUND:
-        if hot_arrays is not None:
-            hot_side = ray.put(hot_arrays)  # already key-sorted
-        else:
-            hk, hq = [], []
-            for t in arrow_blocks(hot, stream=False):
-                hk.append(t.column("l_orderkey").to_numpy())
-                hq.append(t.column("sum_qty").to_numpy())
-            kk = np.concatenate(hk) if hk else np.array([], np.int64)
-            qq = np.concatenate(hq) if hq else np.array([], np.int64)
-            horder = np.argsort(kk)
-            hot_side = ray.put((kk[horder], qq[horder]))
+    if hot_side is not None or (hot.size_bytes() or 0) <= Q18_ATTACH_BOUND:
+        if hot_side is None:
+            hot_side = ray.put(_collect_lookup(hot, "l_orderkey", "sum_qty"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, qtys = ray.get(hot_side)
             # semi-join already filtered to hot orders; lookup is total
-            pos = (np.searchsorted(keys, t.column("o_orderkey").to_numpy())
-                   if t.num_rows else np.array([], np.int64))
-            return finish_row(t, qtys[pos] if t.num_rows
-                              else np.array([], np.int64))
+            _, qtys = ray.get(hot_side).get(t.column("o_orderkey").to_numpy())
+            return finish_row(t, qtys)
 
         joined = orders_f.map_batches(probe, batch_format="pyarrow")
     else:
-        n_parts = adaptive_parts(sf_dir, table="orders")
+        schema = pa.schema([
+            ("k", pa.int64()), ("o_custkey", pa.int64()),
+            ("date_us", pa.int64()), ("price_c", pa.int64()),
+            ("sum_qty", pa.int64()), ("is_hot", pa.bool_())])
 
         def tag_hot(t: pa.Table) -> pa.Table:
-            out = pa.table({
-                "k": t.column("l_orderkey"),
-                "o_custkey": pa.array(np.zeros(t.num_rows, np.int64)),
-                "date_us": pa.array(np.zeros(t.num_rows, np.int64)),
-                "price_c": pa.array(np.zeros(t.num_rows, np.int64)),
-                "sum_qty": t.column("sum_qty"),
-                "is_hot": pa.array(np.ones(t.num_rows, bool)),
-            })
-            return out.append_column("part",
-                                     stable_part(out, ["k"], n_parts))
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("l_orderkey"), "sum_qty": t.column("sum_qty"),
+                "is_hot": True})
 
         def tag_ord(t: pa.Table) -> pa.Table:
-            out = pa.table({
+            return _union_side(schema, t.num_rows, {
                 "k": t.column("o_orderkey"),
                 "o_custkey": t.column("o_custkey"),
-                "date_us": pa.array(t.column("o_orderdate").to_numpy()
-                                    .astype("datetime64[us]")
-                                    .view(np.int64)),
+                "date_us": _us(t.column("o_orderdate")),
                 "price_c": pc.cast(pc.round(pc.multiply(
                     t.column("o_totalprice"), 100.0)), pa.int64()),
-                "sum_qty": pa.array(np.zeros(t.num_rows, np.int64)),
-                "is_hot": pa.array(np.zeros(t.num_rows, bool)),
-            })
-            return out.append_column("part",
-                                     stable_part(out, ["k"], n_parts))
-
-        ht = hot.map_batches(tag_hot, batch_format="pyarrow")
-        ot = orders_f.map_batches(tag_ord, batch_format="pyarrow")
+                "is_hot": False})
 
         def resolve(df):
             import pandas as pd
@@ -1422,10 +1280,9 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
             h = df[df["is_hot"]][["k", "sum_qty"]]
             o = df[~df["is_hot"]][["k", "o_custkey", "date_us", "price_c"]]
             m = o.merge(h, on="k", how="inner")
-            keys, names = ray.get(cust_side)
-            cidx = np.searchsorted(keys, m["o_custkey"].to_numpy())
+            _, names = ray.get(cust_side).get(m["o_custkey"].to_numpy())
             return pd.DataFrame({
-                "c_name": names.take(pa.array(cidx)).to_pandas(),
+                "c_name": names.to_pandas(),
                 "c_custkey": m["o_custkey"].to_numpy(),
                 "o_orderkey": m["k"].to_numpy(),
                 "o_orderdate": pd.Series(
@@ -1435,8 +1292,10 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
                 "sum_qty": m["sum_qty"].to_numpy(),
             })
 
-        joined = ht.union(ot).groupby("part").map_groups(
-            resolve, batch_format="pandas")
+        joined = exchange(hot.map_batches(tag_hot, batch_format="pyarrow")
+                          .union(orders_f.map_batches(
+                              tag_ord, batch_format="pyarrow")),
+                          ["k"], resolve)
 
     # top-k via per-block partials + driver fold — the sort+limit(k)
     # AllToAll was pure fixed cost for k=100 rows
@@ -1467,13 +1326,13 @@ def small_order_revenue(sf_dir: str):
     aggregate" shape.
 
     Scale shape: ONE fact shuffle total.  ``lineitem`` projects to
-    ``(l_partkey, qty, price_c)`` and co-partitions by
-    ``hash(partkey)``; inside each partition a vectorized pandas groupby
+    ``(l_partkey, qty, price_c)`` and co-locates by partkey through
+    ``common.exchange``; inside each block a vectorized pandas groupby
     computes every part's exact ``(sum_qty, count)`` (integers —
     quantities are integral), the correlated predicate evaluates
     ALL-INTEGER (``5 * qty * cnt < sum_qty`` ⟺ ``qty < 0.2 * avg`` —
     no float division, exact parity with the oracle), and only per-brand
-    partial rows leave the partition for the tiny final groupby.  The
+    partial rows leave the block for the tiny final groupby.  The
     brand lookup broadcasts the ``part`` dim once (``p_partkey →
     p_brand``, the gazetteer shape).
 
@@ -1481,23 +1340,17 @@ def small_order_revenue(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import load_table, read_table
 
     part_dim = load_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    pk = part_dim.column("p_partkey").to_numpy()
-    porder = np.argsort(pk)
-    part_side = ray.put((pk[porder],
-                         part_dim.column("p_brand").take(
-                             pa.array(porder)).combine_chunks()))
+    part_side = ray.put(SortedLookup(part_dim.column("p_partkey").to_numpy(),
+                                     part_dim.column("p_brand")))
 
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
     items = read_table(sf_dir, "lineitem",
                        ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def prep(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "l_partkey": t.column("l_partkey"),
             "qty": pa.array(t.column("l_quantity").to_numpy()
                             .astype(np.int64)),
@@ -1505,8 +1358,6 @@ def small_order_revenue(sf_dir: str):
                 np.floor(t.column("l_extendedprice").to_numpy() * 100.0
                          + 0.5).astype(np.int64)),
         })
-        return out.append_column("part",
-                                 stable_part(out, ["l_partkey"], n_parts))
 
     def resolve(df):
         import pandas as pd
@@ -1516,19 +1367,18 @@ def small_order_revenue(sf_dir: str):
         c = g["count"].reindex(df["l_partkey"]).to_numpy()
         keep = 5 * df["qty"].to_numpy() * c < s
         kept = df[keep]
-        keys, brands = ray.get(part_side)
-        bidx = np.searchsorted(keys, kept["l_partkey"].to_numpy())
+        hit, brands = ray.get(part_side).get(kept["l_partkey"].to_numpy())
         out = pd.DataFrame({
-            "p_brand": brands.take(pa.array(bidx)).to_pandas(),
-            "n_items": np.ones(len(kept), np.int64),
-            "revenue_c": kept["price_c"].to_numpy(),
+            "p_brand": brands.to_pandas(),
+            "n_items": np.ones(len(brands), np.int64),
+            "revenue_c": kept["price_c"].to_numpy()[hit],
         })
         p = out.groupby("p_brand", as_index=False).agg(
             n_items=("n_items", "sum"), revenue_c=("revenue_c", "sum"))
         return p
 
-    partials = (items.map_batches(prep, batch_format="pyarrow")
-                .groupby("part").map_groups(resolve, batch_format="pandas"))
+    partials = exchange(items.map_batches(prep, batch_format="pyarrow"),
+                        ["l_partkey"], resolve)
     return partials.groupby("p_brand").aggregate(
         Sum("n_items", alias_name="n_items"),
         Sum("revenue_c", alias_name="revenue_c"))
@@ -1568,16 +1418,14 @@ def order_fill_report(sf_dir: str):
     int64 partials + one orderkey groupby (16-byte rows shuffle, never
     payloads); ``orders`` then streams through a size-gated attach —
     broadcast sorted arrays with a missing→0 probe under
-    ``FILL_ATTACH_BOUND``, co-partitioned tagged-union LEFT merge above
-    it.  The orders side never shuffles on the broadcast path.
+    ``FILL_ATTACH_BOUND``, a tagged-union LEFT merge through
+    ``common.exchange`` above it.  The orders side never shuffles on the
+    broadcast path.
 
     Output: ``(o_orderkey, o_orderstatus, n_items, sum_qty)``."""
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     items = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -1628,37 +1476,16 @@ def order_fill_report(sf_dir: str):
                .map_batches(pin, batch_format="pyarrow"))
 
     if driver_fold or (agg.size_bytes() or 0) <= FILL_ATTACH_BOUND:
-        ks, ns, qs = [], [], []
         src = (items.map_batches(partial, batch_format="pyarrow")
                if driver_fold else agg)
-        for t in arrow_blocks(src, stream=False):
-            ks.append(t.column("l_orderkey").to_numpy())
-            ns.append(t.column("n_items").to_numpy())
-            qs.append(t.column("sum_qty").to_numpy())
-        if ks:
-            k_all = np.concatenate(ks)
-            kk, inv = np.unique(k_all, return_inverse=True)
-            nn = np.zeros(len(kk), np.int64)
-            qq = np.zeros(len(kk), np.int64)
-            np.add.at(nn, inv, np.concatenate(ns))
-            np.add.at(qq, inv, np.concatenate(qs))
-        else:
-            kk = nn = qq = np.array([], np.int64)
-        side = ray.put((kk, nn, qq))  # np.unique output is key-sorted
+        side = ray.put(_collect_lookup(src, "l_orderkey", "n_items",
+                                       "sum_qty", fold=np.add))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, nv, qv = ray.get(side)
-            ok = t.column("o_orderkey").to_numpy()
-            if len(keys) == 0:
-                n_out = np.zeros(len(ok), np.int64)
-                q_out = np.zeros(len(ok), np.int64)
-            else:
-                pos = np.searchsorted(keys, ok)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == ok)
-                pos = np.minimum(pos, len(keys) - 1)
-                n_out = np.where(hit, nv[pos], 0)
-                q_out = np.where(hit, qv[pos], 0)
+            hit, nv, qv = ray.get(side).get(t.column("o_orderkey").to_numpy())
+            n_out = np.zeros(t.num_rows, np.int64)
+            q_out = np.zeros(t.num_rows, np.int64)
+            n_out[hit], q_out[hit] = nv, qv
             return pa.table({
                 "o_orderkey": t.column("o_orderkey"),
                 "o_orderstatus": t.column("o_orderstatus"),
@@ -1668,30 +1495,19 @@ def order_fill_report(sf_dir: str):
 
         return orders.map_batches(probe, batch_format="pyarrow")
 
-    n_parts = adaptive_parts(sf_dir, table="orders")
+    schema = pa.schema([("k", pa.int64()), ("o_orderstatus", pa.string()),
+                        ("n_items", pa.int64()), ("sum_qty", pa.int64()),
+                        ("is_agg", pa.bool_())])
 
     def tag_agg(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("l_orderkey"),
-            "o_orderstatus": pa.array([""] * t.num_rows, pa.string()),
-            "n_items": t.column("n_items"),
-            "sum_qty": t.column("sum_qty"),
-            "is_agg": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("l_orderkey"), "n_items": t.column("n_items"),
+            "sum_qty": t.column("sum_qty"), "is_agg": True})
 
     def tag_ord(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return _union_side(schema, t.num_rows, {
             "k": t.column("o_orderkey"),
-            "o_orderstatus": t.column("o_orderstatus"),
-            "n_items": pa.array(np.zeros(t.num_rows, np.int64)),
-            "sum_qty": pa.array(np.zeros(t.num_rows, np.int64)),
-            "is_agg": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    at = agg.map_batches(tag_agg, batch_format="pyarrow")
-    ot = orders.map_batches(tag_ord, batch_format="pyarrow")
+            "o_orderstatus": t.column("o_orderstatus"), "is_agg": False})
 
     def resolve(df):
         import pandas as pd
@@ -1706,8 +1522,10 @@ def order_fill_report(sf_dir: str):
             "sum_qty": m["sum_qty"].fillna(0).to_numpy(np.int64),
         })
 
-    return at.union(ot).groupby("part").map_groups(
-        resolve, batch_format="pandas")
+    return exchange(agg.map_batches(tag_agg, batch_format="pyarrow")
+                    .union(orders.map_batches(tag_ord,
+                                              batch_format="pyarrow")),
+                    ["k"], resolve)
 
 
 ORDER_FILL_REPORT_SQL = """SELECT o.o_orderkey, o.o_orderstatus,
@@ -1724,8 +1542,6 @@ ON a.l_orderkey = o.o_orderkey"""
 
 # ------------------------------------------------ Q4 shape: EXISTS count
 
-_Q4_PARTS = 64
-
 #: driver-fold the per-order max-shipdate when orders × 16 B fits —
 #: tests force 0 to drive the co-partitioned merge path
 Q4_DRIVER_FOLD_BOUND = 64 << 20
@@ -1740,132 +1556,86 @@ def late_shipment_priority(sf_dir: str):
     The EXISTS collapses algebraically: ``∃ l: ship > odate  ⟺
     max(ship) > odate`` — so lineitem reduces to per-order MAX partials
     inside each batch (16 bytes/row, dates as int64 µs) BEFORE its only
-    shuffle, and the correlated subquery becomes one co-partitioned
-    tagged-union merge keyed by ``hash(orderkey) % P`` (the
-    ``_attach_order_dates`` merge shape).  Per-partition priority counts
-    are partials; the final groupby sees ≤ 5·P rows.
+    shuffle, and the correlated subquery becomes one tagged-union merge
+    co-located by orderkey through ``common.exchange`` (the
+    ``_attach_order_dates`` merge shape).  Per-block priority counts are
+    partials; the driver folds ≤ 5 rows per block.
 
     Output: ``(o_orderpriority, n_orders)``."""
-    import pandas as pd
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     od = read_table(sf_dir, "orders",
                     ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    schema = pa.schema([("k", pa.int64()), ("date_us", pa.int64()),
+                        ("prio", pa.string()), ("is_li", pa.bool_())])
+
+    def li_max(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_orderkey").aggregate([("l_shipdate", "max")])
+        return _union_side(schema, g.num_rows, {
+            "k": g.column("l_orderkey"),
+            "date_us": _us(g.column("l_shipdate_max")), "is_li": True})
+
+    def priority_counts(prio) -> pa.Table:
+        g = pa.table({"o_orderpriority": prio}, schema=pa.schema(
+            [("o_orderpriority", pa.string())])).group_by(
+            "o_orderpriority").aggregate([("o_orderpriority", "count")])
+        return pa.table({
+            "o_orderpriority": g.column("o_orderpriority"),
+            "n": pc.cast(g.column("o_orderpriority_count"), pa.int64())})
 
     # Gate on the ORDERS row count (metadata only): the per-order
     # max-shipdate fold is 16 B/order — under the bound it folds on the
-    # driver (np.maximum.at) and broadcasts into a streaming orders
-    # probe whose ≤5-row priority partials fold locally: ZERO AllToAll.
+    # driver and broadcasts into a streaming orders probe whose ≤5-row
+    # priority partials fold locally: ZERO AllToAll.
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q4_DRIVER_FOLD_BOUND:
-        def li_max(t: pa.Table) -> pa.Table:
-            g = t.group_by("l_orderkey").aggregate([("l_shipdate", "max")])
-            return pa.table({
-                "k": pc.cast(g.column("l_orderkey"), pa.int64()),
-                "date_us": pa.array(
-                    g.column("l_shipdate_max").to_numpy()
-                    .astype("datetime64[us]").view(np.int64))})
-
-        ks, vs = [], []
-        for t in arrow_blocks(li.map_batches(li_max,
-                                             batch_format="pyarrow"),
-                              stream=False):
-            ks.append(t.column("k").to_numpy())
-            vs.append(t.column("date_us").to_numpy())
-        if ks:
-            kk, inv = np.unique(np.concatenate(ks), return_inverse=True)
-            mx = np.full(len(kk), np.iinfo(np.int64).min, np.int64)
-            np.maximum.at(mx, inv, np.concatenate(vs))
-        else:
-            kk = mx = np.array([], np.int64)
-        side = ray.put((kk, mx))
+        side = ray.put(_collect_lookup(
+            li.map_batches(li_max, batch_format="pyarrow"),
+            "k", "date_us", fold=np.maximum))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, ship = ray.get(side)
-            okn = t.column("o_orderkey").to_numpy()
-            odate = (t.column("o_orderdate").to_numpy()
-                     .astype("datetime64[us]").view(np.int64))
-            if len(keys):
-                pos = np.clip(np.searchsorted(keys, okn), 0,
-                              len(keys) - 1)
-                late = (keys[pos] == okn) & (ship[pos] > odate)
-            else:
-                late = np.zeros(len(okn), bool)
-            sub = t.filter(pa.array(late))
-            g = sub.group_by("o_orderpriority").aggregate(
-                [("o_orderpriority", "count")])
-            return pa.table({
-                "o_orderpriority": g.column("o_orderpriority"),
-                "n": pc.cast(g.column("o_orderpriority_count"),
-                             pa.int64())})
+            hit, ship = ray.get(side).get(t.column("o_orderkey").to_numpy())
+            t = t.filter(pa.array(hit))
+            late = ship > _us(t.column("o_orderdate"))
+            return priority_counts(
+                t.column("o_orderpriority").filter(pa.array(late)))
 
-        acc: dict[str, int] = {}
-        for t in arrow_blocks(od.map_batches(probe,
-                                             batch_format="pyarrow"),
-                              stream=False):
-            for p, n in zip(t.column("o_orderpriority").to_pylist(),
-                            t.column("n").to_pylist()):
-                acc[p] = acc.get(p, 0) + int(n)
-        prios = sorted(acc)
-        return pa.table({
-            "o_orderpriority": pa.array(prios, pa.string()),
-            "n_orders": pa.array([acc[p] for p in prios], pa.int64())})
+        partials = od.map_batches(probe, batch_format="pyarrow")
+    else:
+        def od_tag(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("o_orderkey"),
+                "date_us": _us(t.column("o_orderdate")),
+                "prio": t.column("o_orderpriority"), "is_li": False})
 
-    def li_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_orderkey").aggregate([("l_shipdate", "max")])
-        out = pa.table({
-            "k": pc.cast(g.column("l_orderkey"), pa.int64()),
-            "date_us": pa.array(g.column("l_shipdate_max").to_numpy()
-                                .astype("datetime64[us]").view(np.int64)),
-            "prio": pa.array([""] * g.num_rows, pa.string()),
-            "is_li": pa.array(np.ones(g.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], _Q4_PARTS))
+        def resolve(df) -> pa.Table:
+            ship = df[df["is_li"]].groupby("k", sort=False)["date_us"].max()
+            o = df[~df["is_li"]]
+            m = o.merge(ship.rename("ship_us"), left_on="k",
+                        right_index=True, how="inner")
+            return priority_counts(
+                m["prio"][m["ship_us"] > m["date_us"]].to_numpy(object))
 
-    def od_tag(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": pc.cast(t.column("o_orderkey"), pa.int64()),
-            "date_us": pa.array(t.column("o_orderdate").to_numpy()
-                                .astype("datetime64[us]").view(np.int64)),
-            "prio": t.column("o_orderpriority"),
-            "is_li": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], _Q4_PARTS))
+        partials = exchange(
+            li.map_batches(li_max, batch_format="pyarrow")
+            .union(od.map_batches(od_tag, batch_format="pyarrow")),
+            ["k"], resolve)
 
-    def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd_
-
-        l = df[df["is_li"]]
-        ship = l.groupby("k", sort=False)["date_us"].max()
-        o = df[~df["is_li"]]
-        m = o.merge(ship.rename("ship_us"), left_on="k",
-                    right_index=True, how="inner")
-        late = m[m["ship_us"] > m["date_us"]]
-        g = late.groupby("prio", sort=False).size()
-        return pd_.DataFrame({
-            "o_orderpriority": g.index.to_numpy(object),
-            "n_orders": g.to_numpy(np.int64)})
-
-    both = (li.map_batches(li_partial, batch_format="pyarrow")
-            .union(od.map_batches(od_tag, batch_format="pyarrow")))
-    # the per-partition partials are ≤ 5 rows each — fold them on the
-    # driver instead of a second AllToAll (the Q21 lesson)
-    acc2: dict[str, int] = {}
-    for t in arrow_blocks(both.groupby("part")
-                          .map_groups(resolve, batch_format="pandas"),
-                          stream=False):
+    # the partials are ≤ 5 rows each — fold them on the driver instead
+    # of a second AllToAll (the Q21 lesson)
+    acc: dict[str, int] = {}
+    for t in arrow_blocks(partials, stream=False):
         for p, n in zip(t.column("o_orderpriority").to_pylist(),
-                        t.column("n_orders").to_pylist()):
-            acc2[p] = acc2.get(p, 0) + int(n)
-    prios2 = sorted(acc2)
+                        t.column("n").to_pylist()):
+            acc[p] = acc.get(p, 0) + int(n)
+    prios = sorted(acc)
     return pa.table({
-        "o_orderpriority": pa.array(prios2, pa.string()),
-        "n_orders": pa.array([acc2[p] for p in prios2], pa.int64())})
+        "o_orderpriority": pa.array(prios, pa.string()),
+        "n_orders": pa.array([acc[p] for p in prios], pa.int64())})
 
 
 def late_shipment_priority_sql() -> str:
@@ -2040,7 +1810,7 @@ def idle_customer_balance(sf_dir: str, priority: str = Q22_PRIORITY):
     idle = semi_anti_join(
         cust.map_batches(gate, batch_format="pyarrow"),
         ok.map_batches(prio_keys, batch_format="pyarrow"),
-        "c_custkey", anti=True, sf_dir=sf_dir)
+        "c_custkey", anti=True)
 
     def rollup(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -2110,55 +1880,42 @@ def min_cost_supplier(sf_dir: str, brand: str = Q2_BRAND):
     Scale shape: the brand's part keys broadcast once as a sorted int64
     array and prune ``lineitem`` MAP-SIDE (vectorized semijoin probe —
     the trie-probe shape), so only the brand's slice ever shuffles.
-    That slice co-partitions ONCE by ``hash(partkey)``; because a part's
-    rows are then co-located, the min, the equality join-back AND the
-    ``(part, supplier)`` dedup all resolve inside the partition with a
-    vectorized transform — nothing rejoins across partitions, nothing
-    returns to the driver.  Supplier names attach from a broadcast
-    ``suppkey → name`` dim (one ``ray.put``).
+    That slice is co-located by partkey ONCE through ``common.exchange``;
+    because a part's rows then share a block, the min, the equality
+    join-back AND the ``(part, supplier)`` dedup all resolve inside the
+    block with a vectorized transform — nothing rejoins across blocks,
+    nothing returns to the driver.  Supplier names attach from a
+    broadcast ``suppkey → name`` dim (one ``ray.put``).
 
     Output: ``(p_partkey, min_price_c, s_suppkey, s_name)`` — one row
     per (part, cheapest supplier), ties kept like the oracle."""
     import ray
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import load_table, read_table
 
     part_dim = load_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    bkeys = np.sort(part_dim.filter(
-        pc.equal(part_dim.column("p_brand"), brand))
-        .column("p_partkey").to_numpy())
-
     sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    sk = sup.column("s_suppkey").to_numpy()
-    sorder = np.argsort(sk)
-    side = ray.put((bkeys, sk[sorder],
-                    sup.column("s_name").take(pa.array(sorder))
-                    .combine_chunks()))
+    side = ray.put((
+        ExactIdFilter(part_dim.filter(pc.equal(part_dim.column("p_brand"),
+                                               brand))
+                      .column("p_partkey").to_numpy()),
+        SortedLookup(sup.column("s_suppkey").to_numpy(),
+                     sup.column("s_name"))))
 
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
     items = read_table(sf_dir, "lineitem",
                        ["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def prune(t: pa.Table) -> pa.Table:
-        keys, _sk, _sn = ray.get(side)
+        brand_keys, _ = ray.get(side)
         lk = t.column("l_partkey").to_numpy()
-        if len(keys):
-            pos = np.searchsorted(keys, lk)
-            hit = (pos < len(keys)) & (
-                keys[np.minimum(pos, len(keys) - 1)] == lk)
-        else:
-            hit = np.zeros(len(lk), bool)
-        out = pa.table({
+        hit = brand_keys.contains(lk)
+        return pa.table({
             "l_partkey": pa.array(lk[hit]),
             "l_suppkey": pa.array(t.column("l_suppkey").to_numpy()[hit]),
             "price_c": pa.array(
                 np.floor(t.column("l_extendedprice").to_numpy()[hit]
                          * 100.0 + 0.5).astype(np.int64)),
         })
-        return out.append_column(
-            "part", stable_part(out, ["l_partkey"], n_parts))
 
     def resolve(df):
         import pandas as pd
@@ -2166,17 +1923,16 @@ def min_cost_supplier(sf_dir: str, brand: str = Q2_BRAND):
         lo = df.groupby("l_partkey")["price_c"].transform("min")
         kept = df[df["price_c"].to_numpy() == lo.to_numpy()]
         kept = kept.drop_duplicates(["l_partkey", "l_suppkey"])
-        _keys, skeys, snames = ray.get(side)
-        sidx = np.searchsorted(skeys, kept["l_suppkey"].to_numpy())
+        _, snames = ray.get(side)[1].get(kept["l_suppkey"].to_numpy())
         return pd.DataFrame({
             "p_partkey": kept["l_partkey"].to_numpy(np.int64),
             "min_price_c": kept["price_c"].to_numpy(np.int64),
             "s_suppkey": kept["l_suppkey"].to_numpy(np.int64),
-            "s_name": snames.take(pa.array(sidx)).to_pandas(),
+            "s_name": snames.to_pandas(),
         })
 
-    return (items.map_batches(prune, batch_format="pyarrow")
-            .groupby("part").map_groups(resolve, batch_format="pandas"))
+    return exchange(items.map_batches(prune, batch_format="pyarrow"),
+                    ["l_partkey"], resolve)
 
 
 def min_cost_supplier_sql(brand: str = Q2_BRAND) -> str:
@@ -2229,16 +1985,13 @@ def disjunctive_revenue(sf_dir: str, arms=None):
     arms = list(arms or Q19_ARMS)
     part_dim = load_table(sf_dir, "part",
                           columns=["p_partkey", "p_brand", "p_size"])
-    pk = part_dim.column("p_partkey").to_numpy()
-    order = np.argsort(pk)
     brands = sorted({a[1] for a in arms})
     bid = {b: i for i, b in enumerate(brands)}
-    bcol = np.array([bid.get(b, -1) for b in
-                     part_dim.column("p_brand").to_pylist()],
-                    np.int64)[order]
-    side = ray.put((pk[order], bcol,
-                    part_dim.column("p_size").to_numpy()
-                    .astype(np.int64)[order]))
+    side = ray.put(SortedLookup(
+        part_dim.column("p_partkey").to_numpy(),
+        np.array([bid.get(b, -1) for b in
+                  part_dim.column("p_brand").to_pylist()], np.int64),
+        part_dim.column("p_size").to_numpy().astype(np.int64)))
     arm_specs = [(name, bid[b], slo, shi, qlo, qhi)
                  for name, b, slo, shi, qlo, qhi in arms]
 
@@ -2247,23 +2000,14 @@ def disjunctive_revenue(sf_dir: str, arms=None):
                         "l_discount"])
 
     def partial(t: pa.Table) -> pa.Table:
-        keys, bids, sizes = ray.get(side)
-        lk = t.column("l_partkey").to_numpy()
-        if len(keys) == 0:  # empty part table: every probe misses
-            b = np.full(len(lk), -2, np.int64)
-            s = np.full(len(lk), -1, np.int64)
-        else:
-            idx = np.searchsorted(keys, lk)
-            idx = np.minimum(idx, len(keys) - 1)
-            ok = keys[idx] == lk
-            b = np.where(ok, bids[idx], -2)
-            s = np.where(ok, sizes[idx], -1)
+        # a line whose part is missing matches no arm
+        hit, b, s = ray.get(side).get(t.column("l_partkey").to_numpy())
         # half-up, matching the oracle's floor(q + 0.5) — a plain
         # astype(int64) truncates toward zero while DuckDB's CAST rounds
-        qty = np.floor(t.column("l_quantity").to_numpy()
+        qty = np.floor(t.column("l_quantity").to_numpy()[hit]
                        + 0.5).astype(np.int64)
-        rev = np.floor(t.column("l_extendedprice").to_numpy()
-                       * (1.0 - t.column("l_discount").to_numpy())
+        rev = np.floor(t.column("l_extendedprice").to_numpy()[hit]
+                       * (1.0 - t.column("l_discount").to_numpy()[hit])
                        * 100.0 + 0.5).astype(np.int64)
         names, counts, revs = [], [], []
         for name, abid, slo, shi, qlo, qhi in arm_specs:
@@ -2333,17 +2077,15 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
       minority slices before anything moves;
     - ``orders`` ships ``(orderkey, cust_nation)``, ``lineitem`` ships
       ``(orderkey, supp_nation, ship year, revenue cents)`` into ONE
-      co-partitioned tagged-union hash exchange on orderkey;
-    - in-partition the cross predicate (``supp ≠ cust``, both ∈ {a, b})
+      tagged-union exchange on orderkey (``common.exchange``);
+    - in-block the cross predicate (``supp ≠ cust``, both ∈ {a, b})
       and the (sn, cn, year) rollup resolve vectorized, so ≤ 2·years
-      partial rows leave each partition for the final groupby.
+      partial rows leave each block for the driver fold.
 
     Output: ``(supp_nation, cust_nation, l_year, revenue_c)``."""
     import ray
-    from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
+    from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     nat = load_table(sf_dir, "nation")
@@ -2357,21 +2099,21 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
     c2n = _key_index(cust.column("c_custkey"), cust.column("c_nationkey"), -1)
     side = ray.put((s2n, c2n))
 
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
+    # both pruned sides are already the two sides of the tagged union:
+    # ``nation`` is the customer's nation on orders, the supplier's on
+    # lineitem
+    schema = pa.schema([("k", pa.int64()), ("nation", pa.int64()),
+                        ("year", pa.int64()), ("rev_c", pa.int64()),
+                        ("is_ord", pa.bool_())])
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def prune_orders(t: pa.Table) -> pa.Table:
         _s, c2n_ = ray.get(side)
         cn = c2n_[t.column("o_custkey").to_numpy()]
         keep = (cn == ka) | (cn == kb)
-        out = pa.table({
-            "k": pa.array(t.column("o_orderkey").to_numpy()[keep]),
-            "nation": pa.array(cn[keep]),
-            "year": pa.array(np.zeros(int(keep.sum()), np.int64)),
-            "rev_c": pa.array(np.zeros(int(keep.sum()), np.int64)),
-            "is_ord": pa.array(np.ones(int(keep.sum()), bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, int(keep.sum()), {
+            "k": t.column("o_orderkey").to_numpy()[keep],
+            "nation": cn[keep], "is_ord": True})
 
     items = read_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_suppkey", "l_extendedprice",
@@ -2383,115 +2125,69 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
         keep = (sn == ka) | (sn == kb)
         ep = t.column("l_extendedprice").to_numpy()[keep]
         disc = t.column("l_discount").to_numpy()[keep]
-        yr = (t.column("l_shipdate").to_numpy()[keep]
-              .astype("datetime64[Y]").astype(np.int64) + 1970)
-        out = pa.table({
-            "k": pa.array(t.column("l_orderkey").to_numpy()[keep]),
-            "nation": pa.array(sn[keep]),
-            "year": pa.array(yr),
-            "rev_c": pa.array(np.floor(ep * (1.0 - disc) * 100.0 + 0.5)
-                              .astype(np.int64)),
-            "is_ord": pa.array(np.zeros(int(keep.sum()), bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, int(keep.sum()), {
+            "k": t.column("l_orderkey").to_numpy()[keep],
+            "nation": sn[keep],
+            "year": (t.column("l_shipdate").to_numpy()[keep]
+                     .astype("datetime64[Y]").astype(np.int64) + 1970),
+            "rev_c": np.floor(ep * (1.0 - disc) * 100.0 + 0.5)
+            .astype(np.int64),
+            "is_ord": False})
 
-    def join_part(df):
-        import pandas as pd
-
-        o = df[df["is_ord"]][["k", "nation"]].rename(
-            columns={"nation": "cn"})
-        l = df[~df["is_ord"]][["k", "nation", "year", "rev_c"]].rename(
-            columns={"nation": "sn"})
-        m = l.merge(o, on="k", how="inner")
-        m = m[m["cn"] != m["sn"]]
-        g = (m.groupby(["sn", "cn", "year"], sort=False)["rev_c"].sum()
-             .reset_index())
-        return pd.DataFrame({
-            "sn": g["sn"].to_numpy(np.int64),
-            "cn": g["cn"].to_numpy(np.int64),
-            "l_year": g["year"].to_numpy(np.int64),
-            "rev_c": g["rev_c"].to_numpy(np.int64)})
-
-    def _finish(acc: dict) -> pa.Table:
-        ks = sorted(acc)
-        return pa.table({
-            "supp_nation": pa.array([names[k[0]] for k in ks],
-                                    pa.string()),
-            "cust_nation": pa.array([names[k[1]] for k in ks],
-                                    pa.string()),
-            "l_year": pa.array([k[2] for k in ks], pa.int64()),
-            "revenue_c": pa.array([acc[k] for k in ks], pa.int64())})
+    def trade(sn, cn, year, rev) -> pa.Table:
+        g = pa.table({"sn": sn, "cn": cn, "l_year": year, "rev_c": rev}) \
+            .group_by(["sn", "cn", "l_year"]).aggregate([("rev_c", "sum")])
+        return pa.table({"sn": g.column("sn"), "cn": g.column("cn"),
+                         "l_year": g.column("l_year"),
+                         "rev_c": g.column("rev_c_sum")})
 
     # Gate on the ORDERS row count (metadata only): the pruned
     # (orderkey, cust_nation) side is ≤16 B/order — under the bound it
     # collects once, broadcasts sorted, and lineitem streams through a
     # probe whose ≤2·years rollup partials fold on the driver: ZERO
     # AllToAll.  A pytest forces bound=0 onto the exchange path.
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
+    pruned = orders.map_batches(prune_orders, batch_format="pyarrow")
+    lines = items.map_batches(prune_items, batch_format="pyarrow")
     n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     if n_orders is not None and n_orders * 16 <= Q7_DRIVER_FOLD_BOUND:
-        oks, cns = [], []
-        for t in arrow_blocks(
-                orders.map_batches(prune_orders, batch_format="pyarrow"),
-                stream=False):
-            oks.append(t.column("k").to_numpy())
-            cns.append(t.column("nation").to_numpy())
-        ok_ = np.concatenate(oks) if oks else np.array([], np.int64)
-        cn_ = np.concatenate(cns) if cns else np.array([], np.int64)
-        oorder = np.argsort(ok_)
-        oside = ray.put((ok_[oorder], cn_[oorder]))
+        oside = ray.put(_collect_lookup(pruned, "k", "nation"))
 
         def probe_items(t: pa.Table) -> pa.Table:
-            keys, cn = ray.get(oside)
-            lk = t.column("k").to_numpy()
-            sn = t.column("nation").to_numpy()
-            yr = t.column("year").to_numpy()
-            rv = t.column("rev_c").to_numpy()
-            if len(keys):
-                pos = np.clip(np.searchsorted(keys, lk), 0,
-                              len(keys) - 1)
-                keep = (keys[pos] == lk) & (cn[pos] != sn)
-                cnk = cn[pos]
-            else:
-                keep = np.zeros(len(lk), bool)
-                cnk = np.zeros(len(lk), np.int64)
-            packed = (sn[keep] * 2_000_000 + cnk[keep] * 40_000
-                      + yr[keep])
-            uniq, inv = np.unique(packed, return_inverse=True)
-            acc_ = np.zeros(len(uniq), np.int64)
-            np.add.at(acc_, inv, rv[keep])
-            return pa.table({"key": pa.array(uniq),
-                             "rev_c": pa.array(acc_)})
+            hit, cn = ray.get(oside).get(t.column("k").to_numpy())
+            sn = t.column("nation").to_numpy()[hit]
+            cross = cn != sn
+            return trade(sn[cross], cn[cross],
+                         t.column("year").to_numpy()[hit][cross],
+                         t.column("rev_c").to_numpy()[hit][cross])
 
-        acc: dict = {}
-        for t in arrow_blocks(
-                items.map_batches(prune_items, batch_format="pyarrow")
-                .map_batches(probe_items, batch_format="pyarrow"),
-                stream=False):
-            for p, v in zip(t.column("key").to_pylist(),
-                            t.column("rev_c").to_pylist()):
-                k = (p // 2_000_000, (p // 40_000) % 50, p % 40_000)
-                acc[k] = acc.get(k, 0) + int(v)
-        return _finish(acc)
+        partials = lines.map_batches(probe_items, batch_format="pyarrow")
+    else:
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "nation"]].rename(
+                columns={"nation": "cn"})
+            l = df[~df["is_ord"]][["k", "nation", "year", "rev_c"]]
+            m = l.merge(o, on="k", how="inner")
+            m = m[m["cn"] != m["nation"]]
+            return trade(*(m[c].to_numpy(np.int64)
+                           for c in ("nation", "cn", "year", "rev_c")))
 
-    both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-            .union(items.map_batches(prune_items, batch_format="pyarrow")))
+        partials = exchange(pruned.union(lines), ["k"], join_part)
 
-    # per-partition partials are ≤ 2·years rows each — driver fold
-    # instead of a second AllToAll (the Q21 lesson)
-    acc2: dict = {}
-    for t in arrow_blocks(
-            both.groupby("part").map_groups(join_part,
-                                            batch_format="pandas"),
-            stream=False):
-        for s, c, y, v in zip(t.column("sn").to_pylist(),
-                              t.column("cn").to_pylist(),
-                              t.column("l_year").to_pylist(),
-                              t.column("rev_c").to_pylist()):
-            k = (int(s), int(c), int(y))
-            acc2[k] = acc2.get(k, 0) + int(v)
-    return _finish(acc2)
+    # the partials are ≤ 2·years rows each — driver fold instead of a
+    # second AllToAll (the Q21 lesson)
+    acc: dict = {}
+    for t in arrow_blocks(partials, stream=False):
+        for s_, c, y, v in zip(t.column("sn").to_pylist(),
+                               t.column("cn").to_pylist(),
+                               t.column("l_year").to_pylist(),
+                               t.column("rev_c").to_pylist()):
+            acc[(s_, c, y)] = acc.get((s_, c, y), 0) + int(v)
+    ks = sorted(acc)
+    return pa.table({
+        "supp_nation": pa.array([names[k[0]] for k in ks], pa.string()),
+        "cust_nation": pa.array([names[k[1]] for k in ks], pa.string()),
+        "l_year": pa.array([k[2] for k in ks], pa.int64()),
+        "revenue_c": pa.array([acc[k] for k in ks], pa.int64())})
 
 
 def nation_trade_volume_sql(nation_a: str = Q7_NATION_A,
@@ -2538,14 +2234,14 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
       :func:`_attach_order_dates` convention): under
       ``Q10_ATTACH_BOUND`` it broadcasts as one sorted array pair and
       lineitem partials resolve their custkey map-side — ZERO orderkey
-      exchange; above the bound both sides co-partition through ONE
-      tagged-union hash exchange (tests force 0, both paths
+      exchange; above the bound both sides meet in ONE tagged-union
+      ``common.exchange`` on orderkey (tests force 0, both paths
       bit-identical);
     - after the custkey groupby, each block keeps only its LOCAL top-k
       (per-block combiner) before the global ``sort().limit(k)`` — the
       driver-side sort sees ≤ k·blocks rows, never |customers|;
     - customer attributes and nation names attach to the ≤ k winners
-      via one broadcast probe (sorted custkey arrays, ``ray.put`` once).
+      via one probe of the customer dim (sorted custkey arrays).
 
     Deterministic tie-break: revenue desc, then custkey asc (both
     engines).  Output: ``(c_custkey, c_name, n_name, c_acctbal_c,
@@ -2554,8 +2250,6 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
     from ray.data.aggregate import Sum
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import load_table, read_table
 
     lo = np.datetime64(date_lo, "us")
@@ -2592,79 +2286,48 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
 
     rev = items.map_batches(rev_partial, batch_format="pyarrow")
 
+    def cust_revenue(cust, rev_c) -> pa.Table:
+        g = pa.table({"c_custkey": cust, "revenue_c": rev_c}).group_by(
+            "c_custkey").aggregate([("revenue_c", "sum")])
+        return pa.table({"c_custkey": g.column("c_custkey"),
+                         "revenue_c": g.column("revenue_c_sum")})
+
     if (kd.size_bytes() or 0) <= Q10_ATTACH_BOUND:
-        ks, cs = [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("k").to_numpy())
-            cs.append(t.column("cust").to_numpy())
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        cc = np.concatenate(cs) if cs else np.array([], np.int64)
-        order_k = np.argsort(kk)
-        side0 = ray.put((kk[order_k], cc[order_k]))
+        side = ray.put(_collect_lookup(kd, "k", "cust"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, custs = ray.get(side0)
-            lk = t.column("k").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
-            g = pa.table({
-                "c_custkey": pa.array(
-                    custs[np.searchsorted(keys, lk[hit])]
-                    if hit.any() else np.array([], np.int64), pa.int64()),
-                "revenue_c": pa.array(t.column("rev_c").to_numpy()[hit],
-                                      pa.int64()),
-            }).group_by("c_custkey").aggregate([("revenue_c", "sum")])
-            return pa.table({"c_custkey": g.column("c_custkey"),
-                             "revenue_c": g.column("revenue_c_sum")})
+            hit, cust = ray.get(side).get(t.column("k").to_numpy())
+            return cust_revenue(cust, t.column("rev_c").to_numpy()[hit])
 
-        per_cust = (rev.map_batches(probe, batch_format="pyarrow")
-                    .groupby("c_custkey")
-                    .aggregate(Sum("revenue_c", alias_name="revenue_c")))
+        partials = rev.map_batches(probe, batch_format="pyarrow")
     else:
-        n_parts = adaptive_parts(sf_dir, table="lineitem")
+        schema = pa.schema([("k", pa.int64()), ("cust", pa.int64()),
+                            ("rev_c", pa.int64()), ("is_ord", pa.bool_())])
 
         def tag_ord(t: pa.Table) -> pa.Table:
-            out = pa.table({
-                "k": t.column("k"),
-                "cust": t.column("cust"),
-                "rev_c": pa.array(np.zeros(t.num_rows, np.int64)),
-                "is_ord": pa.array(np.ones(t.num_rows, bool)),
-            })
-            return out.append_column(
-                "part", stable_part(out, ["k"], n_parts))
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "cust": t.column("cust"),
+                "is_ord": True})
 
         def tag_rev(t: pa.Table) -> pa.Table:
-            out = pa.table({
-                "k": t.column("k"),
-                "cust": pa.array(np.zeros(t.num_rows, np.int64)),
-                "rev_c": t.column("rev_c"),
-                "is_ord": pa.array(np.zeros(t.num_rows, bool)),
-            })
-            return out.append_column(
-                "part", stable_part(out, ["k"], n_parts))
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "rev_c": t.column("rev_c"),
+                "is_ord": False})
 
         def join_part(df):
-            import pandas as pd
-
             o = df[df["is_ord"]][["k", "cust"]]
             l = df[~df["is_ord"]][["k", "rev_c"]]
             m = l.merge(o, on="k", how="inner")
-            g = (m.groupby("cust", sort=False)["rev_c"].sum()
-                 .reset_index())
-            return pd.DataFrame({
-                "c_custkey": g["cust"].to_numpy(np.int64),
-                "revenue_c": g["rev_c"].to_numpy(np.int64)})
+            return cust_revenue(m["cust"].to_numpy(np.int64),
+                                m["rev_c"].to_numpy(np.int64))
 
-        both = (kd.map_batches(tag_ord, batch_format="pyarrow")
-                .union(rev.map_batches(tag_rev, batch_format="pyarrow")))
-        per_cust = (both.groupby("part").map_groups(
-            join_part, batch_format="pandas")
-            .groupby("c_custkey")
-            .aggregate(Sum("revenue_c", alias_name="revenue_c")))
+        partials = exchange(
+            kd.map_batches(tag_ord, batch_format="pyarrow")
+            .union(rev.map_batches(tag_rev, batch_format="pyarrow")),
+            ["k"], join_part)
+
+    per_cust = partials.groupby("c_custkey").aggregate(
+        Sum("revenue_c", alias_name="revenue_c"))
 
     def local_topk(t: pa.Table) -> pa.Table:
         idx = np.lexsort((t.column("c_custkey").to_numpy(),
@@ -2681,8 +2344,6 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
     # attach in a post-limit map_batches would let the aggregate's empty
     # pandas partition blocks pass through unconverted (arrow_blocks
     # hazard) into the comparator
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
     parts = list(arrow_blocks(top, stream=False))
     t = (pa.concat_tables(parts, promote_options="default") if parts
          else pa.table({"c_custkey": pa.array([], pa.int64()),
@@ -2692,22 +2353,17 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
                       columns=["c_custkey", "c_name", "c_nationkey",
                                "c_acctbal"])
     nat = load_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    ck = cust.column("c_custkey").to_numpy()
-    order_ = np.argsort(ck)
-    keys = ck[order_]
-    names = np.asarray(cust.column("c_name").to_pylist(), object)[order_]
-    nkeys = cust.column("c_nationkey").to_numpy().astype(np.int64)[order_]
-    bal_c = np.floor(cust.column("c_acctbal").to_numpy() * 100.0
-                     + 0.5).astype(np.int64)[order_]
     nmap = {r["n_nationkey"]: r["n_name"] for r in nat.to_pylist()}
-
-    v = t.column("c_custkey").to_numpy()
-    pos = np.searchsorted(keys, v) if len(keys) else np.array([], np.int64)
+    _, names, nkeys, bal_c = SortedLookup(
+        cust.column("c_custkey").to_numpy(), cust.column("c_name"),
+        cust.column("c_nationkey").to_numpy().astype(np.int64),
+        np.floor(cust.column("c_acctbal").to_numpy() * 100.0
+                 + 0.5).astype(np.int64)).get(t.column("c_custkey").to_numpy())
     return pa.table({
         "c_custkey": t.column("c_custkey"),
-        "c_name": pa.array([str(names[p]) for p in pos], pa.string()),
-        "n_name": pa.array([nmap[int(nkeys[p])] for p in pos], pa.string()),
-        "c_acctbal_c": pa.array(bal_c[pos] if len(pos) else [], pa.int64()),
+        "c_name": names,
+        "n_name": pa.array([nmap[int(n)] for n in nkeys], pa.string()),
+        "c_acctbal_c": pa.array(bal_c, pa.int64()),
         "revenue_c": t.column("revenue_c"),
     })
 
@@ -2753,137 +2409,92 @@ def late_line_priority_mix(sf_dir: str, late_days: int = Q12_LATE_DAYS):
     ``orderkey → (odate, is_high)`` map broadcasts once and every
     lineitem batch resolves lateness + the per-flag conditional counts
     map-side (ZERO exchange, ≤ |flags| partial rows per batch); above
-    the bound, ONE co-partitioned tagged-union hash exchange on
-    orderkey (the :func:`nation_trade_volume` shape) with the same
-    in-partition resolve.  Tests force 0; both paths bit-identical.
+    the bound, ONE tagged-union ``common.exchange`` on orderkey (the
+    :func:`nation_trade_volume` shape) with the same per-block resolve.
+    Tests force 0; both paths bit-identical.
 
     Output: ``(l_returnflag, high_line_count, low_line_count)``."""
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import read_table
 
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
-    delta = np.timedelta64(late_days, "D").astype("timedelta64[us]")
-
+    dus = int(np.timedelta64(late_days, "D")
+              .astype("timedelta64[us]").astype(np.int64))
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    def prune_orders(t: pa.Table) -> pa.Table:
-        pr = t.column("o_orderpriority")
-        is_high = np.asarray(
-            pc.or_(pc.equal(pr, "1-URGENT"), pc.equal(pr, "2-HIGH")))
-        out = pa.table({
-            "k": t.column("o_orderkey"),
-            "ts": pa.array(t.column("o_orderdate").to_numpy()
-                           .astype(np.int64), pa.int64()),
-            "flag": pa.array([""] * t.num_rows, pa.string()),
-            "is_high": pa.array(is_high),
-            "is_ord": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
     items = read_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_returnflag", "l_shipdate"])
 
-    def prune_items(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("l_orderkey"),
-            "ts": pa.array(t.column("l_shipdate").to_numpy()
-                           .astype(np.int64), pa.int64()),
-            "flag": t.column("l_returnflag"),
-            "is_high": pa.array(np.zeros(t.num_rows, bool)),
-            "is_ord": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    dus = int(delta.astype(np.int64))
-
-    def join_part(df):
-        import pandas as pd
-
-        o = df[df["is_ord"]][["k", "ts", "is_high"]].rename(
-            columns={"ts": "odate"})
-        l = df[~df["is_ord"]][["k", "ts", "flag"]]
-        m = l.merge(o, on="k", how="inner")
-        late = m["ts"].to_numpy() > m["odate"].to_numpy() + dus
-        m = m[late]
-        if not len(m):
-            return pd.DataFrame({
-                "l_returnflag": pd.Series([], dtype=str),
-                "high_line_count": pd.Series([], dtype=np.int64),
-                "low_line_count": pd.Series([], dtype=np.int64)})
-        hi = m.groupby("flag", sort=False)["is_high"].agg(["sum", "count"])
-        return pd.DataFrame({
-            "l_returnflag": hi.index.to_numpy(object).astype(str),
-            "high_line_count": hi["sum"].to_numpy(np.int64),
-            "low_line_count": (hi["count"] - hi["sum"]).to_numpy(np.int64)})
-
     def odate_map(t: pa.Table) -> pa.Table:
         pr = t.column("o_orderpriority")
-        is_high = np.asarray(
-            pc.or_(pc.equal(pr, "1-URGENT"), pc.equal(pr, "2-HIGH")))
         return pa.table({
             "k": t.column("o_orderkey"),
-            "odate": pa.array(t.column("o_orderdate").to_numpy()
-                              .astype(np.int64), pa.int64()),
-            "is_high": pa.array(is_high)})
+            "odate": _us(t.column("o_orderdate")),
+            "is_high": pc.or_(pc.equal(pr, "1-URGENT"),
+                              pc.equal(pr, "2-HIGH"))})
+
+    counts = pa.schema([("l_returnflag", pa.string()),
+                        ("high_line_count", pa.int64()),
+                        ("low_line_count", pa.int64())])
+
+    def flag_counts(flag, ship, odate, high) -> pa.Table:
+        g = pa.table({
+            "l_returnflag": flag,
+            "high_line_count": high.astype(np.int64),
+            "low_line_count": (~high).astype(np.int64),
+        }, schema=counts).filter(pa.array(ship > odate + dus)).group_by(
+            "l_returnflag").aggregate(
+            [("high_line_count", "sum"), ("low_line_count", "sum")])
+        return pa.table({
+            "l_returnflag": g.column("l_returnflag"),
+            "high_line_count": g.column("high_line_count_sum"),
+            "low_line_count": g.column("low_line_count_sum")})
 
     kd = orders.map_batches(odate_map, batch_format="pyarrow")
     if (kd.size_bytes() or 0) <= Q12_ATTACH_BOUND:
-        ks, ds_, hs = [], [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("k").to_numpy())
-            ds_.append(t.column("odate").to_numpy())
-            hs.append(t.column("is_high").to_numpy(zero_copy_only=False))
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        dd = np.concatenate(ds_) if ds_ else np.array([], np.int64)
-        hh = np.concatenate(hs) if hs else np.array([], bool)
-        order_k = np.argsort(kk)
-        oside = ray.put((kk[order_k], dd[order_k], hh[order_k]))
+        oside = ray.put(_collect_lookup(kd, "k", "odate", "is_high"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, odates, high = ray.get(oside)
-            lk = t.column("l_orderkey").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-                pos = lk[:0]
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
-                pos = pos[hit]
-            ship = t.column("l_shipdate").to_numpy().astype(np.int64)[hit]
-            late = ship > odates[pos] + dus
-            g = pa.table({
-                "l_returnflag": t.column("l_returnflag").filter(
-                    pa.array(hit)).filter(pa.array(late)),
-                "high_line_count": pa.array(
-                    high[pos][late].astype(np.int64), pa.int64()),
-                "low_line_count": pa.array(
-                    (~high[pos][late]).astype(np.int64), pa.int64()),
-            }).group_by("l_returnflag").aggregate(
-                [("high_line_count", "sum"), ("low_line_count", "sum")])
-            return pa.table({
-                "l_returnflag": g.column("l_returnflag"),
-                "high_line_count": g.column("high_line_count_sum"),
-                "low_line_count": g.column("low_line_count_sum")})
+            hit, odates, high = ray.get(oside).get(
+                t.column("l_orderkey").to_numpy())
+            return flag_counts(
+                t.column("l_returnflag").filter(pa.array(hit)),
+                _us(t.column("l_shipdate"))[hit], odates, high.astype(bool))
 
-        return (items.map_batches(probe, batch_format="pyarrow")
-                .groupby("l_returnflag")
-                .aggregate(Sum("high_line_count",
-                               alias_name="high_line_count"),
-                           Sum("low_line_count",
-                               alias_name="low_line_count")))
+        partials = items.map_batches(probe, batch_format="pyarrow")
+    else:
+        schema = pa.schema([("k", pa.int64()), ("ts", pa.int64()),
+                            ("flag", pa.string()), ("is_high", pa.bool_()),
+                            ("is_ord", pa.bool_())])
 
-    both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-            .union(items.map_batches(prune_items, batch_format="pyarrow")))
-    return (both.groupby("part").map_groups(join_part,
-                                            batch_format="pandas")
-            .groupby("l_returnflag")
+        def tag_ord(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "ts": t.column("odate"),
+                "is_high": t.column("is_high"), "is_ord": True})
+
+        def tag_item(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("l_orderkey"),
+                "ts": _us(t.column("l_shipdate")),
+                "flag": t.column("l_returnflag"), "is_ord": False})
+
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "ts", "is_high"]].rename(
+                columns={"ts": "odate"})
+            l = df[~df["is_ord"]][["k", "ts", "flag"]]
+            m = l.merge(o, on="k", how="inner")
+            return flag_counts(m["flag"].to_numpy(object),
+                               m["ts"].to_numpy(np.int64),
+                               m["odate"].to_numpy(np.int64),
+                               m["is_high"].to_numpy(bool))
+
+        partials = exchange(
+            kd.map_batches(tag_ord, batch_format="pyarrow")
+            .union(items.map_batches(tag_item, batch_format="pyarrow")),
+            ["k"], join_part)
+
+    return (partials.groupby("l_returnflag")
             .aggregate(Sum("high_line_count", alias_name="high_line_count"),
                        Sum("low_line_count", alias_name="low_line_count")))
 
@@ -2956,20 +2567,15 @@ def top_supplier_revenue(sf_dir: str, date_lo: str = Q15_DATE_LO,
     best = per_supp.aggregate(Max("total_revenue_c"))["max(total_revenue_c)"]
 
     sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    sk = sup.column("s_suppkey").to_numpy()
-    order_ = np.argsort(sk)
-    side = ray.put((sk[order_],
-                    np.asarray(sup.column("s_name").to_pylist(),
-                               object)[order_]))
+    side = ray.put(SortedLookup(sup.column("s_suppkey").to_numpy(),
+                                sup.column("s_name")))
 
     def winners(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(side)
-        m = pc.equal(t.column("total_revenue_c"), best)
-        t = t.filter(m)
-        pos = np.searchsorted(keys, t.column("s_suppkey").to_numpy())
+        t = t.filter(pc.equal(t.column("total_revenue_c"), best))
+        _, names = ray.get(side).get(t.column("s_suppkey").to_numpy())
         return pa.table({
             "s_suppkey": t.column("s_suppkey"),
-            "s_name": pa.array([str(names[p]) for p in pos], pa.string()),
+            "s_name": names,
             "total_revenue_c": t.column("total_revenue_c")})
 
     return per_supp.map_batches(winners, batch_format="pyarrow")
@@ -3012,71 +2618,35 @@ def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
     ``orderkey → odate`` map broadcasts once, lineitem resolves its
     late flag map-side and ships only DISTINCT ``(orderkey, suppkey,
     late)`` rows (a per-batch Arrow dedup combiner) into the exchange;
-    above the bound orders ride the tagged union like the lines.  The
-    per-order supplier/late distinct counts and the credit decision
-    resolve vectorized in-partition, so only ``(suppkey, name,
-    numwait)`` partials — supplier-bounded — leave for the final
-    groupby (names probe the broadcast dim inside the partition, so
-    the pipeline ENDS on the normalizing aggregate).  Tests force the
-    bound to 0; both paths bit-identical.
+    above the bound orders ride the tagged union like the lines.  Both
+    go through ``common.exchange`` on orderkey.  The per-order
+    supplier/late distinct counts and the credit decision resolve
+    vectorized in-block, so only ``(suppkey, numwait)`` partials —
+    supplier-bounded — leave for the driver fold, which attaches the
+    names.  Tests force the bound to 0; both paths bit-identical.
 
     Output: ``(s_suppkey, s_name, numwait)``, numwait > 0 rows only."""
     import ray
-    from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
     from nativeextractor_ray.sources.tables import load_table, read_table
 
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
     dus = int(np.timedelta64(late_days, "D")
               .astype("timedelta64[us]").astype(np.int64))
 
     sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    sk = sup.column("s_suppkey").to_numpy()
-    order_ = np.argsort(sk)
-    side = ray.put((sk[order_],
-                    np.asarray(sup.column("s_name").to_pylist(),
-                               object)[order_]))
+    names = SortedLookup(sup.column("s_suppkey").to_numpy(),
+                         sup.column("s_name"))
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-
-    def prune_orders(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("o_orderkey"),
-            "supp": pa.array(np.zeros(t.num_rows, np.int64)),
-            "ts": pa.array(t.column("o_orderdate").to_numpy()
-                           .astype(np.int64), pa.int64()),
-            "is_ord": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
     items = read_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    def prune_items(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("l_orderkey"),
-            "supp": pc.cast(t.column("l_suppkey"), pa.int64()),
-            "ts": pa.array(t.column("l_shipdate").to_numpy()
-                           .astype(np.int64), pa.int64()),
-            "is_ord": pa.array(np.zeros(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    def join_part(df):
+    def credit(m) -> "pd.DataFrame":
+        """Distinct ``(k, supp, late)`` rows → ``(s_suppkey, numwait)``:
+        an order with ≥ 2 suppliers of which exactly one was late
+        credits that one."""
         import pandas as pd
 
-        o = df[df["is_ord"]][["k", "ts"]].rename(columns={"ts": "odate"})
-        l = df[~df["is_ord"]][["k", "supp", "ts"]]
-        m = l.merge(o, on="k", how="inner")
-        empty = pd.DataFrame({
-            "s_suppkey": pd.Series([], dtype=np.int64),
-            "s_name": pd.Series([], dtype=str),
-            "numwait": pd.Series([], dtype=np.int64)})
-        if not len(m):
-            return empty
-        m["late"] = m["ts"].to_numpy() > m["odate"].to_numpy() + dus
         per = m.groupby("k", sort=False)["supp"].nunique().to_frame("ns")
         late_rows = m[m["late"]]
         nl = late_rows.groupby("k", sort=False)["supp"].nunique()
@@ -3084,127 +2654,87 @@ def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
         per["nl"] = nl.reindex(per.index, fill_value=0)
         per["ls"] = ls.reindex(per.index, fill_value=-1)
         hit = per[(per["ns"] >= 2) & (per["nl"] == 1)]
-        if not len(hit):
-            return empty
-        g = hit.groupby("ls", sort=False).size().reset_index(name="n")
-        keys, names = ray.get(side)
-        pos = np.searchsorted(keys, g["ls"].to_numpy(np.int64))
-        return pd.DataFrame({
-            "s_suppkey": g["ls"].to_numpy(np.int64),
-            "s_name": [str(names[p]) for p in pos],
-            "numwait": g["n"].to_numpy(np.int64)})
-
-    from nativeextractor_ray.functions.blocks import arrow_blocks
+        g = hit.groupby("ls", sort=False).size()
+        return pd.DataFrame({"s_suppkey": g.index.to_numpy(np.int64),
+                             "numwait": g.to_numpy(np.int64)})
 
     kd = orders.map_batches(
-        lambda t: pa.table({
-            "k": t.column("o_orderkey"),
-            "odate": pa.array(t.column("o_orderdate").to_numpy()
-                              .astype(np.int64), pa.int64())}),
+        lambda t: pa.table({"k": t.column("o_orderkey"),
+                            "odate": _us(t.column("o_orderdate"))}),
         batch_format="pyarrow")
     if (kd.size_bytes() or 0) <= Q21_ATTACH_BOUND:
-        ks, ds_ = [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("k").to_numpy())
-            ds_.append(t.column("odate").to_numpy())
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        dd = np.concatenate(ds_) if ds_ else np.array([], np.int64)
-        order_k = np.argsort(kk)
-        oside = ray.put((kk[order_k], dd[order_k]))
+        oside = ray.put(_collect_lookup(kd, "k", "odate"))
 
         def late_flags(t: pa.Table) -> pa.Table:
-            keys, odates = ray.get(oside)
             lk = t.column("l_orderkey").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-                pos = lk[:0]
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
-                pos = pos[hit]
-            ship = t.column("l_shipdate").to_numpy().astype(np.int64)[hit]
-            late = ship > odates[pos] + dus
-            g = pa.table({
+            hit, odates = ray.get(oside).get(lk)
+            return pa.table({
                 "k": pa.array(lk[hit], pa.int64()),
                 "supp": pc.cast(t.column("l_suppkey"), pa.int64())
                 .filter(pa.array(hit)),
-                "late": pa.array(late),
+                "late": pa.array(_us(t.column("l_shipdate"))[hit]
+                                 > odates + dus),
             }).group_by(["k", "supp", "late"]).aggregate([])
-            return g.append_column(
-                "part", stable_part(g, ["k"], n_parts))
 
-        def resolve(df):
-            import pandas as pd
+        # rows repeat across batches; credit counts distinct suppliers
+        partials = exchange(
+            items.map_batches(late_flags, batch_format="pyarrow"), ["k"],
+            credit)
+    else:
+        schema = pa.schema([("k", pa.int64()), ("supp", pa.int64()),
+                            ("ts", pa.int64()), ("is_ord", pa.bool_())])
 
-            m = df.drop_duplicates(["k", "supp", "late"])
-            empty = pd.DataFrame({
-                "s_suppkey": pd.Series([], dtype=np.int64),
-                "numwait": pd.Series([], dtype=np.int64)})
-            if not len(m):
-                return empty
-            per = (m.groupby("k", sort=False)["supp"].nunique()
-                   .to_frame("ns"))
-            late_rows = m[m["late"]]
-            nl = late_rows.groupby("k", sort=False)["supp"].nunique()
-            ls = late_rows.groupby("k", sort=False)["supp"].min()
-            per["nl"] = nl.reindex(per.index, fill_value=0)
-            per["ls"] = ls.reindex(per.index, fill_value=-1)
-            hit = per[(per["ns"] >= 2) & (per["nl"] == 1)]
-            if not len(hit):
-                return empty
-            g = hit.groupby("ls", sort=False).size().reset_index(name="n")
-            return pd.DataFrame({
-                "s_suppkey": g["ls"].to_numpy(np.int64),
-                "numwait": g["n"].to_numpy(np.int64)})
+        def tag_ord(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "ts": t.column("odate"),
+                "is_ord": True})
 
-        partials = (items.map_batches(late_flags, batch_format="pyarrow")
-                    .groupby("part").map_groups(resolve,
-                                                batch_format="pandas"))
-        return _sole_late_fold(partials, side)
+        def tag_item(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("l_orderkey"), "supp": t.column("l_suppkey"),
+                "ts": _us(t.column("l_shipdate")), "is_ord": False})
 
-    both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-            .union(items.map_batches(prune_items, batch_format="pyarrow")))
-    partials = both.groupby("part").map_groups(join_part,
-                                               batch_format="pandas")
-    return _sole_late_fold(partials, side)
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "ts"]].rename(columns={"ts": "odate"})
+            m = df[~df["is_ord"]][["k", "supp", "ts"]].merge(
+                o, on="k", how="inner")
+            m["late"] = m["ts"].to_numpy() > m["odate"].to_numpy() + dus
+            return credit(m)
+
+        partials = exchange(
+            kd.map_batches(tag_ord, batch_format="pyarrow")
+            .union(items.map_batches(tag_item, batch_format="pyarrow")),
+            ["k"], join_part)
+    return _sole_late_fold(partials, names)
 
 
-def _sole_late_fold(partials, side) -> pa.Table:
-    """Sum the per-partition ``(s_suppkey, numwait)`` partials on the
-    driver and attach names — the result is |supplier|-bounded (a
-    dimension table, the broadcast class), and a Ray groupby on the
-    (int, string) composite key measured 234 core-seconds for 154k
-    partial rows at sf1 (sort-based string-key aggregate) where this
-    fold is milliseconds."""
-    import ray
-
+def _sole_late_fold(partials, names: SortedLookup) -> pa.Table:
+    """Sum the per-block ``(s_suppkey, numwait)`` partials on the driver
+    and attach names — the result is |supplier|-bounded (a dimension
+    table, the broadcast class), and a Ray groupby on the (int, string)
+    composite key measured 234 core-seconds for 154k partial rows at sf1
+    (sort-based string-key aggregate) where this fold is milliseconds."""
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
-    # vectorized fold: the partials run up to partitions × |suppliers|
-    # rows (20M at the factor-100 corpus) — a per-row Python loop here
+    # vectorized fold: the partials run up to blocks × |suppliers| rows
+    # (20M at the factor-100 corpus) — a per-row Python loop here
     # measured ~22 s of SERIAL driver time and capped 4→16 scaling at
     # 0.36; np.unique + bincount folds the same rows in milliseconds
     ss, nn = [], []
     for t in arrow_blocks(partials, stream=False):
-        if "s_suppkey" not in t.column_names:
-            continue
         ss.append(t.column("s_suppkey").to_numpy())
         nn.append(t.column("numwait").to_numpy())
     if not ss:
         return pa.table({"s_suppkey": pa.array([], pa.int64()),
                          "s_name": pa.array([], pa.string()),
                          "numwait": pa.array([], pa.int64())})
-    s_all = np.concatenate(ss)
-    n_all = np.concatenate(nn)
-    supp, inv = np.unique(s_all, return_inverse=True)
-    waits = np.bincount(inv, weights=n_all.astype(np.float64)) \
+    supp, inv = np.unique(np.concatenate(ss), return_inverse=True)
+    waits = np.bincount(inv, weights=np.concatenate(nn).astype(np.float64)) \
         .astype(np.int64)  # counts ≪ 2^53: exact
-    keys, names = ray.get(side)
-    pos = np.searchsorted(keys, supp)
+    _, s_name = names.get(supp)
     return pa.table({
         "s_suppkey": pa.array(supp, pa.int64()),
-        "s_name": pa.array([str(names[p]) for p in pos], pa.string()),
+        "s_name": s_name,
         "numwait": pa.array(waits, pa.int64()),
     })
 
@@ -3250,16 +2780,16 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
     broadcast array (``ray.put`` once).  lineitem prunes to matching
     parts and ships ``(orderkey, is_target_nation, rev_c)`` partials;
     orders prunes to region customers and ships ``(orderkey, year)``;
-    ONE co-partitioned tagged-union exchange on orderkey resolves the
-    join, folding each partition to ≤ |years| (num, den) integer-cents
-    partial rows.  Share = exact half-up micro ratio.
+    under ``Q8_ATTACH_BOUND`` that map broadcasts and lineitem resolves
+    its year map-side; above it ONE tagged-union ``common.exchange`` on
+    orderkey resolves the join, folding each block to ≤ |years| (num,
+    den) integer-cents partial rows.  Share = exact half-up micro ratio.
 
     Output: ``(o_year, nation_rev_c, total_rev_c, share_micro)``."""
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
+    from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.sources.tables import load_table, read_table
 
     nat = load_table(sf_dir, "nation")
@@ -3285,28 +2815,26 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
                       False)
 
     side = ray.put((p_ok, s_tgt, c_ok))
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
 
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate"])
+    items = read_table(sf_dir, "lineitem",
+                       ["l_orderkey", "l_partkey", "l_suppkey",
+                        "l_extendedprice", "l_discount"])
+    # the pruned lineitem partials are already the lines' side of the
+    # tagged union
+    schema = pa.schema([("k", pa.int64()), ("year", pa.int64()),
+                        ("nat_c", pa.int64()), ("tot_c", pa.int64()),
+                        ("is_ord", pa.bool_())])
 
-    def prune_orders(t: pa.Table) -> pa.Table:
+    def year_map(t: pa.Table) -> pa.Table:
         _p, _s, c_ok_ = ray.get(side)
         keep = c_ok_[t.column("o_custkey").to_numpy()]
         yr = (t.column("o_orderdate").to_numpy()[keep]
               .astype("datetime64[Y]").astype(np.int64) + 1970)
-        out = pa.table({
+        return pa.table({
             "k": pa.array(t.column("o_orderkey").to_numpy()[keep]),
-            "year": pa.array(yr),
-            "nat_c": pa.array(np.zeros(int(keep.sum()), np.int64)),
-            "tot_c": pa.array(np.zeros(int(keep.sum()), np.int64)),
-            "is_ord": pa.array(np.ones(int(keep.sum()), bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
-    items = read_table(sf_dir, "lineitem",
-                       ["l_orderkey", "l_partkey", "l_suppkey",
-                        "l_extendedprice", "l_discount"])
+            "year": pa.array(yr)})
 
     def prune_items(t: pa.Table) -> pa.Table:
         p_ok_, s_tgt_, _c = ray.get(side)
@@ -3320,99 +2848,60 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
             "nat_c": pa.array(np.where(tgt, rev, 0), pa.int64()),
             "tot_c": pa.array(rev, pa.int64()),
         }).group_by("k").aggregate([("nat_c", "sum"), ("tot_c", "sum")])
-        out = pa.table({
-            "k": g.column("k"),
-            "year": pa.array(np.zeros(g.num_rows, np.int64)),
-            "nat_c": g.column("nat_c_sum"),
-            "tot_c": g.column("tot_c_sum"),
-            "is_ord": pa.array(np.zeros(g.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, g.num_rows, {
+            "k": g.column("k"), "nat_c": g.column("nat_c_sum"),
+            "tot_c": g.column("tot_c_sum"), "is_ord": False})
 
-    def join_part(df):
-        import pandas as pd
-
-        o = df[df["is_ord"]][["k", "year"]]
-        l = df[~df["is_ord"]][["k", "nat_c", "tot_c"]]
-        m = l.merge(o, on="k", how="inner")
-        g = m.groupby("year", sort=False)[["nat_c", "tot_c"]].sum()
-        return pd.DataFrame({
-            "o_year": g.index.to_numpy(np.int64),
-            "nation_rev_c": g["nat_c"].to_numpy(np.int64),
-            "total_rev_c": g["tot_c"].to_numpy(np.int64)})
+    def year_revenue(year, nat_c, tot_c) -> pa.Table:
+        g = pa.table({"o_year": year, "nation_rev_c": nat_c,
+                      "total_rev_c": tot_c}).group_by("o_year").aggregate(
+            [("nation_rev_c", "sum"), ("total_rev_c", "sum")])
+        return pa.table({
+            "o_year": g.column("o_year"),
+            "nation_rev_c": g.column("nation_rev_c_sum"),
+            "total_rev_c": g.column("total_rev_c_sum")})
 
     # size-gated orders attach (the Q3/Q10 convention): under the bound
     # the region-pruned (orderkey, year) map broadcasts once and the
     # lineitem partials resolve their year map-side — zero exchange;
-    # above it, the tagged-union co-partition runs (tests force 0).
-    def quarter_map(t: pa.Table) -> pa.Table:
-        _p, _s, c_ok_ = ray.get(side)
-        keep = c_ok_[t.column("o_custkey").to_numpy()]
-        yr = (t.column("o_orderdate").to_numpy()[keep]
-              .astype("datetime64[Y]").astype(np.int64) + 1970)
-        return pa.table({
-            "k": pa.array(t.column("o_orderkey").to_numpy()[keep]),
-            "year": pa.array(yr)})
-
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
-    kd = orders.map_batches(quarter_map, batch_format="pyarrow")
+    # above it, the tagged union meets in common.exchange (tests force 0).
+    kd = orders.map_batches(year_map, batch_format="pyarrow")
+    lines = items.map_batches(prune_items, batch_format="pyarrow")
     if (kd.size_bytes() or 0) <= Q8_ATTACH_BOUND:
-        ks, ys = [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("k").to_numpy())
-            ys.append(t.column("year").to_numpy())
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        yy = np.concatenate(ys) if ys else np.array([], np.int64)
-        order_k = np.argsort(kk)
-        oside = ray.put((kk[order_k], yy[order_k]))
+        oside = ray.put(_collect_lookup(kd, "k", "year"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, years = ray.get(oside)
-            lk = t.column("k").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
-            yr = (years[np.searchsorted(keys, lk[hit])]
-                  if hit.any() else np.array([], np.int64))
-            g = pa.table({
-                "o_year": pa.array(yr, pa.int64()),
-                "nation_rev_c": pa.array(
-                    t.column("nat_c").to_numpy()[hit], pa.int64()),
-                "total_rev_c": pa.array(
-                    t.column("tot_c").to_numpy()[hit], pa.int64()),
-            }).group_by("o_year").aggregate([("nation_rev_c", "sum"),
-                                             ("total_rev_c", "sum")])
-            return pa.table({
-                "o_year": g.column("o_year"),
-                "nation_rev_c": g.column("nation_rev_c_sum"),
-                "total_rev_c": g.column("total_rev_c_sum")})
+            hit, yr = ray.get(oside).get(t.column("k").to_numpy())
+            return year_revenue(yr, t.column("nat_c").to_numpy()[hit],
+                                t.column("tot_c").to_numpy()[hit])
 
-        agg = (items.map_batches(prune_items, batch_format="pyarrow")
-               .map_batches(probe, batch_format="pyarrow")
-               .groupby("o_year")
-               .aggregate(Sum("nation_rev_c", alias_name="nation_rev_c"),
-                          Sum("total_rev_c", alias_name="total_rev_c")))
+        partials = lines.map_batches(probe, batch_format="pyarrow")
     else:
-        both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-                .union(items.map_batches(prune_items,
-                                         batch_format="pyarrow")))
-        agg = (both.groupby("part").map_groups(join_part,
-                                               batch_format="pandas")
-               .groupby("o_year")
-               .aggregate(Sum("nation_rev_c", alias_name="nation_rev_c"),
-                          Sum("total_rev_c", alias_name="total_rev_c")))
+        def tag_ord(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "year": t.column("year"),
+                "is_ord": True})
+
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "year"]]
+            m = df[~df["is_ord"]][["k", "nat_c", "tot_c"]].merge(
+                o, on="k", how="inner")
+            return year_revenue(*(m[c].to_numpy(np.int64)
+                                  for c in ("year", "nat_c", "tot_c")))
+
+        partials = exchange(
+            kd.map_batches(tag_ord, batch_format="pyarrow").union(lines),
+            ["k"], join_part)
+
+    agg = partials.groupby("o_year").aggregate(
+        Sum("nation_rev_c", alias_name="nation_rev_c"),
+        Sum("total_rev_c", alias_name="total_rev_c"))
 
     # the per-year table is calendar-bounded (≤ decades of rows), so the
     # share fold happens on the driver and returns a plain Arrow table —
     # a post-aggregate map_batches would pass the aggregate's empty
     # pandas partition blocks through unconverted (the arrow_blocks
     # hazard) straight into the driver's comparator
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
     parts = list(arrow_blocks(agg, stream=False))
     t = (pa.concat_tables(parts, promote_options="default") if parts
          else pa.table({"o_year": pa.array([], pa.int64()),
@@ -3550,16 +3039,16 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
     (each bounded by a dimension table); lineitem folds map-side to
     ``(orderkey, nation, amount_c)`` partials — amount in exact integer
     cents, ``floor(ext·(1−disc)·100+0.5) − cost_c · qty`` — and meets
-    the pruned ``orders (orderkey, year)`` projection in ONE
-    co-partitioned tagged-union exchange; the (nation, year) rollup
-    resolves in-partition, ≤ nations·years partial rows out.
+    the ``orders (orderkey, year)`` projection — broadcast under
+    ``Q9_ATTACH_BOUND``, else in ONE tagged-union ``common.exchange`` on
+    orderkey; the (nation, year) rollup resolves per batch or block,
+    ≤ nations·years partial rows out.
 
     Output: ``(nation, o_year, profit_c)``."""
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-    from nativeextractor_ray.pipelines.common import adaptive_parts
+    from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.sources.partsupp import partsupp_arrays
     from nativeextractor_ray.sources.tables import load_table, read_table
 
@@ -3577,38 +3066,23 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
     n2name = {r["n_nationkey"]: r["n_name"] for r in nat.to_pylist()}
 
     side = ray.put((p_ok, s2n, packed, cost_c))
-    n_parts = adaptive_parts(sf_dir, table="lineitem")
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-
-    def prune_orders(t: pa.Table) -> pa.Table:
-        yr = (t.column("o_orderdate").to_numpy()
-              .astype("datetime64[Y]").astype(np.int64) + 1970)
-        out = pa.table({
-            "k": t.column("o_orderkey"),
-            "year": pa.array(yr),
-            "nation": pa.array(np.zeros(t.num_rows, np.int64)),
-            "amount_c": pa.array(np.zeros(t.num_rows, np.int64)),
-            "is_ord": pa.array(np.ones(t.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
-
     items = read_table(sf_dir, "lineitem",
                        ["l_orderkey", "l_partkey", "l_suppkey",
                         "l_quantity", "l_extendedprice", "l_discount"])
+    # the pruned lineitem partials are already the lines' side of the
+    # tagged union
+    schema = pa.schema([("k", pa.int64()), ("year", pa.int64()),
+                        ("nation", pa.int64()), ("amount_c", pa.int64()),
+                        ("is_ord", pa.bool_())])
 
     def prune_items(t: pa.Table) -> pa.Table:
         p_ok_, s2n_, packed_, cost_ = ray.get(side)
         lk = t.column("l_partkey").to_numpy()
         keep = p_ok_[lk]
-        lk = lk[keep]
         sk_ = t.column("l_suppkey").to_numpy()[keep]
-        key = lk * n_supp + sk_
-        pos = np.searchsorted(packed_, key)
-        ok = (pos < len(packed_)) & (
-            packed_[np.minimum(pos, max(len(packed_) - 1, 0))] == key) \
-            if len(packed_) else np.zeros(len(key), bool)
-        lk, sk_, pos = lk[ok], sk_[ok], pos[ok]
+        ok, pos = sorted_lookup(packed_, lk[keep] * n_supp + sk_)
         sub = np.nonzero(keep)[0][ok]
         rev = np.floor(
             t.column("l_extendedprice").to_numpy()[sub]
@@ -3616,40 +3090,27 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
             * 100.0 + 0.5).astype(np.int64)
         qty = np.floor(t.column("l_quantity").to_numpy()[sub]
                        + 0.5).astype(np.int64)
-        amount = rev - cost_[pos] * qty
         g = pa.table({
             "k": pa.array(t.column("l_orderkey").to_numpy()[sub]),
-            "nation": pa.array(s2n_[sk_]),
-            "amount_c": pa.array(amount, pa.int64()),
+            "nation": pa.array(s2n_[sk_[ok]]),
+            "amount_c": pa.array(rev - cost_[pos[ok]] * qty, pa.int64()),
         }).group_by(["k", "nation"]).aggregate([("amount_c", "sum")])
-        out = pa.table({
-            "k": g.column("k"),
-            "year": pa.array(np.zeros(g.num_rows, np.int64)),
-            "nation": g.column("nation"),
-            "amount_c": g.column("amount_c_sum"),
-            "is_ord": pa.array(np.zeros(g.num_rows, bool)),
-        })
-        return out.append_column("part", stable_part(out, ["k"], n_parts))
+        return _union_side(schema, g.num_rows, {
+            "k": g.column("k"), "nation": g.column("nation"),
+            "amount_c": g.column("amount_c_sum"), "is_ord": False})
 
-    def join_part(df):
-        import pandas as pd
-
-        o = df[df["is_ord"]][["k", "year"]]
-        l = df[~df["is_ord"]][["k", "nation", "amount_c"]]
-        m = l.merge(o, on="k", how="inner")
-        g = m.groupby(["nation", "year"], sort=False)["amount_c"].sum()
-        g = g.reset_index()
-        return pd.DataFrame({
-            "nation": g["nation"].to_numpy(np.int64),
-            "o_year": g["year"].to_numpy(np.int64),
-            "profit_c": g["amount_c"].to_numpy(np.int64)})
+    def profit(nation, year, amount) -> pa.Table:
+        g = pa.table({"nation": nation, "o_year": year,
+                      "profit_c": amount}).group_by(
+            ["nation", "o_year"]).aggregate([("profit_c", "sum")])
+        return pa.table({"nation": g.column("nation"),
+                         "o_year": g.column("o_year"),
+                         "profit_c": g.column("profit_c_sum")})
 
     # size-gated orders attach (the Q3/Q8/Q10 convention): under the
     # bound the (orderkey, year) map broadcasts once and lineitem
-    # partials resolve the year map-side; above it, the tagged-union
-    # co-partition runs (tests force 0, both paths bit-identical)
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
+    # partials resolve the year map-side; above it, the tagged union
+    # meets in common.exchange (tests force 0, both paths bit-identical)
     def year_map(t: pa.Table) -> pa.Table:
         yr = (t.column("o_orderdate").to_numpy()
               .astype("datetime64[Y]").astype(np.int64) + 1970)
@@ -3657,67 +3118,43 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
                          "year": pa.array(yr)})
 
     kd = orders.map_batches(year_map, batch_format="pyarrow")
+    lines = items.map_batches(prune_items, batch_format="pyarrow")
     if (kd.size_bytes() or 0) <= Q9_ATTACH_BOUND:
-        ks, ys = [], []
-        for t in arrow_blocks(kd, stream=False):
-            ks.append(t.column("k").to_numpy())
-            ys.append(t.column("year").to_numpy())
-        kk = np.concatenate(ks) if ks else np.array([], np.int64)
-        yy = np.concatenate(ys) if ys else np.array([], np.int64)
-        order_k = np.argsort(kk)
-        oside = ray.put((kk[order_k], yy[order_k]))
+        oside = ray.put(_collect_lookup(kd, "k", "year"))
 
         def probe(t: pa.Table) -> pa.Table:
-            keys, years = ray.get(oside)
-            lk = t.column("k").to_numpy()
-            if len(keys) == 0:
-                hit = np.zeros(len(lk), bool)
-            else:
-                pos = np.searchsorted(keys, lk)
-                hit = (pos < len(keys)) & (
-                    keys[np.minimum(pos, len(keys) - 1)] == lk)
-            yr = (years[np.searchsorted(keys, lk[hit])]
-                  if hit.any() else np.array([], np.int64))
-            g = pa.table({
-                "nation": pa.array(
-                    t.column("nation").to_numpy()[hit], pa.int64()),
-                "o_year": pa.array(yr, pa.int64()),
-                "profit_c": pa.array(
-                    t.column("amount_c").to_numpy()[hit], pa.int64()),
-            }).group_by(["nation", "o_year"]).aggregate(
-                [("profit_c", "sum")])
-            return pa.table({"nation": g.column("nation"),
-                             "o_year": g.column("o_year"),
-                             "profit_c": g.column("profit_c_sum")})
+            hit, yr = ray.get(oside).get(t.column("k").to_numpy())
+            return profit(t.column("nation").to_numpy()[hit], yr,
+                          t.column("amount_c").to_numpy()[hit])
 
-        agg = (items.map_batches(prune_items, batch_format="pyarrow")
-               .map_batches(probe, batch_format="pyarrow")
-               .groupby(["nation", "o_year"])
-               .aggregate(Sum("profit_c", alias_name="profit_c")))
+        partials = lines.map_batches(probe, batch_format="pyarrow")
     else:
-        both = (orders.map_batches(prune_orders, batch_format="pyarrow")
-                .union(items.map_batches(prune_items,
-                                         batch_format="pyarrow")))
-        agg = (both.groupby("part").map_groups(join_part,
-                                               batch_format="pandas")
-               .groupby(["nation", "o_year"])
-               .aggregate(Sum("profit_c", alias_name="profit_c")))
+        def tag_ord(t: pa.Table) -> pa.Table:
+            return _union_side(schema, t.num_rows, {
+                "k": t.column("k"), "year": t.column("year"),
+                "is_ord": True})
 
-    nref = ray.put(n2name)
+        def join_part(df):
+            o = df[df["is_ord"]][["k", "year"]]
+            m = df[~df["is_ord"]][["k", "nation", "amount_c"]].merge(
+                o, on="k", how="inner")
+            return profit(*(m[c].to_numpy(np.int64)
+                            for c in ("nation", "year", "amount_c")))
 
-    def to_names(t: pa.Table) -> pa.Table:
-        nm = ray.get(nref)
-        return pa.table({
-            "nation": pa.array([nm[int(k)] for k in
-                                t.column("nation").to_pylist()],
-                               pa.string()),
-            "o_year": t.column("o_year"),
-            "profit_c": t.column("profit_c")})
+        partials = exchange(
+            kd.map_batches(tag_ord, batch_format="pyarrow").union(lines),
+            ["k"], join_part)
+
+    agg = partials.groupby(["nation", "o_year"]).aggregate(
+        Sum("profit_c", alias_name="profit_c"))
 
     # nations×years-bounded: fold driver-side (arrow_blocks hazard rule)
-    from nativeextractor_ray.functions.blocks import arrow_blocks
-
-    parts = [to_names(b) for b in arrow_blocks(agg, stream=False)]
+    parts = [pa.table({
+        "nation": pa.array([n2name[int(k)] for k in
+                            b.column("nation").to_pylist()], pa.string()),
+        "o_year": b.column("o_year"),
+        "profit_c": b.column("profit_c")})
+        for b in arrow_blocks(agg, stream=False)]
     return (pa.concat_tables(parts) if parts
             else pa.table({"nation": pa.array([], pa.string()),
                            "o_year": pa.array([], pa.int64()),
@@ -3868,7 +3305,7 @@ def supplier_relationship(sf_dir: str, ex_brand: str = Q16_BRAND,
                            & (sizes <= max_size), False)
 
     sup = load_table(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
-    blocked = np.sort(sup.filter(
+    blocked = ExactIdFilter(sup.filter(
         pc.less(sup.column("s_acctbal"), block_bal))
         .column("s_suppkey").to_numpy())
 
@@ -3879,12 +3316,7 @@ def supplier_relationship(sf_dir: str, ex_brand: str = Q16_BRAND,
         keep_, brand_, typ_, size_, blocked_ = ray.get(side)
         p = t.column("ps_partkey").to_numpy()
         s = t.column("ps_suppkey").to_numpy()
-        m = keep_[p]
-        if len(blocked_):
-            pos = np.searchsorted(blocked_, s)
-            in_block = (pos < len(blocked_)) & (
-                blocked_[np.minimum(pos, len(blocked_) - 1)] == s)
-            m &= ~in_block
+        m = keep_[p] & ~blocked_.contains(s)
         p, s = p[m], s[m]
         return pa.table({
             "p_brand": pa.array(brand_[p].astype(str), pa.string()),
@@ -3980,11 +3412,8 @@ def potential_promotion(sf_dir: str, year: int = Q20_YEAR,
                 for r in nat.to_pylist()}[nation]
         s_in = _key_index(sk, sup.column("s_nationkey").to_numpy() == nkey,
                           False)
-    sorder = np.argsort(sk)
     side = ray.put((p_ok, packed, avail, s_in,
-                    sk[sorder],
-                    np.asarray(sup.column("s_name").to_pylist(),
-                               object)[sorder]))
+                    SortedLookup(sk, sup.column("s_name"))))
 
     lo = np.datetime64(f"{year}-01-01", "us")
     hi = np.datetime64(f"{year + 1}-01-01", "us")
@@ -3993,7 +3422,7 @@ def potential_promotion(sf_dir: str, year: int = Q20_YEAR,
                         "l_shipdate"])
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        p_ok_, _pk, _av, _si, _k, _n = ray.get(side)
+        p_ok_, _pk, _av, _si, _names = ray.get(side)
         d = t.column("l_shipdate").to_numpy()
         lk = t.column("l_partkey").to_numpy()
         m = (d >= lo) & (d < hi) & p_ok_[lk]
@@ -4011,22 +3440,15 @@ def potential_promotion(sf_dir: str, year: int = Q20_YEAR,
                .groupby("key").aggregate(Sum("qty", alias_name="qty")))
 
     def qualify(t: pa.Table) -> pa.Table:
-        _p, packed_, avail_, s_in_, skeys, snames = ray.get(side)
+        _p, packed_, avail_, s_in_, names = ray.get(side)
         key = pc.cast(t.column("key"), pa.int64()).to_numpy()
-        qty = t.column("qty").to_numpy()
-        pos = np.searchsorted(packed_, key)
-        ok = (pos < len(packed_)) & (
-            packed_[np.minimum(pos, max(len(packed_) - 1, 0))] == key) \
-            if len(packed_) else np.zeros(len(key), bool)
-        s = (key % n_supp)
-        hit = ok & (2 * avail_[np.minimum(pos, max(len(packed_) - 1, 0))]
-                    > qty) & s_in_[s]
+        ok, pos = sorted_lookup(packed_, key)
+        s = key[ok] % n_supp
+        hit = (2 * avail_[pos[ok]] > t.column("qty").to_numpy()[ok]) \
+            & s_in_[s]
         u = np.unique(s[hit])
-        ppos = np.searchsorted(skeys, u)
-        return pa.table({
-            "s_suppkey": pa.array(u, pa.int64()),
-            "s_name": pa.array([str(snames[p]) for p in ppos],
-                               pa.string())})
+        return pa.table({"s_suppkey": pa.array(u, pa.int64()),
+                         "s_name": names.get(u)[1]})
 
     # |supplier|-bounded result: dedup driver-side, return Arrow
     from nativeextractor_ray.functions.blocks import arrow_blocks

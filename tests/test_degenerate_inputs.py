@@ -1,9 +1,11 @@
 """The queries that co-locate rows with ``common.exchange``, on degenerate
 inputs: copies of sf0.001 whose ``documents``, ``events`` and
-``embeddings`` tables hold no rows, or one row.  Each query is compared
-with its DuckDB oracle as in ``test_oracle_parity.py``.  An empty Ray
-Dataset carries no schema, so where the oracle returns no rows the query
-must return no rows, with the oracle's columns if it has any."""
+``embeddings`` tables hold no rows, or one row, and, for the relational
+joins, copies whose ``orders`` and ``lineitem`` do, with every size gate
+of ``relational.py`` forced onto its shuffle path.  Each query is
+compared with its DuckDB oracle as in ``test_oracle_parity.py``.  An
+empty Ray Dataset carries no schema, so where the oracle returns no rows
+the query must return no rows, with the oracle's columns if it has any."""
 
 import shutil
 
@@ -35,28 +37,55 @@ QUERIES = [
 ]
 
 
-@pytest.fixture(scope="module", params=[0, 1], ids=["empty", "one_row"])
-def degenerate(request, sf_dir, tmp_path_factory):
-    """(sf_dir copy, DuckDB connection on it) with the DEGENERATE tables
-    cut to their first ``param`` rows."""
-    out = tmp_path_factory.mktemp(f"sf_rows{request.param}")
+# the relational joins, on empty and one-row orders and lineitem (the
+# as-of join reads events, cut with them)
+REL_DEGENERATE = ["orders", "lineitem", "events"]
+REL_QUERIES = [
+    "purchases_asof_clicks", "anti_join_customers", "shipping_priority_topk",
+    "local_supplier_volume", "large_order_customers", "small_order_revenue",
+    "order_fill_report", "late_shipment_priority", "idle_customer_balance",
+    "min_cost_supplier", "nation_trade_volume", "returned_item_revenue",
+    "late_line_priority_mix", "sole_late_supplier", "market_share",
+    "product_type_profit",
+    # semi_anti_join callers outside relational.py
+    "referential_audit", "order_count_distribution",
+]
+
+
+def _cut_copy(sf_dir, out, cut: list[str], rows: int):
+    """(sf_dir copy, DuckDB connection on it) with the ``cut`` tables
+    holding their first ``rows`` rows."""
     con = duckdb.connect()
     for name in TABLES:
         t = pq.read_table(f"{sf_dir}/{name}.parquet")
-        if name in DEGENERATE:
-            t = t.slice(0, request.param)
+        if name in cut:
+            t = t.slice(0, rows)
         pq.write_table(t, out / f"{name}.parquet")
         con.register(name, t)
-    yield str(out), con
+    return str(out), con
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["empty", "one_row"])
+def degenerate(request, sf_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp(f"sf_rows{request.param}")
+    run_dir, con = _cut_copy(sf_dir, out, DEGENERATE, request.param)
+    yield run_dir, con
     con.close()
     shutil.rmtree(out, ignore_errors=True)
 
 
-@pytest.mark.parametrize("name", QUERIES)
-def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
+@pytest.fixture(scope="module", params=[0, 1], ids=["empty", "one_row"])
+def rel_degenerate(request, sf_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp(f"sf_rel_rows{request.param}")
+    run_dir, con = _cut_copy(sf_dir, out, REL_DEGENERATE, request.param)
+    yield run_dir, con
+    con.close()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+def _check_oracle(name, run_dir, con):
     import __ray_entry__ as e
 
-    run_dir, con = degenerate
     got = _to_table(e.queries()[name](run_dir))
     want = _norm(con.sql(e.oracle_sql()[name]).arrow())
     if got.num_columns == 0:
@@ -67,6 +96,23 @@ def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
     assert len(got) == len(want), f"{name}: {len(got)} vs {len(want)} rows"
     pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                   check_exact=False, rtol=1e-6)
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
+    _check_oracle(name, *degenerate)
+
+
+@pytest.mark.parametrize("name", REL_QUERIES)
+def test_relational_shuffle_path_on_degenerate_input(name, rel_degenerate,
+                                                     ray_session, monkeypatch):
+    from nativeextractor_ray.pipelines import relational
+
+    for bound in dir(relational):
+        if bound.endswith(("_ATTACH_BOUND", "_DRIVER_FOLD_BOUND")) \
+                or bound == "SEMI_BROADCAST_BOUND":
+            monkeypatch.setattr(relational, bound, 0)
+    _check_oracle(name, *rel_degenerate)
 
 
 @pytest.fixture(scope="module")

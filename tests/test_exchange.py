@@ -108,7 +108,7 @@ def test_exchange_keeps_the_callers_operator_name(ray_session):
 
 # modules whose keyed exchanges all go through common.exchange
 MIGRATED = ["pipelines/kg.py", "pipelines/events.py", "pipelines/windows.py",
-            "pipelines/similarity.py"]
+            "pipelines/similarity.py", "pipelines/relational.py"]
 HAND_BUILT = [
     re.compile(r"""groupby\(\s*["'][gu]?part["']\s*\)\s*\.\s*map_groups"""),
     re.compile(r"\bdef\s+add_[gu]?part\b"),
