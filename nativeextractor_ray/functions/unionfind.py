@@ -81,7 +81,7 @@ def _hash_col(col) -> "object":
     return hash_array(arr, categorize=False).view(np.int64)
 
 
-def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | None = None):
+def connected_components_ds(edges, max_iters: int = 30):
     """Distributed connected components over an edge Dataset
     ``(a: string, b: string)`` — the union-find scale path for
     canonicalization when the alias vocabulary no longer fits the driver.
@@ -89,24 +89,24 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
     Alternating min-label propagation with EDGE CONTRACTION and pointer
     jumping (the Stergiou-style shape), entirely over int64 hashed node
     ids (8-byte shuffle keys; strings are attached once at the end).
-    Every step is the repo's coarse-partition shape — tag rows with
-    ``key % P``, one int-key sort shuffle, one vectorized pandas pass per
-    partition — NOT ``Dataset.join`` (measured: Ray's join spins up
+    Every step is one ``common.exchange`` on an int64 key — one sort
+    shuffle, one vectorized pandas pass per sorted block, grouping on the
+    key inside the call — NOT ``Dataset.join`` (measured: Ray's join spins up
     aggregator actors per call, ~10s fixed cost per round at any size;
     and plain min-propagation without contraction trickles one hop per
     round on chain-shaped alias graphs).
 
-    Round state is ONE dataset of (kind, k, v) rows partitioned by k:
+    Round state is ONE dataset of (kind, k, v) rows exchanged on k:
     kind 0 = label row / proposal (k=node, v=label), kind 1 = half-edge
     over label ids (k=one endpoint, v=the other), kind 2 = jump request
     (k=label, v=node).
 
-    1. resolve (partition by k): the partition owns the label of every k;
+    1. resolve (exchange on k): the call owns the label of every k it sees;
        jump requests become proposals ``(node, label(label))`` (pointer
        jumping), half-edges become ``(v, label(k))`` rows that are BOTH a
        proposal to v and the half of the contracted edge; proposals are
        partial-min'ed, edges deduped.
-    2. adopt (partition by node): exact ``min`` per node → new labels;
+    2. adopt (exchange on node): exact ``min`` per node → new labels;
        every surviving half-edge is re-emitted CONTRACTED to
        ``(new_label(k), old_label(other))`` with self-loops dropped — the
        edge set shrinks toward empty as components collapse, which is
@@ -131,14 +131,8 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-    import ray.data
 
-    # coarse shuffle partitions (``num_partitions`` kept for callers that
-    # tune shuffle width; the default is independent of cluster size)
-    P = num_partitions or 256
-
-    def _part(arr) -> "np.ndarray":
-        return (arr.astype(np.uint64) % np.uint64(P)).view(np.int64)
+    from nativeextractor_ray.pipelines.common import exchange
 
     # Phase 0 — hash node strings to int64 ONCE; vocab rows (h, s) keep
     # the hash→string mapping for the final relabel.
@@ -149,10 +143,10 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
         s = pa.concat_arrays(
             [t.column("a").combine_chunks(), t.column("b").combine_chunks()]
         )
-        # per-batch dedup (exact dedup happens inside the final partition)
-        tb = pa.table({"h": h, "s": s, "gpart": _part(h)})
-        return tb.group_by(["gpart", "h"]).aggregate([("s", "min")]).rename_columns(
-            ["gpart", "h", "s"]
+        # per-batch dedup (exact dedup happens in the final exchange)
+        tb = pa.table({"h": h, "s": s})
+        return tb.group_by("h").aggregate([("s", "min")]).rename_columns(
+            ["h", "s"]
         )
 
     edges = edges.materialize()
@@ -170,7 +164,7 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
             np.zeros(2 * len(node), dtype=np.int8),
             np.ones(len(node), dtype=np.int8),
         ])
-        tb = pa.table({"kind": kind, "k": k, "v": v, "gpart": _part(k)})
+        tb = pa.table({"kind": kind, "k": k, "v": v})
         # partial combine per batch: min label per node, dedup half-edges
         df = tb.to_pandas()
         lab = df[df["kind"] == 0].groupby("k", sort=False)["v"].min().reset_index()
@@ -182,13 +176,11 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
             "k": np.concatenate([lab["k"].to_numpy(), ed["k"].to_numpy()]),
             "v": np.concatenate([lab["v"].to_numpy(), ed["v"].to_numpy()]),
         })
-        out["gpart"] = _part(out["k"].to_numpy())
-        return pa.Table.from_pandas(out[["kind", "k", "v", "gpart"]],
-                                    preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False)
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
         lab = df[df["kind"] == 0]
-        # exact label per k within this partition (seed emits per-batch
+        # exact label per k within this call (seed emits per-batch
         # partials, so reduce first)
         labx = lab.groupby("k", sort=False)["v"].min()
         m = labx  # index: k → label
@@ -211,9 +203,7 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
         pr = pr.groupby("k", sort=False)["v"].min().reset_index()
         pr["v"] = pr["v"].astype("int64")
         pr.insert(0, "kind", np.zeros(len(pr), dtype=np.int8))
-        out = pd.concat([pr] + out_parts, ignore_index=True)
-        out["gpart"] = _part(out["k"].to_numpy())
-        return out[["kind", "k", "v", "gpart"]]
+        return pd.concat([pr] + out_parts, ignore_index=True)
 
     def adopt(df: pd.DataFrame) -> pd.DataFrame:
         lab = df[df["kind"] == 0]
@@ -248,9 +238,7 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
                 ce["k"] = ce["k"].astype("int64")
                 ce.insert(0, "kind", np.full(len(ce), 1, np.int8))
                 out_parts.append(ce)
-        out = pd.concat(out_parts, ignore_index=True)
-        out["gpart"] = _part(out["k"].to_numpy())
-        return out[["kind", "k", "v", "gpart"]]
+        return pd.concat(out_parts, ignore_index=True)
 
     def only_labels(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -258,24 +246,15 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
         m = t.filter(pc.equal(t.column("kind"), 0))
         return pa.table({"node": m.column("k"), "label": m.column("v")})
 
-    state = (
-        edges.map_batches(seed, batch_format="pyarrow")
-        .groupby("gpart")
-        .map_groups(resolve, batch_format="pandas")
-        .groupby("gpart")
-        .map_groups(adopt, batch_format="pandas")
-        .materialize()
-    )
+    def round_(state):
+        return exchange(exchange(state, ["k"], resolve), ["k"],
+                        adopt).materialize()
+
+    state = round_(edges.map_batches(seed, batch_format="pyarrow"))
     checksum = _labels_checksum(state.map_batches(only_labels, batch_format="pyarrow"))
 
     for _ in range(max_iters):
-        state = (
-            state.groupby("gpart")
-            .map_groups(resolve, batch_format="pandas")
-            .groupby("gpart")
-            .map_groups(adopt, batch_format="pandas")
-            .materialize()
-        )
+        state = round_(state)
         new_checksum = _labels_checksum(
             state.map_batches(only_labels, batch_format="pyarrow")
         )
@@ -289,17 +268,16 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
 
     labels = state.map_batches(only_labels, batch_format="pyarrow")
 
-    # Final relabel (2 shuffles, no joins): A) co-locate labels with vocab
-    # by node hash -> (s, label); B) co-locate by label -> component =
-    # min member string within the partition (exact: a label's rows are
-    # all in one partition), emitted per node.
+    # Final relabel (2 exchanges, no joins): A) co-locate labels with
+    # vocab by node hash -> (s, label); B) co-locate by label -> component
+    # = min member string within the call (exact: a label's rows all
+    # reach one call), emitted per node.
     def tag_final_labels(t: pa.Table) -> pa.Table:
         node = t.column("node").combine_chunks().to_numpy()
         return pa.table({
             "h": node,
             "payload": t.column("label"),
             "s": pa.nulls(len(node), pa.string()),
-            "gpart": _part(node),
         })
 
     def tag_vocab(t: pa.Table) -> pa.Table:
@@ -308,7 +286,6 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
             "h": h,
             "payload": pa.nulls(len(h), pa.int64()),
             "s": t.column("s"),
-            "gpart": _part(h),
         })
 
     def attach_strings(df: pd.DataFrame) -> pd.DataFrame:
@@ -316,12 +293,10 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
         voc = df[~df["s"].isna()].drop_duplicates("h")
         m = pd.Series(voc["s"].to_numpy(), index=voc["h"].to_numpy())
         s = lab["h"].map(m)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "label": lab["payload"].astype("int64"),
             "s": s,
         })
-        out["gpart"] = _part(out["label"].to_numpy())
-        return out[["gpart", "label", "s"]]
 
     def name_components(df: pd.DataFrame) -> pd.DataFrame:
         comp = df.groupby("label", sort=False)["s"].min()
@@ -330,15 +305,11 @@ def connected_components_ds(edges, max_iters: int = 30, num_partitions: int | No
             "component": df["label"].map(comp),
         })
 
-    named = (
+    named = exchange(
         labels.map_batches(tag_final_labels, batch_format="pyarrow")
-        .union(vocab.map_batches(tag_vocab, batch_format="pyarrow"))
-        .groupby("gpart")
-        .map_groups(attach_strings, batch_format="pandas")
-        .groupby("gpart")
-        .map_groups(name_components, batch_format="pandas")
-    )
-    return named
+        .union(vocab.map_batches(tag_vocab, batch_format="pyarrow")),
+        ["h"], attach_strings)
+    return exchange(named, ["label"], name_components)
 
 
 def canonicalize(

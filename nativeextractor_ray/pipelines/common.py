@@ -75,21 +75,3 @@ def pool_concurrency() -> int:
     CPU of a 2-CPU cluster and the read tasks that feed them never run."""
     return max(1, min(16, _cpus() // 2))
 
-
-def adaptive_parts(sf_dir: str, table: str = "documents",
-                   replicate: int = 1, per_part: int = 8 << 20,
-                   lo: int = 16, hi: int = 4096) -> int:
-    """Coarse-shuffle partition count scaled to the INPUT size (parquet
-    file bytes × replication), clamped to [lo, hi].  A fixed 256 is right
-    at 10^12-turn scale but pure scheduling overhead at bench scale —
-    measured: conv_digest_salted's two 256-way groupby shuffles spent
-    ~5 s sorting 1.5 MB at sf0.1 (VERDICT r2 item 5).  Uses file METADATA
-    only; falls back to ``hi`` when the size is unknowable so the scale
-    path is never accidentally under-partitioned."""
-    from nativeextractor_ray.sources.tables import table_bytes
-
-    try:
-        size = table_bytes(sf_dir, table)
-    except OSError:
-        return hi
-    return max(lo, min(hi, (size * max(1, replicate)) // per_part + 1))

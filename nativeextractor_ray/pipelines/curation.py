@@ -22,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines.common import exchange
 from nativeextractor_ray.sources.transcripts import TRANSCRIPTS_SQL
 
 # ---------------------------------------------------------------- pii redact
@@ -321,6 +322,8 @@ def _pack_by_prefix_sum(counted, budget: int):
     import ray
 
     sorted_counts = counted.sort("doc_id").materialize()
+    if sorted_counts.schema() is None:
+        return sorted_counts  # no rows (an exchange's empty output): no schema
 
     def block_partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -415,16 +418,16 @@ def curated_docs(sf_dir: str):
     ``dedup.COMPONENT_BROADCAST_BOUND`` broadcasts once via ``ray.put``
     (sorted int64 array + searchsorted) so the whole stage is one
     shuffle-free ``map_batches``; above the bound — web crawls run 30-50%
-    near-dup, so the drop set is O(corpus) at 100 TB — the drop ids are
-    hash-co-partitioned with the corpus on ``doc_id % N_PARTS`` and
-    removed by ONE coarse anti-merge (the minimum exchange any
+    near-dup, so the drop set is O(corpus) at 100 TB — the drop ids meet
+    the corpus in one ``common.exchange`` on ``doc_id`` and are
+    removed by ONE anti-merge per call (the minimum exchange any
     non-broadcastable semijoin needs; text crosses that one shuffle and
     nothing else).  Both paths bit-identical under a forced bound=0 in
     ``tests/test_trainingdata.py``."""
     import ray
 
     from nativeextractor_ray.pipelines import dedup as _dd
-    from nativeextractor_ray.pipelines.dedup import N_PARTS, dedup_clusters
+    from nativeextractor_ray.pipelines.dedup import dedup_clusters
     from nativeextractor_ray.sources.tables import read_table
 
     cl = dedup_clusters(sf_dir)
@@ -470,21 +473,12 @@ def curated_docs(sf_dir: str):
 
         return ds.map_batches(stage, batch_format="pyarrow")
 
-    # Scale path: anti-merge the drop ids against the corpus, co-partitioned
+    # Scale path: anti-merge the drop ids against the corpus, exchanged
     # on doc_id — the drop set never lands on the driver.
-    def tag_doc(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        return pa.table({
-            "doc_id": t.column("doc_id"), "text": t.column("text"),
-            "partD": pa.array((ids % N_PARTS).astype(np.int64)),
-        })
-
     def tag_drop(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
         return pa.table({
             "doc_id": t.column("doc_id"),
-            "text": pa.nulls(len(ids), pa.string()),
-            "partD": pa.array((ids % N_PARTS).astype(np.int64)),
+            "text": pa.nulls(t.num_rows, pa.string()),
         })
 
     def anti(df):
@@ -499,19 +493,16 @@ def curated_docs(sf_dir: str):
             rows = rows[dropped[pos] != ids]
         return pd.DataFrame({
             "doc_id": rows["doc_id"].to_numpy(dtype=np.int64),
-            # an all-dropped partition must keep a STRING-typed text
+            # an all-dropped call must keep a STRING-typed text
             # column — an empty object array would infer pa.null() and
             # break schema unification (decontam.attach's typed-empty rule)
             "text": rows["text"].to_numpy() if len(rows)
             else np.array([], dtype=str),
         })
 
-    survivors = (
-        ds.map_batches(tag_doc, batch_format="pyarrow")
-        .union(drop_ds.map_batches(tag_drop, batch_format="pyarrow"))
-        .groupby("partD")
-        .map_groups(anti, batch_format="pandas")
-    )
+    survivors = exchange(
+        ds.union(drop_ds.map_batches(tag_drop, batch_format="pyarrow")),
+        ["doc_id"], anti)
     return survivors.map_batches(
         lambda t: gate_redact(t, None), batch_format="pyarrow")
 
@@ -1170,15 +1161,14 @@ def sample_k_per_source(sf_dir: str, k: int = SAMPLE_K_PER_SOURCE):
     Scale shape (the ``top_events_per_user`` two-level grouped top-k):
     every batch reduces to ≤ k rows per source BEFORE the shuffle
     (k-smallest is associative), so the exchange moves O(sources × k)
-    rows, never the corpus; coarse source-hash partitions then resolve
-    exact ranks with one vectorized pandas pass each.
+    rows, never the corpus; an exchange on ``source`` then resolves
+    exact ranks with one vectorized pandas pass per call.
 
     Output: ``(source, doc_id, rnk)`` — rnk 1..k by (hash, doc_id) asc."""
     import hashlib
 
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "source"])
@@ -1200,9 +1190,6 @@ def sample_k_per_source(sf_dir: str, k: int = SAMPLE_K_PER_SOURCE):
         top = df.groupby("source", sort=False).head(k)
         return pa.Table.from_pandas(top, preserve_index=False)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column("part", stable_part(t, ["source"], 64))
-
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(**order)
         out = df.groupby("source", sort=False).head(k).copy()
@@ -1210,10 +1197,8 @@ def sample_k_per_source(sf_dir: str, k: int = SAMPLE_K_PER_SOURCE):
                       ).astype("int64")
         return out[["source", "doc_id", "rnk"]]
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .map_batches(add_part, batch_format="pyarrow")
-              .groupby("part")
-              .map_groups(resolve, batch_format="pandas"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    ["source"], resolve)
 
 
 def sample_k_per_source_sql(k: int = SAMPLE_K_PER_SOURCE) -> str:
@@ -1465,15 +1450,14 @@ def exact_stratified_split(sf_dir: str):
     only hit proportions in expectation; per-stratum quota splits hit
     them exactly, at the cost of one narrow exchange).
 
-    Scale shape: ONE hash(lang) co-partition (24-byte rows — doc_id,
-    lang, hash; text never moves); a language lives wholly in one
-    partition, so per-lang ranks AND totals resolve locally — no second
-    pass, no broadcast.  Output: ``(doc_id, lang, rnk, split)``."""
+    Scale shape: ONE exchange on ``lang`` (24-byte rows — doc_id,
+    lang, hash; text never moves); a language reaches one call whole,
+    so per-lang ranks AND totals resolve locally — no second pass, no
+    broadcast.  Output: ``(doc_id, lang, rnk, split)``."""
     import hashlib
 
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "lang"])
@@ -1488,10 +1472,9 @@ def exact_stratified_split(sf_dir: str):
         # h stays UNSIGNED (uint64) — the SQL twin orders by the raw
         # md5_number_lower UBIGINT; an int64 cast would flip the order
         # of high-bit hashes
-        out = pa.table({"doc_id": t.column("doc_id"),
-                        "lang": t.column("lang"),
-                        "h": pa.array(h, pa.uint64())})
-        return out.append_column("part", stable_part(out, ["lang"], 64))
+        return pa.table({"doc_id": t.column("doc_id"),
+                         "lang": t.column("lang"),
+                         "h": pa.array(h, pa.uint64())})
 
     def ranks(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["lang", "h", "doc_id"], kind="stable")
@@ -1508,8 +1491,8 @@ def exact_stratified_split(sf_dir: str):
             "rnk": rnk.astype(np.int64),
             "split": split})
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("part").map_groups(ranks, batch_format="pandas"))
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    ["lang"], ranks)
 
 
 HASH_SAMPLE_K = 200

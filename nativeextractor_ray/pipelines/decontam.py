@@ -22,7 +22,7 @@ distinct (doc, gram) pairs are globally distinct — the partial sum is
 exact, no pair-level shuffle).  The ≥``min_df`` survivor set is
 Zipf-bounded (at most ``total_grams / min_df`` grams), broadcast when
 under ``BOILER_BROADCAST_BOUND``, else attached to the gram stream by one
-coarse ``gram % N_PARTS`` partitioned union+map_groups (the same attach
+``common.exchange`` on the gram over a tagged union (the same attach
 shape as ``dedup.py``'s scale-side verify) — no O(corpus) driver state on
 either path.  Both paths are asserted bit-identical in
 ``tests/test_decontam.py`` by forcing the bound to 0.
@@ -36,6 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.hashing import h64, word_shingles
+from nativeextractor_ray.pipelines.common import exchange
 
 #: every doc_id divisible by this is the deterministic stand-in for "a
 #: benchmark/eval document" (no external data in this sandbox); the
@@ -51,7 +52,6 @@ BOILER_MIN_DF = 4
 
 BENCH_BROADCAST_BOUND = 256 << 20
 BOILER_BROADCAST_BOUND = 256 << 20
-N_PARTS = 256  # coarse shuffle partitions, matches dedup.py
 
 
 def _docs(sf_dir: str):
@@ -153,8 +153,7 @@ GROUP BY tri.doc_id"""
 
 
 def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
-                       min_df: int = BOILER_MIN_DF,
-                       broadcast_bound: int | None = None):
+                       min_df: int = BOILER_MIN_DF):
     """Per-doc boilerplate profile: ``(doc_id, n_grams, n_boiler)`` where
     ``n_grams`` is the doc's distinct word-``n``-gram count and
     ``n_boiler`` counts those grams whose corpus document-frequency is
@@ -162,8 +161,6 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
     ``n_boiler / n_grams`` is the classic C4-style boilerplate gate."""
     import ray
     import ray.data
-
-    bound = BOILER_BROADCAST_BOUND if broadcast_bound is None else broadcast_bound
 
     # pass 1 — exact gram document-frequencies from per-batch partials
     # (each doc appears in exactly one batch; see module docstring).
@@ -208,7 +205,7 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
                                 else np.array([], dtype=np.int64), pa.int64()),
         })
 
-    if (df_ds.size_bytes() or 0) <= bound:
+    if (df_ds.size_bytes() or 0) <= BOILER_BROADCAST_BOUND:
         # broadcast path: the survivor set is Zipf-bounded (≤ grams/min_df)
         from nativeextractor_ray.functions.blocks import arrow_blocks
 
@@ -238,23 +235,13 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
 
         return _docs(sf_dir).map_batches(profile, batch_format="pyarrow")
 
-    # scale path: coarse gram-partitioned attach (union + map_groups), the
-    # dedup.py shape — per-doc partial boiler counts, then a doc groupby.
+    # scale path: attach by an exchange on the gram over a tagged union,
+    # the dedup.py shape — per-doc partial boiler counts, then a doc groupby.
     def tag_boiler(t: pa.Table) -> pa.Table:
-        g = t.column("g").to_numpy()
         return pa.table({
-            "g": pa.array(g, pa.int64()),
-            "doc_id": pa.nulls(len(g), pa.int64()),
-            "n_grams": pa.nulls(len(g), pa.int64()),
-            "part": pa.array((g % N_PARTS).astype(np.int64)),
-        })
-
-    def tag_grams(t: pa.Table) -> pa.Table:
-        g = t.column("g").to_numpy()
-        return pa.table({
-            "g": t.column("g"), "doc_id": t.column("doc_id"),
-            "n_grams": t.column("n_grams"),
-            "part": pa.array((g % N_PARTS).astype(np.int64)),
+            "g": pc.cast(t.column("g"), pa.int64()),
+            "doc_id": pa.nulls(t.num_rows, pa.int64()),
+            "n_grams": pa.nulls(t.num_rows, pa.int64()),
         })
 
     def attach(grp: pd.DataFrame) -> pd.DataFrame:
@@ -274,12 +261,9 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
         return out.astype("int64")
 
     grams = _docs(sf_dir).map_batches(doc_grams, batch_format="pyarrow")
-    partial = (
-        grams.map_batches(tag_grams, batch_format="pyarrow")
-        .union(df_ds.map_batches(tag_boiler, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(attach, batch_format="pandas")
-    )
+    partial = exchange(
+        grams.union(df_ds.map_batches(tag_boiler, batch_format="pyarrow")),
+        ["g"], attach)
     from ray.data.aggregate import Max, Sum
 
     return (
@@ -333,16 +317,13 @@ def dup_spans(sf_dir: str, n: int = DUPSPAN_N):
     over DISTINCT grams): this is positional — it finds contiguous SPANS,
     not bag-of-gram overlap.
 
-    Scale shape: (gram, doc_id, pos) rows carry everything; shuffle 1
-    groups by ``hash(gram) % P`` to count distinct docs per gram and mark
-    each position, shuffle 2 groups by ``doc_id % P`` for the vectorized
-    per-doc run-length scan.  Counts ride on rows — no join, no
+    Scale shape: (gram, doc_id, pos) rows carry everything; exchange 1
+    on the gram counts distinct docs per gram and marks each position,
+    exchange 2 on ``doc_id`` feeds the vectorized per-doc run-length
+    scan.  Counts ride on rows — no join, no
     broadcast, nothing driver-resident.  Gram identity is the shared h64
     hash (injective on test vocabularies; same contract as
     ``ngram_jaccard``/``decontaminate``)."""
-    from nativeextractor_ray.pipelines.common import adaptive_parts
-
-    n_parts = adaptive_parts(sf_dir)
 
     def grams(t: pa.Table) -> pa.Table:
         g_out, d_out, p_out = [], [], []
@@ -357,17 +338,14 @@ def dup_spans(sf_dir: str, n: int = DUPSPAN_N):
                 p_out.append(i + 1)  # 1-based, matches the SQL UNNEST
         g_arr = np.array(g_out, dtype=np.int64)
         return pa.table({"g": pa.array(g_arr),
-                         "part": pa.array(g_arr % n_parts),
                          "doc_id": pa.array(d_out, pa.int64()),
                          "pos": pa.array(p_out, pa.int64())})
 
     def mark(grp: pd.DataFrame) -> pd.DataFrame:
         nd = grp.groupby("g", sort=False)["doc_id"].nunique()
         dup = grp["g"].map(nd).to_numpy() > 1
-        d = grp["doc_id"].to_numpy()
-        return pd.DataFrame({"doc_id": d, "pos": grp["pos"].to_numpy(),
-                             "dup": dup,
-                             "part2": (d % n_parts).astype("int64")})
+        return pd.DataFrame({"doc_id": grp["doc_id"].to_numpy(),
+                             "pos": grp["pos"].to_numpy(), "dup": dup})
 
     def runs(grp: pd.DataFrame) -> pd.DataFrame:
         d_out, np_out, ndup_out, mr_out = [], [], [], []
@@ -388,9 +366,9 @@ def dup_spans(sf_dir: str, n: int = DUPSPAN_N):
                              "n_dup": pd.array(ndup_out, dtype="int64"),
                              "max_run": pd.array(mr_out, dtype="int64")})
 
-    g = _docs(sf_dir).map_batches(grams, batch_format="pyarrow")
-    marked = g.groupby("part").map_groups(mark, batch_format="pandas")
-    return marked.groupby("part2").map_groups(runs, batch_format="pandas")
+    marked = exchange(_docs(sf_dir).map_batches(grams, batch_format="pyarrow"),
+                      ["g"], mark)
+    return exchange(marked, ["doc_id"], runs)
 
 
 def dup_spans_sql(n: int = DUPSPAN_N) -> str:
@@ -431,7 +409,6 @@ GROUP BY m.doc_id"""
 #: content-defined-chunking divisor: boundary where the 4-char window
 #: value % CDC_D == 0 → expected chunk length ≈ CDC_D chars
 CDC_D = 13
-_CDC_PARTS = 64
 
 
 def _cdc_boundaries(cps: np.ndarray, d: int) -> np.ndarray:
@@ -462,14 +439,12 @@ def cdc_chunks(sf_dir: str, d: int = CDC_D):
 
     Scale shape: chunking is a pure streaming ``map_batches`` (numpy
     sliding-window boundary test per row); each batch pre-groups its
-    chunks so the ONE coarse ``hash(key) % P`` shuffle carries
-    (32-byte key, len, doc_id, occ) partials — never text; per-partition
+    chunks so the ONE exchange on the chunk key carries
+    (32-byte key, len, doc_id, occ) partials — never text; a per-call
     pandas groupby finishes (distinct-doc count, occurrence sum).  The
     boundary predicate is arithmetic on codepoints so the DuckDB oracle
     replays it exactly (``ascii(substr(...))``)."""
     import hashlib
-
-    from nativeextractor_ray.functions.hashing import stable_part
 
     def chunk_batch(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
@@ -490,11 +465,10 @@ def cdc_chunks(sf_dir: str, d: int = CDC_D):
         })
         # in-batch combine: one row per (key, doc) with its occurrence count
         g = part.group_by(["key", "chunk_len", "doc_id"]).aggregate([([], "count_all")])
-        out = pa.table({"key": g.column("key"),
-                        "chunk_len": g.column("chunk_len"),
-                        "doc_id": g.column("doc_id"),
-                        "occ": pc.cast(g.column("count_all"), pa.int64())})
-        return out.append_column("part", stable_part(out, ["key"], _CDC_PARTS))
+        return pa.table({"key": g.column("key"),
+                         "chunk_len": g.column("chunk_len"),
+                         "doc_id": g.column("doc_id"),
+                         "occ": pc.cast(g.column("count_all"), pa.int64())})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby("key", sort=False).agg(
@@ -510,8 +484,8 @@ def cdc_chunks(sf_dir: str, d: int = CDC_D):
             "n_occ": agg["n_occ"].astype(np.int64),
         })
 
-    return (_docs(sf_dir).map_batches(chunk_batch, batch_format="pyarrow")
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return exchange(_docs(sf_dir).map_batches(chunk_batch, batch_format="pyarrow"),
+                    ["key"], finish)
 
 
 def cdc_chunks_sql(d: int = CDC_D) -> str:

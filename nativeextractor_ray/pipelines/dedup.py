@@ -6,21 +6,21 @@ Scale shape (each documented inline):
 - exact:     per-batch md5 keys → ``groupby(key)`` (shuffles 16-byte keys +
              ids, never text).
 - minhash:   shingle→signature per batch (vectorized, token-hash cache) →
-             one (bucket:int64, doc_id, sig) row per LSH band → **coarse**
-             ``groupby(bucket % P)`` so each shuffle partition holds many
-             buckets → vectorized pandas groupby inside the partition emits
-             in-bucket pairs.  Grouping by the raw bucket would mean one
-             Python UDF call per (mostly singleton) bucket — the per-group
-             overhead, not the hashing, is what dominates at scale.
-- simhash:   64-bit signature per doc, 4×16-bit band buckets, same coarse
-             partition-then-local-groupby shape, in-bucket Hamming filter.
+             one (bucket:int64, doc_id, sig) row per LSH band →
+             ``common.exchange`` on ``bucket``, so each call holds many
+             buckets → vectorized pandas groupby inside the call emits
+             in-bucket pairs.  One Python UDF call per (mostly singleton)
+             bucket, as ``groupby(bucket).map_groups`` would make, is the
+             per-group overhead that dominates at scale, not the hashing.
+- simhash:   64-bit signature per doc, 4×16-bit band buckets, the same
+             exchange-then-local-groupby shape, in-bucket Hamming filter.
 - ngram:     exact Jaccard via co-occurrence counting: (gram, doc_id,
-             n_gram) rows → coarse partition → per-gram pair partials →
-             ``groupby(pair)`` sums.  No broadcast of per-doc counts (they
-             ride on each row), no join.
+             n_gram) rows → exchange on the gram → per-gram pair partials →
+             exchange on the pair sums them.  No broadcast of per-doc
+             counts (they ride on each row), no join.
 - embedding: banded hyperplane-LSH buckets → in-bucket exact cosine
-             rerank (simhash-shaped coarse partition; nothing global is
-             broadcast, the SQL oracle replays the bucketing).
+             rerank (the simhash shape; nothing global is broadcast, the
+             SQL oracle replays the bucketing).
 
 All pair emitters cap pathological buckets at ``MAX_BUCKET`` docs
 (SURVEY.md §4.3.2 skew rule) — a degenerate corpus (everything identical)
@@ -44,6 +44,7 @@ from nativeextractor_ray.functions.hashing import (
     minhash_perms,
     minhash_signature,
 )
+from nativeextractor_ray.pipelines.common import exchange
 
 # LSH geometry: 16 bands x 4 rows over a 64-wide signature → catches
 # pairs from ~Jaccard 0.5 up with high probability.
@@ -51,18 +52,6 @@ MINHASH_K = 64
 BANDS = 16
 ROWS_PER_BAND = 4
 MAX_BUCKET = 1000
-N_PARTS = 256  # coarse shuffle partitions (buckets per partition >> 1)
-
-
-def _adaptive_nparts(sf_dir: str, table: str = "documents") -> int:
-    """Coarse-shuffle width scaled to the input size (metadata-only probe,
-    ``common.adaptive_parts``): 256+ is right at web scale but pure
-    scheduling overhead at bench scale.  Partition count never changes
-    RESULTS here — every pair/keep decision is made per bucket/cluster,
-    and partitions only batch buckets together."""
-    from nativeextractor_ray.pipelines.common import adaptive_parts
-
-    return adaptive_parts(sf_dir, table=table)
 
 # Driver/broadcast size gates for the minhash verify leg and the cluster
 # keep/drop application.  Below the bound the small side is pulled/broadcast
@@ -165,11 +154,9 @@ def _shingle_hashes(tok_hashes: np.ndarray, n: int) -> np.ndarray:
 class MinHasher:
     """Compile-once state (permutation table, token-hash cache) — actor."""
 
-    def __init__(self, shingle_n: int = 3, n_parts: int = N_PARTS,
-                 with_sig: bool = True):
+    def __init__(self, shingle_n: int = 3, with_sig: bool = True):
         self.perms = minhash_perms(MINHASH_K)
         self.n = shingle_n
-        self.n_parts = n_parts
         #: ship the full 512 B signature per (doc, band) row only when the
         #: caller needs the estimator (``minhash_pairs``); the exact-verify
         #: pipeline (``dedup_minhash_pairs``) sets False and the candidate
@@ -198,7 +185,6 @@ class MinHasher:
         bucket = (acc & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
         cols = {
             "bucket": pa.array(bucket.ravel()),
-            "part": pa.array((bucket.ravel() % self.n_parts).astype(np.int64)),
             "doc_id": pa.array(np.repeat(ids, BANDS), pa.int64()),
         }
         if self.with_sig:
@@ -209,18 +195,16 @@ class MinHasher:
         return pa.table(cols)
 
 
-_MINHASHERS: "dict[tuple[int, bool], MinHasher]" = {}
+_MINHASHERS: "dict[bool, MinHasher]" = {}
 
 
-def _minhash_batch(t: pa.Table, n_parts: int = N_PARTS,
-                   with_sig: bool = True) -> pa.Table:
+def _minhash_batch(t: pa.Table, with_sig: bool = True) -> pa.Table:
     """Task-mode MinHasher: state is cheap to build (perm table + empty
     token cache) and cached per worker PROCESS, so the map fuses with the
     upstream read instead of paying actor-pool spin-up per query."""
-    key = (n_parts, with_sig)
-    mh = _MINHASHERS.get(key)
+    mh = _MINHASHERS.get(with_sig)
     if mh is None:
-        mh = _MINHASHERS[key] = MinHasher(n_parts=n_parts, with_sig=with_sig)
+        mh = _MINHASHERS[with_sig] = MinHasher(with_sig=with_sig)
     return mh(t)
 
 
@@ -231,7 +215,7 @@ def _empty_pairs_df() -> pd.DataFrame:
 
 
 def _minhash_partition_pairs(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
-    """One shuffle partition = many buckets; fully vectorized.
+    """One exchange call = many buckets; fully vectorized.
 
     On replica-heavy corpora (the adversarial 30-50%-near-dup case) the
     in-bucket cliques emit millions of raw pairs per run; the previous
@@ -324,45 +308,39 @@ def _minhash_partition_pairs(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
 
 
 
-def _pair_dedup(pairs, value_col: str, how: str, n_parts: int = N_PARTS):
-    """Coarse-partitioned pair-level dedup: the same (doc_a, doc_b) pair can
-    surface from several bands/buckets; combine with a local vectorized
-    pandas groupby per hash partition (a raw 2-int-key Ray aggregate costs
-    an order of magnitude more at scale — see the ngram stage)."""
+def _pair_dedup(pairs, value_col: str, how: str):
+    """Pair-level dedup: the same (doc_a, doc_b) pair can surface from
+    several bands/buckets; exchange on the pair and combine with a local
+    vectorized pandas groupby per call (a raw 2-int-key Ray aggregate
+    costs an order of magnitude more at scale — see the ngram stage)."""
     import pandas as pd
-
-    def add_part(t: pa.Table) -> pa.Table:
-        a = t.column("doc_a").to_numpy()
-        b = t.column("doc_b").to_numpy()
-        return t.append_column("part2", pa.array((a * 1_000_003 + b) % n_parts))
 
     def combine(grp: pd.DataFrame) -> pd.DataFrame:
         out = (grp.groupby(["doc_a", "doc_b"], sort=False)[value_col]
                .agg(how).reset_index())
         return out[["doc_a", "doc_b", value_col]]
 
-    pairs = pairs.map_batches(add_part, batch_format="pyarrow")
-    return pairs.groupby("part2").map_groups(combine, batch_format="pandas")
+    return exchange(pairs, ["doc_a", "doc_b"], combine)
 
 
-def _minhash_candidates(ds, threshold: float, n_parts: int = N_PARTS,
-                        with_sig: bool = True):
+def _minhash_candidates(ds, threshold: float, with_sig: bool = True):
     """Raw in-bucket pair candidates (may repeat across bands — callers
     dedup, either via :func:`_pair_dedup` or inside their own verify
-    partition).  ``with_sig=False`` drops the signature estimator: every
+    exchange).  ``with_sig=False`` drops the signature estimator: every
     in-bucket pair is a candidate (``threshold`` unused), and the shuffle
     carries 24 B rows instead of 536 B."""
-    buckets = ds.map_batches(lambda t: _minhash_batch(t, n_parts, with_sig),
-                             batch_format="pyarrow")
-    return buckets.groupby("part").map_groups(
-        lambda g: _minhash_partition_pairs(g, threshold), batch_format="pandas"
-    )
+    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return _minhash_partition_pairs(g, threshold)
+
+    buckets = ds.map_batches(_minhash_batch, batch_format="pyarrow",
+                             fn_kwargs={"with_sig": with_sig})
+    return exchange(buckets, ["bucket"], bucket_pairs)
 
 
-def minhash_pairs(ds, threshold: float = 0.5, n_parts: int = N_PARTS):
+def minhash_pairs(ds, threshold: float = 0.5):
     """MinHash+LSH near-dup pairs over any (doc_id, text) Dataset."""
-    return _pair_dedup(_minhash_candidates(ds, threshold, n_parts),
-                       "est_jaccard", "max", n_parts)
+    return _pair_dedup(_minhash_candidates(ds, threshold),
+                       "est_jaccard", "max")
 
 
 def _empty_pairs():
@@ -420,8 +398,8 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
     so "pairs scale with the near-dup population" is NOT a small-side
     argument at 100 TB):
 
-    - candidate pairs are ALWAYS deduped by the coarse-partitioned
-      :func:`_pair_dedup` shuffle (parallel — on replica-heavy corpora the
+    - candidate pairs are ALWAYS deduped by the :func:`_pair_dedup`
+      exchange (parallel — on replica-heavy corpora the
       RAW candidate rows run ~bands × the unique-pair count, and a driver
       pandas dedup over them was the serial leg that capped 4→16 scaling
       at ~0.43 measured at sf1); only the ID-FILTER choice is size-gated
@@ -430,8 +408,8 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
       constant-memory Bloom filter folded block-by-block
       (:func:`_bloom_from_pairs`).
     - shingles ≤ ``SHINGLE_BROADCAST_BOUND``: one ``ray.put`` + shuffle-free
-      ``map_batches`` verify; above: two coarse-partitioned shuffles attach
-      each side of every pair.
+      ``map_batches`` verify; above: two exchanges attach each side of
+      every pair.
 
     Oracle: exact verification makes the output SQL-expressible —
     ``ngram_jaccard_sql(shingle_n, threshold)`` recomputes the same pairs
@@ -444,10 +422,9 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
     import ray
     import ray.data
 
-    np_ = _adaptive_nparts(sf_dir)
     # raw candidates (band-level duplicates kept; deduped below).
     cand = _minhash_candidates(
-        _docs(sf_dir), threshold, np_, with_sig=False).materialize()
+        _docs(sf_dir), threshold, with_sig=False).materialize()
 
     if (cand.size_bytes() or 0) <= PAIR_DRIVER_BOUND:
         # Small side: pull pair blocks, dedup exactly on the driver, and
@@ -479,9 +456,9 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
             pairs_tbl.column("doc_a").to_numpy(),
             pairs_tbl.column("doc_b").to_numpy()]))
     else:
-        # Scale side: pair dedup stays a coarse shuffle; the id filter is a
+        # Scale side: pair dedup stays an exchange; the id filter is a
         # constant-memory Bloom built by a streamed distributed fold.
-        pairs_ds = _pair_dedup(cand, "est_jaccard", "max", np_).map_batches(
+        pairs_ds = _pair_dedup(cand, "est_jaccard", "max").map_batches(
             lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow"
         ).materialize()
         n_pairs = pairs_ds.count()
@@ -507,7 +484,7 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
             sh = _shingle_hashes(tokens.hash_tokens(txt), shingle_n)
             s_out.append(sh.tobytes())  # binary, not list<int64>:
             # Ray auto-promotes equal-length list columns to a
-            # tensor extension type that breaks pandas map_groups
+            # tensor extension type that breaks the pandas bodies
         return pa.table({
             "doc_id": pa.array(ids[idx], pa.int64()),
             "sh": pa.array(s_out, pa.binary()),
@@ -520,7 +497,7 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
     # Small-side broadcast fast path: when the candidate shingle sets fit
     # comfortably in the object store, ship them once via ``ray.put`` and
     # verify pairs shuffle-free; otherwise fall through to the two
-    # coarse-partitioned attach shuffles below.
+    # attach exchanges below.
     if (shingles.size_bytes() or 0) <= SHINGLE_BROADCAST_BOUND:
         # flat columnar map, not a dict: (sorted ids, offsets, one buffer)
         # builds with numpy concatenates (the dict build was a serial
@@ -589,7 +566,6 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
         return pa.table({
             "key": a, "doc_b": t.column("doc_b"),
             "sh": pa.nulls(len(a), pa.binary()),
-            "part3": pa.array((a % np_).astype(np.int64)),
         })
 
     def tag_sh(t: pa.Table) -> pa.Table:
@@ -597,19 +573,16 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
         return pa.table({
             "key": d, "doc_b": pa.nulls(len(d), pa.int64()),
             "sh": t.column("sh"),
-            "part3": pa.array((d % np_).astype(np.int64)),
         })
 
     def attach_a(df: pd.DataFrame) -> pd.DataFrame:
         sets = df[df["doc_b"].isna()].drop_duplicates("key").set_index("key")["sh"]
         prs = df[~df["doc_b"].isna()].drop_duplicates(["key", "doc_b"])
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_a": prs["key"].astype("int64"),
             "doc_b": prs["doc_b"].astype("int64"),
             "sh_a": prs["key"].map(sets),
         })
-        out["part4"] = (out["doc_b"].to_numpy() % np_).astype("int64")
-        return out
 
     # shuffle B: attach doc_b's list, compute exact jaccard
     def tag_b_sh(t: pa.Table) -> pa.Table:
@@ -618,7 +591,6 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
             "doc_a": pa.nulls(len(d), pa.int64()),
             "doc_b": pa.array(d, pa.int64()),
             "sh_a": t.column("sh"),
-            "part4": pa.array((d % np_).astype(np.int64)),
         })
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -642,22 +614,13 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
                              "doc_b": pd.array(b_out, dtype="int64"),
                              "jaccard": pd.array(j_out, dtype="float64")})
 
-    import ray.data
-
-    withA = (
+    withA = exchange(
         pairs_ds.map_batches(tag_a, batch_format="pyarrow")
-        .union(shingles.map_batches(tag_sh, batch_format="pyarrow"))
-        .groupby("part3")
-        .map_groups(attach_a, batch_format="pandas")
-    )
-    return (
-        withA.map_batches(
-            lambda t: t.select(["doc_a", "doc_b", "sh_a", "part4"]),
-            batch_format="pyarrow")
-        .union(shingles.map_batches(tag_b_sh, batch_format="pyarrow"))
-        .groupby("part4")
-        .map_groups(verify, batch_format="pandas")
-    )
+        .union(shingles.map_batches(tag_sh, batch_format="pyarrow")),
+        ["key"], attach_a)
+    return exchange(
+        withA.union(shingles.map_batches(tag_b_sh, batch_format="pyarrow")),
+        ["doc_b"], verify)
 
 
 # ---------------------------------------------------------------- simhash
@@ -747,7 +710,7 @@ def _sim_partition_pairs(g: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
                          "hamming": pd.array(h_out, dtype="int64")})
 
 
-def simhash_pairs(ds, max_hamming: int = 3, n_parts: int = N_PARTS):
+def simhash_pairs(ds, max_hamming: int = 3):
     """SimHash near-dup: 4×16-bit band buckets guarantee recall for
     Hamming ≤ 3 (pigeonhole: one band must match exactly)."""
     sigs = ds.map_batches(_simhash_batch, batch_format="pyarrow")
@@ -762,20 +725,20 @@ def simhash_pairs(ds, max_hamming: int = 3, n_parts: int = N_PARTS):
             bucket[band * n:(band + 1) * n] = (np.int64(band) << 17) | part16.astype(np.int64)
         return pa.table({
             "bucket": pa.array(bucket),
-            "part": pa.array(bucket % n_parts),
             "doc_id": pa.array(np.tile(ids, 4), pa.int64()),
             "sig": pa.array(np.tile(s.view(np.int64), 4)),
         })
 
-    b = sigs.map_batches(bands, batch_format="pyarrow")
-    pairs = b.groupby("part").map_groups(
-        lambda g: _sim_partition_pairs(g, max_hamming), batch_format="pandas"
-    )
-    return _pair_dedup(pairs, "hamming", "min", n_parts)
+    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return _sim_partition_pairs(g, max_hamming)
+
+    pairs = exchange(sigs.map_batches(bands, batch_format="pyarrow"),
+                     ["bucket"], bucket_pairs)
+    return _pair_dedup(pairs, "hamming", "min")
 
 
 def dedup_simhash_pairs(sf_dir: str, max_hamming: int = 3):
-    return simhash_pairs(_docs(sf_dir), max_hamming, _adaptive_nparts(sf_dir))
+    return simhash_pairs(_docs(sf_dir), max_hamming)
 
 
 # SimHash oracle: replays the EXACT signature computation in SQL (md5
@@ -821,15 +784,14 @@ WHERE bit_count(xor(a.s, b.s)) <= 3"""
 # ---------------------------------------------------------------- exact n-gram jaccard
 
 
-def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.3,
-                        n_parts: int = N_PARTS):
+def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.3):
     """Exact n-gram Jaccard without a join or broadcast: each (gram, doc)
     row carries the doc's distinct-gram count, so the final pair groupby
     has everything it needs.
 
     Uses *string* grams (not hashes) so the result is bit-identical to the
-    SQL oracle rendering; the coarse-partition trick keeps the shuffle
-    groups chunky."""
+    SQL oracle rendering; the exchange hands each call many grams, so the
+    per-call work stays chunky."""
     from nativeextractor_ray.functions.hashing import word_shingles
 
     def grams(t: pa.Table) -> pa.Table:
@@ -844,15 +806,14 @@ def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.3,
                 n_out.append(len(sh))
         g_arr = np.array(g_out, dtype=np.int64)
         return pa.table({"g": pa.array(g_arr),
-                         "part": pa.array(g_arr % n_parts),
                          "doc_id": pa.array(i_out, pa.int64()),
                          "n_gram": pa.array(n_out, pa.int64())})
 
     def partition_pairs(grp: pd.DataFrame) -> pd.DataFrame:
         # vectorized pair generation (triu indices per gram bucket), then a
         # LOCAL combine: the same doc pair recurs for every gram the two
-        # docs share within this partition — summing here shrinks the
-        # global pair shuffle by the per-partition multiplicity
+        # docs share within this call — summing here shrinks the global
+        # pair exchange by the per-call multiplicity
         grp = grp[grp.duplicated("g", keep=False)]  # single-doc grams can't pair
         a_all, b_all, na_all, nb_all = [], [], [], []
         for _, sub in grp.groupby("g", sort=False):
@@ -880,14 +841,8 @@ def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.3,
                .reset_index())
         return out.astype("int64")
 
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        # coarse key for the pair-level combine: the 2-int-key Ray
-        # aggregate over millions of pair partials was the wall; the
-        # partition+local-pandas pattern is ~50× cheaper
-        a = t.column("doc_a").to_numpy()
-        b = t.column("doc_b").to_numpy()
-        return t.append_column("part2", pa.array((a * 1_000_003 + b) % n_parts))
-
+    # the pair-level combine: the 2-int-key Ray aggregate over millions of
+    # pair partials was the wall; exchange + local pandas is ~50× cheaper
     def pair_combine(grp: pd.DataFrame) -> pd.DataFrame:
         out = (grp.groupby(["doc_a", "doc_b"], sort=False)
                .agg(na=("na", "max"), nb=("nb", "max"), common=("common", "sum"))
@@ -899,15 +854,13 @@ def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.3,
         out = out.assign(jaccard=np.round(j[j >= threshold], 6))
         return out[["doc_a", "doc_b", "jaccard"]]
 
-    g = ds.map_batches(grams, batch_format="pyarrow")
-    pairs = g.groupby("part").map_groups(partition_pairs, batch_format="pandas")
-    pairs = pairs.map_batches(add_pair_part, batch_format="pyarrow")
-    return pairs.groupby("part2").map_groups(pair_combine, batch_format="pandas")
+    pairs = exchange(ds.map_batches(grams, batch_format="pyarrow"), ["g"],
+                     partition_pairs)
+    return exchange(pairs, ["doc_a", "doc_b"], pair_combine)
 
 
 def dedup_ngram_jaccard(sf_dir: str, n: int = 3, threshold: float = 0.3):
-    return ngram_jaccard_pairs(_docs(sf_dir), n, threshold,
-                               _adaptive_nparts(sf_dir))
+    return ngram_jaccard_pairs(_docs(sf_dir), n, threshold)
 
 
 def ngram_jaccard_sql(n: int = 3, threshold: float = 0.3) -> str:
@@ -955,8 +908,8 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
     """Embedding near-dup, bucketed end-to-end (VERDICT r1 item 2 on the
     quadratic broadcast path): banded random-hyperplane signatures put
     each vector in EMB_BANDS buckets; pairs are reranked exactly (float64
-    cosine, 4dp) only within a bucket, using the same coarse
-    ``part = bucket % N_PARTS`` shuffle shape as simhash.  Nothing global
+    cosine, 4dp) only within a bucket, using the same exchange on
+    ``bucket`` as simhash.  Nothing global
     is broadcast and no batch touches the whole matrix — work scales with
     bucket occupancy, not corpus².
 
@@ -969,12 +922,9 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
 
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
-    np_ = _adaptive_nparts(sf_dir, table="embeddings")
-
     class EmbBucket:
-        def __init__(self, n_parts: int = N_PARTS):
+        def __init__(self):
             self.planes = None
-            self.n_parts = n_parts
 
         def __call__(self, t: pa.Table) -> pa.Table:
             bid = t.column("vec_id").to_numpy()
@@ -990,7 +940,6 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
                 b_out[band * n:(band + 1) * n] = (np.int64(band) << 8) | sig.astype(np.int64)
             return pa.table({
                 "bucket": pa.array(b_out),
-                "part": pa.array(b_out % self.n_parts),
                 "vec_id": pa.array(np.tile(bid, EMB_BANDS), pa.int64()),
                 "vec": pa.array([vec_bytes[i] for i in np.tile(np.arange(n), EMB_BANDS)],
                                 pa.binary()),
@@ -1019,21 +968,14 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
                              "sim": pd.array(s_out, dtype="float64")})
 
     buckets = ds.map_batches(EmbBucket, batch_format="pyarrow",
-                             concurrency=(1, 8),
-                             fn_constructor_kwargs={"n_parts": np_})
-    pairs = buckets.groupby("part").map_groups(partition_pairs, batch_format="pandas")
-
-    def add_part(t: pa.Table) -> pa.Table:
-        a = t.column("vec_a").to_numpy()
-        b = t.column("vec_b").to_numpy()
-        return t.append_column("part2", pa.array((a * 1_000_003 + b) % np_))
+                             concurrency=(1, 8))
+    pairs = exchange(buckets, ["bucket"], partition_pairs)
 
     def combine(grp: pd.DataFrame) -> pd.DataFrame:
         out = (grp.groupby(["vec_a", "vec_b"], sort=False)["sim"].max().reset_index())
         return out[["vec_a", "vec_b", "sim"]]
 
-    pairs = pairs.map_batches(add_part, batch_format="pyarrow")
-    return pairs.groupby("part2").map_groups(combine, batch_format="pandas")
+    return exchange(pairs, ["vec_a", "vec_b"], combine)
 
 
 def embedding_dup_sql(threshold: float = 0.4, dim: int = 64) -> str:
@@ -1116,9 +1058,9 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3):
        (sorted key array + ``searchsorted`` probe) and the corpus is
        labeled map-side in one streaming ``map_batches`` — no shuffle, no
        text movement.  Above the bound (10^10 docs × 30% dups ⇒ a ~24 GB
-       map that must NOT live on the driver) the map is hash-partitioned
-       on doc_id alongside the corpus ids and attached with ONE
-       coarse-partitioned merge — ids only, text never moves.  Both paths
+       map that must NOT live on the driver) the map is exchanged on
+       doc_id alongside the corpus ids and attached with ONE local merge
+       per call — ids only, text never moves.  Both paths
        are asserted bit-identical in ``tests/test_trainingdata.py`` by
        forcing the bound to 0.
 
@@ -1189,8 +1131,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3):
 
         comp_ds = comp.map_batches(comp_int, batch_format="pyarrow").materialize()
         if (comp_ds.size_bytes() or 0) > COMPONENT_BROADCAST_BOUND:
-            return _label_by_merge(_docs(sf_dir, columns=("doc_id",)), comp_ds,
-                                   _adaptive_nparts(sf_dir))
+            return _label_by_merge(_docs(sf_dir, columns=("doc_id",)), comp_ds)
         # small side after all: stream blocks into flat arrays (no dict)
         from nativeextractor_ray.functions.blocks import arrow_blocks
 
@@ -1223,26 +1164,22 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3):
     return ds.map_batches(label, batch_format="pyarrow")
 
 
-def _label_by_merge(ids_ds, comp_ds, n_parts: int = N_PARTS):
-    """Corpus labeling WITHOUT a driver-resident component map: hash-
-    partition corpus doc_ids and the (node, component) map on the same
-    ``doc_id % N_PARTS`` key and resolve each partition with a vectorized
-    local merge.  Only int64 ids move — text is never in this exchange."""
+def _label_by_merge(ids_ds, comp_ds):
+    """Corpus labeling WITHOUT a driver-resident component map: exchange
+    corpus doc_ids and the (node, component) map on the doc id and
+    resolve each call with a vectorized local merge.  Only int64 ids
+    move — text is never in this exchange."""
 
     def tag_ids(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
         return pa.table({
-            "key": pa.array(ids, pa.int64()),
-            "component": pa.nulls(len(ids), pa.int64()),
-            "partL": pa.array((ids % n_parts).astype(np.int64)),
+            "key": pc.cast(t.column("doc_id"), pa.int64()),
+            "component": pa.nulls(t.num_rows, pa.int64()),
         })
 
     def tag_comp(t: pa.Table) -> pa.Table:
-        nodes = t.column("node").to_numpy()
         return pa.table({
-            "key": pa.array(nodes, pa.int64()),
+            "key": pc.cast(t.column("node"), pa.int64()),
             "component": t.column("component"),
-            "partL": pa.array((nodes % n_parts).astype(np.int64)),
         })
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
@@ -1257,12 +1194,10 @@ def _label_by_merge(ids_ds, comp_ds, n_parts: int = N_PARTS):
             "keep": ids.to_numpy() == cluster.to_numpy(),
         })
 
-    return (
+    return exchange(
         ids_ds.map_batches(tag_ids, batch_format="pyarrow")
-        .union(comp_ds.map_batches(tag_comp, batch_format="pyarrow"))
-        .groupby("partL")
-        .map_groups(resolve, batch_format="pandas")
-    )
+        .union(comp_ds.map_batches(tag_comp, batch_format="pyarrow")),
+        ["key"], resolve)
 
 
 def dedup_clusters_sql(threshold: float = 0.5, shingle_n: int = 3) -> str:
@@ -1309,8 +1244,8 @@ def dedup_semantic(sf_dir: str, threshold: float = SEM_THRESHOLD,
     work is sum(m_c^2) over cluster sizes, never corpus^2).
 
     Scale shape: centroids are broadcast once (`ray.put`, k x d doubles);
-    assignment is one vectorized matmul per batch; the only shuffle is the
-    coarse ``cluster % N_PARTS`` groupby.  At 10^10 vectors ``k`` scales
+    assignment is one vectorized matmul per batch; the only shuffle is one
+    exchange on ``cluster``.  At 10^10 vectors ``k`` scales
     to ~corpus/10^5 so clusters stay bounded; clusters above
     ``MAX_SEM_CLUSTER`` are kept wholesale (skew cap, replayed by the
     oracle's HAVING clause).
@@ -1333,7 +1268,6 @@ def dedup_semantic(sf_dir: str, threshold: float = SEM_THRESHOLD,
 
     cent = _train_centroids(_train_sample(sf_dir), k=k)
     cent_ref = ray.put(cent)
-    np_ = _adaptive_nparts(sf_dir, table="embeddings")
 
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -1345,7 +1279,6 @@ def dedup_semantic(sf_dir: str, threshold: float = SEM_THRESHOLD,
         cl = np.argmax(bm @ c.T, axis=1).astype(np.int64)  # first max == lowest j
         return pa.table({
             "cluster": pa.array(cl),
-            "part": pa.array(cl % np_),
             "vec_id": pa.array(ids, pa.int64()),
             "vec": pa.array([v.tobytes() for v in bm], pa.binary()),
         })
@@ -1376,8 +1309,8 @@ def dedup_semantic(sf_dir: str, threshold: float = SEM_THRESHOLD,
                              "cluster": np.concatenate(cl_out),
                              "keep": np.concatenate(keep_out)})
 
-    asg = ds.map_batches(assign, batch_format="pyarrow")
-    return asg.groupby("part").map_groups(per_part, batch_format="pandas")
+    return exchange(ds.map_batches(assign, batch_format="pyarrow"),
+                    ["cluster"], per_part)
 
 
 def dedup_semantic_sql(sf_dir: str | None = None,
@@ -1428,7 +1361,7 @@ FROM assign v"""
 # ---------------------------------------------------------------- incremental
 
 #: broadcast gate for the existing-corpus key index; above it the semijoin
-#: runs as a coarse-partitioned distributed merge (tests force 0)
+#: runs as a distributed merge on one exchange (tests force 0)
 INCR_BROADCAST_BOUND = 256 << 20
 #: deterministic snapshot split: doc_id % INCR_MOD == 0 is the "new crawl"
 INCR_MOD = 4
@@ -1450,20 +1383,19 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
     with how many existing docs carry byte-identical text.
 
     Scale shape: the existing side never ships text — per-batch md5
-    partials (16-byte keys + a count) reduce via one coarse ``ka % P``
-    shuffle into a key→count index.  Below ``INCR_BROADCAST_BOUND`` the
+    partials (16-byte keys + a count) reduce via one exchange on ``ka``
+    into a key→count index.  Below ``INCR_BROADCAST_BOUND`` the
     index broadcasts once (``ray.put`` of a SORTED structured uint64×2
     array + counts; probe = one vectorized ``searchsorted`` per batch —
     the FlatDictionary economics, ``/root/reference/src/patricia.c``
     mmap-once-share-everywhere).  Above the bound nothing lands on the
-    driver: new-doc keys and the index co-partition on ``ka % P`` and
-    merge per partition (the attach shape of the minhash verify leg).
+    driver: new-doc keys and the index are exchanged on ``ka`` and
+    merge per call (the attach shape of the minhash verify leg).
     Both paths are asserted identical in tests by forcing the bound to 0.
     """
     import ray
 
     ds = _docs(sf_dir)
-    np_ = _adaptive_nparts(sf_dir)
 
     def ex_partial(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
@@ -1472,24 +1404,20 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
         if not len(sel):
             return pa.table({"ka": pa.array([], pa.uint64()),
                              "kb": pa.array([], pa.uint64()),
-                             "c": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
+                             "c": pa.array([], pa.int64())})
         ka, kb = _md5_u64_pairs(texts)
         # in-batch combine before the shuffle
         g = (pa.table({"ka": ka, "kb": kb}).group_by(["ka", "kb"])
              .aggregate([([], "count_all")]))
-        out = pa.table({"ka": g.column("ka"), "kb": g.column("kb"),
-                        "c": pc.cast(g.column("count_all"), pa.int64())})
-        part = (out.column("ka").to_numpy() % np.uint64(np_)).astype(np.int64)
-        return out.append_column("part", pa.array(part))
+        return pa.table({"ka": g.column("ka"), "kb": g.column("kb"),
+                         "c": pc.cast(g.column("count_all"), pa.int64())})
 
     def part_sum(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby(["ka", "kb"], sort=False)["c"].sum().reset_index()
         return agg
 
-    index = (ds.map_batches(ex_partial, batch_format="pyarrow")
-             .groupby("part").map_groups(part_sum, batch_format="pandas")
-             .materialize())
+    index = exchange(ds.map_batches(ex_partial, batch_format="pyarrow"),
+                     ["ka"], part_sum).materialize()
 
     def new_keys(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
@@ -1542,23 +1470,19 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
 
         return new.map_batches(probe, batch_format="pyarrow")
 
-    # distributed semijoin: co-partition new keys and the index on ka % P
+    # distributed semijoin: new keys and the index exchanged on ka
     def tag_new(t: pa.Table) -> pa.Table:
-        ka = t.column("ka").to_numpy()
         return pa.table({
             "doc_id": t.column("doc_id"), "ka": t.column("ka"),
             "kb": t.column("kb"),
             "c": pa.nulls(t.num_rows, pa.int64()),
-            "part": pa.array((ka % np.uint64(np_)).astype(np.int64)),
         })
 
     def tag_index(t: pa.Table) -> pa.Table:
-        ka = t.column("ka").to_numpy()
         return pa.table({
             "doc_id": pa.nulls(t.num_rows, pa.int64()),
             "ka": t.column("ka"), "kb": t.column("kb"),
             "c": pc.cast(t.column("c"), pa.int64()),
-            "part": pa.array((ka % np.uint64(np_)).astype(np.int64)),
         })
 
     both = new.map_batches(tag_new, batch_format="pyarrow").union(
@@ -1577,7 +1501,7 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
             "n_existing": n_ex,
         })
 
-    return both.groupby("part").map_groups(attach, batch_format="pandas")
+    return exchange(both, ["ka"], attach)
 
 
 def dedup_incremental_sql(mod: int = INCR_MOD) -> str:
@@ -1604,16 +1528,16 @@ def dup_rate_by_source(sf_dir: str):
 
     Scale shape: per-batch (md5-key, source) partials — ``(key, source,
     n_docs, min_id)`` — reduce each batch before the ONLY shuffle (16-
-    byte keys + a source tag, never text); per key-partition the global
-    keep resolves vectorized and each (key, source) row emits its dup
-    count; the final groupby sees ≤ sources × partitions rows.
+    byte keys + a source tag, never text); an exchange on the key brings
+    each key's rows to one call, where the global keep resolves
+    vectorized and each (key, source) row emits its dup count; the final
+    groupby sees ≤ sources × calls rows.
 
     Output: ``(source, n_docs, n_dups)``."""
     import pandas as pd
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
@@ -1626,13 +1550,11 @@ def dup_rate_by_source(sf_dir: str):
                        "doc_id": t.column("doc_id")})
              .group_by(["key", "source"])
              .aggregate([("doc_id", "count"), ("doc_id", "min")]))
-        out = pa.table({
+        return pa.table({
             "key": g.column("key"),
             "source": g.column("source"),
             "n_docs": pc.cast(g.column("doc_id_count"), pa.int64()),
             "min_id": pc.cast(g.column("doc_id_min"), pa.int64())})
-        return out.append_column(
-            "part", stable_part(out, ["key"], N_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd_
@@ -1648,9 +1570,8 @@ def dup_rate_by_source(sf_dir: str):
         }).groupby("source", sort=False).sum().reset_index()
         return g
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas")
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                     ["key"], resolve)
             .groupby("source")
             .aggregate(Sum("n_docs", alias_name="n_docs"),
                        Sum("n_dups", alias_name="n_dups")))
@@ -1685,8 +1606,8 @@ def dedup_minhash_incremental(sf_dir: str, threshold: float = 0.5,
     banding + size-gated exact verify — all its driver bounds and the
     documented P(miss) recall apply unchanged); the cross-pair filter
     and per-new-doc rollup are one streaming map + a doc-keyed groupby;
-    the zero-match left-attach is the tagged-union co-partition (new-doc
-    ids are 8 B rows — payloads never move).  Within-snapshot pairs are
+    the zero-match left-attach is a tagged-union exchange on doc_id
+    (new-doc ids are 8 B rows — payloads never move).  Within-snapshot pairs are
     deliberately excluded (the snapshot dedups against itself via the
     ordinary :func:`dedup_minhash_pairs`).
 
@@ -1694,9 +1615,6 @@ def dedup_minhash_incremental(sf_dir: str, threshold: float = 0.5,
     import pandas as pd
     from ray.data.aggregate import Max, Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
-    np_ = _adaptive_nparts(sf_dir)
     pairs = dedup_minhash_pairs(sf_dir, threshold, shingle_n)
 
     def cross(t: pa.Table) -> pa.Table:
@@ -1724,24 +1642,20 @@ def dedup_minhash_incremental(sf_dir: str, threshold: float = 0.5,
     def new_ids(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
         ids = ids[ids % mod == 0]
-        out = pa.table({
+        return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "n_matches": pa.array(np.zeros(len(ids), np.int64)),
             "max_jaccard": pa.array(np.zeros(len(ids)), pa.float64()),
             "is_doc": pa.array(np.ones(len(ids), bool)),
         })
-        return out.append_column(
-            "part", stable_part(out, ["doc_id"], np_))
 
     def tag_agg(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
             "n_matches": t.column("n_matches"),
             "max_jaccard": t.column("max_jaccard"),
             "is_doc": pa.array(np.zeros(t.num_rows, bool)),
         })
-        return out.append_column(
-            "part", stable_part(out, ["doc_id"], np_))
 
     docs = _docs(sf_dir).map_batches(
         lambda t: t.select(["doc_id"]), batch_format="pyarrow")
@@ -1758,7 +1672,7 @@ def dedup_minhash_incremental(sf_dir: str, threshold: float = 0.5,
             "max_jaccard": out["max_jaccard"].fillna(0.0)
             .to_numpy(np.float64)})
 
-    return both.groupby("part").map_groups(resolve, batch_format="pandas")
+    return exchange(both, ["doc_id"], resolve)
 
 
 def dedup_minhash_incremental_sql(threshold: float = 0.5,
@@ -1869,7 +1783,7 @@ FROM sz WHERE n >= 2 GROUP BY n"""
 
 
 #: doc→source broadcast bound for the cross-source matrix; tests force 0
-#: to drive the co-partitioned double attach
+#: to drive the double attach over two exchanges
 SRC_MATRIX_BOUND = 64 << 20
 
 
@@ -1885,14 +1799,13 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
     metadata bound the doc→source map broadcasts once (sorted ids +
     dictionary codes) and a streaming probe folds the ≤ sources² counts
     on the driver; above it the pairs attach each side's source through
-    two doc-keyed co-partitions (the ssjoin join-back shape).  The
+    two exchanges on the doc id (the ssjoin join-back shape).  The
     source pair is canonicalized by NAME order on both engines.
 
     Output: ``(source_a, source_b, n_pairs)``."""
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     pairs = dedup_ngram_jaccard(sf_dir, n, threshold)
@@ -1954,25 +1867,23 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
                 acc[(a_, b_)] = acc.get((a_, b_), 0) + int(c_)
         return finish(acc)
 
-    # scale path: attach source for doc_a, then doc_b, via two doc-keyed
-    # co-partitions (identical non-null columns on both union sides)
+    # scale path: attach source for doc_a, then doc_b, via two exchanges
+    # on the doc id (identical non-null columns on both union sides)
     docs_src = read_table(sf_dir, "documents", ["doc_id", "source"])
 
     def tag_src(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "k": pc.cast(t.column("doc_id"), pa.int64()),
             "other": pa.array(np.zeros(t.num_rows, np.int64)),
             "src": t.column("source"),
             "is_src": pa.array(np.ones(t.num_rows, bool))})
-        return out.append_column("part", stable_part(out, ["k"], 64))
 
     def tag_pair_a(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "k": pc.cast(t.column("doc_a"), pa.int64()),
             "other": pc.cast(t.column("doc_b"), pa.int64()),
             "src": pa.array([""] * t.num_rows, pa.string()),
             "is_src": pa.array(np.zeros(t.num_rows, bool))})
-        return out.append_column("part", stable_part(out, ["k"], 64))
 
     def attach(df):
         import pandas as pd
@@ -1986,13 +1897,10 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
             "src": m["src"].to_numpy(object),       # src of doc_a rides
             "is_src": np.zeros(len(m), bool)})
 
-    def add_part2(t: pa.Table) -> pa.Table:
-        return t.append_column("part", stable_part(t, ["k"], 64))
-
-    with_a = (docs_src.map_batches(tag_src, batch_format="pyarrow")
-              .union(pairs.map_batches(tag_pair_a,
-                                       batch_format="pyarrow"))
-              .groupby("part").map_groups(attach, batch_format="pandas"))
+    src_side = docs_src.map_batches(tag_src, batch_format="pyarrow")
+    with_a = exchange(
+        src_side.union(pairs.map_batches(tag_pair_a, batch_format="pyarrow")),
+        ["k"], attach)
 
     def resolve(df):
         import pandas as pd
@@ -2012,11 +1920,8 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
         return g
 
     acc2: dict = {}
-    for t in arrow_blocks(
-            docs_src.map_batches(tag_src, batch_format="pyarrow")
-            .union(with_a.map_batches(add_part2, batch_format="pyarrow"))
-            .groupby("part").map_groups(resolve, batch_format="pandas"),
-            stream=False):
+    for t in arrow_blocks(exchange(src_side.union(with_a), ["k"], resolve),
+                          stream=False):
         for a_, b_, c_ in zip(t.column("source_a").to_pylist(),
                               t.column("source_b").to_pylist(),
                               t.column("n").to_pylist()):

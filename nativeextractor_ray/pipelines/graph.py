@@ -13,9 +13,8 @@ dictionary economics, patricia.c loading one gazetteer per process), so a
 rank/degree VECTOR of O(|entities|) may live on the driver and broadcast —
 but the EDGE SET and the TRIPLE STREAM may not.  Accordingly:
 
-- distinct edges are built by a coarse hash-partitioned dedup (the same
-  ``stable_part`` + ``groupby(part).map_groups`` shape as the triple
-  dedup), never collected;
+- distinct edges are built by a keyed dedup (``common.exchange`` on
+  ``(subj, obj)``, the triple dedup's shape), never collected;
 - ``entity_pagerank`` materializes the int-encoded edge Dataset ONCE and
   then runs K streaming passes over it — each iteration broadcasts the
   O(|entities|) rank vector via ``ray.put`` and reduces per-block partial
@@ -37,35 +36,25 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.blocks import arrow_blocks
+from nativeextractor_ray.pipelines.common import exchange
 
-N_EDGE_PARTS = 256
 VOCAB_BOUND = 256 << 20  # bytes of entity strings allowed on the driver
 PR_ITERS = 5
 PR_DAMPING = 0.85
 
 
 def _edges(sf_dir: str):
-    """Distinct (subj, obj) edges of the triple graph, dedup via coarse
-    hash partitions (predicates collapsed)."""
+    """Distinct (subj, obj) edges of the triple graph, deduped by one
+    keyed exchange (predicates collapsed)."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.kg import triples_dataset
-
-    def project(t: pa.Table) -> pa.Table:
-        out = t.select(["subj", "obj"])
-        return out.append_column(
-            "part", stable_part(out, ["subj", "obj"], N_EDGE_PARTS))
 
     def dedup(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["subj", "obj"])[["subj", "obj"]]
 
-    return (
-        triples_dataset(sf_dir)
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup, batch_format="pandas")
-    )
+    return exchange(triples_dataset(sf_dir).select_columns(["subj", "obj"]),
+                    ["subj", "obj"], dedup)
 
 
 # ---------------------------------------------------------------- degree
@@ -347,36 +336,30 @@ def two_hop_counts(sf_dir: str):
     ("friends of friends") shape.
 
     Scale shape: the distinct-edge Dataset (already deduped by
-    :func:`_edges`) self-joins on the bridge node via the repo's
-    co-partitioned TAGGED-UNION merge (both sides keyed by
-    ``hash(bridge) % P``, one pandas inner merge per partition) — the
+    :func:`_edges`) self-joins on the bridge node via a TAGGED-UNION
+    merge (both sides exchanged on the bridge key, one pandas inner
+    merge per call) — the
     same single hash exchange a ``Dataset.join`` would do, without its
     per-partition aggregator overhead (measured 12.8 s → 5.2 s at
     sf0.1/32 CPUs, bit-identical output); the (src, dst) pairs then
-    dedup through the same coarse hash-partitioned groupby as the edge
-    dedup — a 2-hop pair never materializes more than once per
-    partition — and a per-partition recount emits one row per source.
+    dedup through a second exchange on the pair, as the edge dedup
+    does — a 2-hop pair never materializes more than once per call —
+    and a per-call recount emits one row per source.
     Self-loops (src == dst after two hops) count like any other node,
     SQL-style.
 
     Output: ``(subj, n_two_hop)``."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
     edges = _edges(sf_dir).materialize()  # feeds both union legs once
 
     def tag_left(t: pa.Table) -> pa.Table:
-        out = pa.table({"key": t.column("obj"), "other": t.column("subj"),
-                        "is_left": pa.array(np.ones(t.num_rows, bool))})
-        return out.append_column(
-            "part", stable_part(out, ["key"], N_EDGE_PARTS))
+        return pa.table({"key": t.column("obj"), "other": t.column("subj"),
+                         "is_left": pa.array(np.ones(t.num_rows, bool))})
 
     def tag_right(t: pa.Table) -> pa.Table:
-        out = pa.table({"key": t.column("subj"), "other": t.column("obj"),
-                        "is_left": pa.array(np.zeros(t.num_rows, bool))})
-        return out.append_column(
-            "part", stable_part(out, ["key"], N_EDGE_PARTS))
+        return pa.table({"key": t.column("subj"), "other": t.column("obj"),
+                         "is_left": pa.array(np.zeros(t.num_rows, bool))})
 
     both = (edges.map_batches(tag_left, batch_format="pyarrow")
             .union(edges.map_batches(tag_right, batch_format="pyarrow")))
@@ -388,28 +371,20 @@ def two_hop_counts(sf_dir: str):
             columns={"other": "dst"})
         return l.merge(r, on="key", how="inner")[["src", "dst"]]
 
-    joined = both.groupby("part").map_groups(join_part,
-                                             batch_format="pandas")
-
-    def project(t: pa.Table) -> pa.Table:
-        out = pa.table({"src": t.column("src"), "dst": t.column("dst")})
-        return out.append_column(
-            "part", stable_part(out, ["src", "dst"], N_EDGE_PARTS))
+    joined = exchange(both, ["key"], join_part)
 
     def count_per_src(df: "pd.DataFrame") -> "pd.DataFrame":
         d = df.drop_duplicates(["src", "dst"])
         g = d.groupby("src", as_index=False).size()
         return g.rename(columns={"src": "subj", "size": "n_two_hop"})
 
-    # partitioning BY (src, dst) hash makes the in-partition dedup
-    # globally exact (each pair lands in exactly one partition); the
-    # per-partition src counts are partials over disjoint pair sets, so
-    # the tiny final groupby sums them into exact distinct counts
+    # exchanging ON (src, dst) makes the in-call dedup globally exact
+    # (each pair reaches exactly one call); the per-call src counts are
+    # partials over disjoint pair sets, so the tiny final groupby sums
+    # them into exact distinct counts
     from ray.data.aggregate import Sum
 
-    partials = (joined.map_batches(project, batch_format="pyarrow")
-                .groupby("part").map_groups(count_per_src,
-                                            batch_format="pandas"))
+    partials = exchange(joined, ["src", "dst"], count_per_src)
     return partials.groupby("subj").aggregate(
         Sum("n_two_hop", alias_name="n_two_hop"))
 
@@ -456,7 +431,7 @@ def triangle_counts(sf_dir: str):
 
     - distinct directed edges (from :func:`_edges`) symmetrize to
       canonical undirected pairs (``u < v``, loops dropped) through the
-      same coarse hash-partitioned dedup — never collected;
+      same keyed-exchange dedup — never collected;
     - the degree vector is O(|entities|) (vocabulary-bounded, same
       size-gated argument as :func:`entity_pagerank`) and broadcasts
       once via ``ray.put``; each edge is oriented from its lower
@@ -464,15 +439,15 @@ def triangle_counts(sf_dir: str):
       node's out-degree is ≤ √(2m) STRUCTURALLY (an apex with out-degree
       d has d neighbors of degree ≥ d, so d² ≤ Σdeg = 2m) — wedge
       generation is O(Σ out_deg²) ≤ O(m^1.5) total and no single apex
-      can explode a partition, without any skew cap or sampling;
+      can explode a call, without any skew cap or sampling;
     - wedges (apex → two out-neighbors, probe pair canonicalized by the
-      same rank order) co-partition with the oriented edges by
-      ``hash(pair) % P`` in ONE tagged union shuffle; in-partition the
+      same rank order) co-locate with the oriented edges on the packed
+      pair key in ONE tagged-union exchange; in-call the
       probe is a packed-int64 ``searchsorted`` membership test — every
       triangle has exactly ONE apex (its rank-minimum vertex), so each
       is found exactly once, no post-dedup needed;
-    - per-partition entity credit (+1 to all three corners) folds to one
-      O(|entities|) ``bincount`` vector row per partition, summed on the
+    - per-call entity credit (+1 to all three corners) folds to one
+      O(|entities|) ``bincount`` vector row per call, summed on the
       driver — the pagerank contrib-vector economics.
 
     Oracle: triangles enumerated by a 3-way self-join on the canonical
@@ -484,24 +459,19 @@ def triangle_counts(sf_dir: str):
     import ray
     import ray.data
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
     def canon(t: pa.Table) -> pa.Table:
         s, o = t.column("subj"), t.column("obj")
         lt = pc.less(s, o)
         out = pa.table({"u": pc.if_else(lt, s, o),
                         "v": pc.if_else(lt, o, s)})
-        out = out.filter(pc.not_equal(out.column("u"), out.column("v")))
-        return out.append_column(
-            "part", stable_part(out, ["u", "v"], N_EDGE_PARTS))
+        return out.filter(pc.not_equal(out.column("u"), out.column("v")))
 
     def dedup(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.drop_duplicates(["u", "v"])[["u", "v"]]
 
-    und = (_edges(sf_dir)
-           .map_batches(canon, batch_format="pyarrow")
-           .groupby("part").map_groups(dedup, batch_format="pandas")
-           .materialize())  # feeds vocab, degree and orient passes
+    und = exchange(_edges(sf_dir).map_batches(canon, batch_format="pyarrow"),
+                   ["u", "v"], dedup
+                   ).materialize()  # feeds vocab, degree and orient passes
 
     names = _entity_ids(und, cols=("u", "v"))
     n = names.size
@@ -548,13 +518,12 @@ def triangle_counts(sf_dir: str):
         src = np.where(fwd, a, b)
         dst = np.where(fwd, b, a)
         return pa.table({"s": pa.array(src, pa.int64()),
-                         "d": pa.array(dst, pa.int64()),
-                         "part": pa.array(src % N_EDGE_PARTS, pa.int64())})
+                         "d": pa.array(dst, pa.int64())})
 
     oriented = enc.map_batches(orient, batch_format="pyarrow")
 
     def wedges(df: "pd.DataFrame") -> "pd.DataFrame":
-        # all apexes of one s-partition: out-neighbor pairs, probe pair
+        # all apexes of the call: out-neighbor pairs, probe pair
         # canonicalized by rank (out-neighbors sort by rank within apex)
         r = ray.get(rank_ref)
         s = df["s"].to_numpy()
@@ -572,8 +541,7 @@ def triangle_counts(sf_dir: str):
         return pd.DataFrame({"pa_": d_s[ia], "pb_": d_s[ib],
                              "apex": s_s[ia]})
 
-    wedge_ds = (oriented.groupby("part")
-                .map_groups(wedges, batch_format="pandas"))
+    wedge_ds = exchange(oriented, ["s"], wedges)
 
     def tag_wedge(t: pa.Table) -> pa.Table:
         key = ((t.column("pa_").to_numpy() << np.int64(31))
@@ -581,8 +549,7 @@ def triangle_counts(sf_dir: str):
         return pa.table({
             "key": pa.array(key, pa.int64()),
             "apex": t.column("apex"),
-            "is_edge": pa.array(np.zeros(t.num_rows, bool)),
-            "part2": pa.array(key % N_EDGE_PARTS, pa.int64())})
+            "is_edge": pa.array(np.zeros(t.num_rows, bool))})
 
     def tag_edge(t: pa.Table) -> pa.Table:
         key = ((t.column("s").to_numpy() << np.int64(31))
@@ -590,8 +557,7 @@ def triangle_counts(sf_dir: str):
         return pa.table({
             "key": pa.array(key, pa.int64()),
             "apex": pa.array(np.full(t.num_rows, -1), pa.int64()),
-            "is_edge": pa.array(np.ones(t.num_rows, bool)),
-            "part2": pa.array(key % N_EDGE_PARTS, pa.int64())})
+            "is_edge": pa.array(np.ones(t.num_rows, bool))})
 
     both = (wedge_ds.map_batches(tag_wedge, batch_format="pyarrow")
             .union(oriented.map_batches(tag_edge, batch_format="pyarrow")))
@@ -614,9 +580,7 @@ def triangle_counts(sf_dir: str):
         return pd.DataFrame({"v": [credit.astype(np.int64).tobytes()]})
 
     tri = np.zeros(n, dtype=np.int64)
-    for t in arrow_blocks(both.groupby("part2")
-                          .map_groups(close_and_credit,
-                                      batch_format="pandas")):
+    for t in arrow_blocks(exchange(both, ["key"], close_and_credit)):
         for blob in t.column("v").to_pylist():
             tri += np.frombuffer(blob, dtype=np.int64)
 
@@ -684,25 +648,25 @@ def entity_neighbor_jaccard(sf_dir: str, min_shared: int = 2,
 
     Scale shape (the set-similarity self-join, as in the dedup family):
 
-    - distinct ``(subj, obj)`` edges come from :func:`_edges` (coarse
-      hash-partitioned dedup) and are materialized once for the two
+    - distinct ``(subj, obj)`` edges come from :func:`_edges` (keyed
+      exchange dedup) and are materialized once for the two
       passes (degrees, pairs);
     - the degree vector |N(subj)| is vocabulary-bounded: per-batch
       partial counts → one subj groupby → size-gated driver collect +
       ``ray.put`` (the pagerank contrib-vector economics, same
       ``VOCAB_BOUND`` gate);
-    - co-citation pairs enumerate per OBJECT: one ``hash(obj)``
-      co-partition; in-partition the group sorts ``(obj, subj)`` so
+    - co-citation pairs enumerate per OBJECT: one exchange on ``obj``;
+      in-call the rows sort by ``(obj, subj)`` so
       :func:`_pair_enum` emits each pair already in canonical
       ``subj_a < subj_b`` order, objects with fan-in > ``max_fanin``
       are dropped WHOLE (deterministic skew cap — the minhash
       ``MAX_BUCKET`` rule; a hot object pairs quadratically and carries
       no resolution signal), and partial pair counts pre-aggregate
-      before leaving the partition;
-    - one second ``hash(pair)`` shuffle sums partials; the
+      before leaving the call;
+    - one second exchange on the pair sums partials; the
       ``min_shared`` gate and the exact half-up micro Jaccard
       ``(2·i·10⁶ + u) // (2·u)`` with ``u = da + db − i`` resolve
-      in-partition against the broadcast degree arrays.
+      in-call against the broadcast degree arrays.
 
     Degrees keep capped-out objects (the cap bounds PAIR generation,
     not the neighborhood size), and the oracle replays both the cap and
@@ -713,7 +677,6 @@ def entity_neighbor_jaccard(sf_dir: str, min_shared: int = 2,
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
 
     e = _edges(sf_dir).materialize()
 
@@ -749,10 +712,6 @@ def entity_neighbor_jaccard(sf_dir: str, min_shared: int = 2,
                         dt.column("deg").to_numpy()[dorder]))
 
     # ---- pass 2: per-object wedge enumeration, pre-aggregated
-    def tag_obj(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", stable_part(t, ["obj"], N_EDGE_PARTS))
-
     def pair_partials(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.sort_values(["obj", "subj"], kind="stable")
         obj = df["obj"].to_numpy()
@@ -771,13 +730,7 @@ def entity_neighbor_jaccard(sf_dir: str, min_shared: int = 2,
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    partials = (e.map_batches(tag_obj, batch_format="pyarrow")
-                .groupby("part").map_groups(pair_partials,
-                                            batch_format="pandas"))
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part2", stable_part(t, ["subj_a", "subj_b"], N_EDGE_PARTS))
+    partials = exchange(e, ["obj"], pair_partials)
 
     def finish(df: "pd.DataFrame") -> "pd.DataFrame":
         if df.empty or "subj_a" not in df.columns:
@@ -800,8 +753,7 @@ def entity_neighbor_jaccard(sf_dir: str, min_shared: int = 2,
             // (2 * union),
         })
 
-    return (partials.map_batches(tag_pair, batch_format="pyarrow")
-            .groupby("part2").map_groups(finish, batch_format="pandas"))
+    return exchange(partials, ["subj_a", "subj_b"], finish)
 
 
 def entity_neighbor_jaccard_sql(min_shared: int = 2,
@@ -940,7 +892,6 @@ h{i} AS MATERIALIZED (
 
 LINK_MAX_DIST = 2
 LINK_BLOCK_CAP = 200
-_LINK_PARTS = 64
 
 
 def _levenshtein(a: str, b: str) -> int:
@@ -968,8 +919,8 @@ def surface_link_candidates(sf_dir: str, max_dist: int = LINK_MAX_DIST,
     typos/aliases that share no neighbors yet).
 
     Scale shape: the distinct-entity Dataset folds per batch to
-    (block, entity) rows; ONE coarse ``hash(block)`` shuffle co-locates
-    every block; in-partition each block keeps only its ``cap``
+    (block, entity) rows; ONE exchange on the block co-locates every
+    block; in-call each block keeps only its ``cap``
     lexicographically-smallest surfaces (a DETERMINISTIC fan-in cap,
     replayed by the oracle via ``row_number() OVER (... ORDER BY
     entity)`` — the :func:`entity_neighbor_jaccard` cap convention) so
@@ -980,8 +931,6 @@ def surface_link_candidates(sf_dir: str, max_dist: int = LINK_MAX_DIST,
     Output: ``(entity_a, entity_b, lev)`` with entity_a < entity_b and
     lev ≤ ``max_dist``."""
     import pandas as pd
-
-    from nativeextractor_ray.functions.hashing import stable_part
 
     edges = _edges(sf_dir)
 
@@ -995,12 +944,10 @@ def surface_link_candidates(sf_dir: str, max_dist: int = LINK_MAX_DIST,
             head, _, rest = e.partition(":")
             typ.append(head)
             blk.append(rest[:1])
-        out = pa.table({
+        return pa.table({
             "entity": pa.array(ents, pa.string()),
             "typ": pa.array(typ, pa.string()),
             "blk": pa.array(blk, pa.string())})
-        return out.append_column(
-            "part", stable_part(out, ["typ", "blk"], _LINK_PARTS))
 
     def resolve(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.drop_duplicates("entity")
@@ -1023,8 +970,8 @@ def surface_link_candidates(sf_dir: str, max_dist: int = LINK_MAX_DIST,
             "entity_b": pd.Series(b_out, dtype=str),
             "lev": pd.Series(d_out, dtype=np.int64)})
 
-    return (edges.map_batches(blocks, batch_format="pyarrow")
-            .groupby("part").map_groups(resolve, batch_format="pandas"))
+    return exchange(edges.map_batches(blocks, batch_format="pyarrow"),
+                    ["typ", "blk"], resolve)
 
 
 def surface_link_candidates_sql(max_dist: int = LINK_MAX_DIST,
@@ -1090,19 +1037,12 @@ def kcore_entities(sf_dir: str, k: int = KCORE_K,
         out = out[out["a"] != out["b"]].drop_duplicates()
         return out
 
-    # canonical a<b pairs, deduped globally via one pair-hash partition
-    from nativeextractor_ray.functions.hashing import stable_part
+    def dedup(df: "pd.DataFrame") -> "pd.DataFrame":
+        return df.drop_duplicates(["a", "b"])[["a", "b"]]
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", stable_part(t, ["a", "b"], 64))
-
-    pairs = (edges.map_batches(undirect, batch_format="pandas")
-             .map_batches(tag, batch_format="pyarrow")
-             .groupby("part")
-             .map_groups(lambda g: g.drop_duplicates(["a", "b"])
-                         [["a", "b"]], batch_format="pandas")
-             .materialize())
+    # canonical a<b pairs, deduped globally by one exchange on the pair
+    pairs = exchange(edges.map_batches(undirect, batch_format="pandas"),
+                     ["a", "b"], dedup).materialize()
 
     names = _entity_ids(pairs, cols=("a", "b"))
     n = names.size

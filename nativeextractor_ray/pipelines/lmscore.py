@@ -26,11 +26,11 @@ Scale shapes
 - The BIGRAM MODEL is bounded by ``veff²`` keys (vocab-bounded, like a
   pruned KenLM artifact — the reference's one-gazetteer-per-process
   economics, patricia.c).  It builds from per-batch ``np.unique``
-  partials + one coarse ``key % N_PARTS`` shuffle.  Scoring broadcasts it
+  partials + one ``common.exchange`` on ``key``.  Scoring broadcasts it
   when under ``MODEL_BROADCAST_BOUND``; above the bound the corpus bigram
-  stream attaches to the model by one coarse key-partitioned
-  union+map_groups and per-doc sums reduce via a second ``doc_id``
-  groupby — no O(model) driver state on the scale path.  Both paths are
+  stream attaches to the model by one exchange on ``key`` over a tagged
+  union and per-doc sums reduce via a second exchange on ``doc_id`` —
+  no O(model) driver state on the scale path.  Both paths are
   asserted equal (to float-sum tolerance) in tests/test_lmscore.py by
   forcing the bound to 0.
 
@@ -45,11 +45,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines.common import exchange
+
 #: bounded vocabulary; matches tokenize_ids' choice (< corpus vocab so the
 #: UNK path is exercised at every sf)
 LM_VOCAB_V = 25
 MODEL_BROADCAST_BOUND = 256 << 20
-N_PARTS = 256  # coarse shuffle partitions, matches dedup.py
 
 
 def _docs(sf_dir: str):
@@ -109,15 +110,14 @@ def _bigram_model(ds, vref, veff: int):
         return pa.table({
             "key": pa.array(u, pa.int64()),
             "cnt": pa.array(c.astype(np.int64)),
-            "part": pa.array((u % N_PARTS).astype(np.int64)),
         })
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby("key", sort=False)["cnt"].sum().reset_index()
         return out.astype("int64")
 
-    return (ds.map_batches(partials, batch_format="pyarrow")
-            .groupby("part").map_groups(combine, batch_format="pandas"))
+    return exchange(ds.map_batches(partials, batch_format="pyarrow"),
+                    ["key"], combine)
 
 
 def _ctx_vector(model, veff: int) -> np.ndarray:
@@ -197,9 +197,11 @@ def lm_score(sf_dir: str, v: int = LM_VOCAB_V):
 
         return ds.map_batches(score, batch_format="pyarrow")
 
-    # scale path: attach the model to the bigram stream by one coarse
-    # key-partitioned union, then reduce per doc.  The sentinel row
-    # (key = -1, m = 0) keeps zero-bigram docs in the output.
+    # scale path: attach the model to the bigram stream by one exchange
+    # on key over a tagged union, then reduce per doc.  The sentinel row
+    # (key = -1 - doc_id, m = 0) keeps zero-bigram docs in the output;
+    # its negative key, distinct per doc, spreads the sentinels over the
+    # calls instead of sending all of them to one.
     def doc_bigrams(t: pa.Table) -> pa.Table:
         stv, siv = ray.get(vref)
         ids, off = _encode(t, stv, siv)
@@ -216,27 +218,21 @@ def lm_score(sf_dir: str, v: int = LM_VOCAB_V):
             k_out = np.empty(0, np.int64)
             m_out = np.empty(0, np.int64)
         d_all = np.concatenate([d_out, doc_ids])  # sentinels for every doc
-        k_all = np.concatenate([k_out, np.full(len(doc_ids), -1, np.int64)])
+        k_all = np.concatenate([k_out, -1 - doc_ids.astype(np.int64)])
         m_all = np.concatenate([m_out, np.zeros(len(doc_ids), np.int64)])
         return pa.table({
             "doc_id": pa.array(d_all, pa.int64()),
             "key": pa.array(k_all, pa.int64()),
             "m": pa.array(m_all, pa.int64()),
             "cnt": pa.array(np.full(len(d_all), -1, np.int64)),  # tag: corpus row
-            # sentinels don't need the model — spread them by doc_id so no
-            # partition becomes the hot home of every zero-contrib row
-            "part": pa.array(np.where(k_all >= 0, k_all % N_PARTS,
-                                      d_all % N_PARTS)),
         })
 
     def tag_model(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy()
         return pa.table({
-            "doc_id": pa.array(np.full(len(k), -1, np.int64)),
+            "doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
             "key": t.column("key"),
-            "m": pa.array(np.zeros(len(k), np.int64)),
+            "m": pa.array(np.zeros(t.num_rows, np.int64)),
             "cnt": t.column("cnt"),
-            "part": pa.array(k % N_PARTS),
         })
 
     union = ds.map_batches(doc_bigrams, batch_format="pyarrow").union(
@@ -264,7 +260,7 @@ def lm_score(sf_dir: str, v: int = LM_VOCAB_V):
                              "s": contrib,
                              "nb": cor["m"].to_numpy()})
 
-    per_key = union.groupby("part").map_groups(attach, batch_format="pandas")
+    per_key = exchange(union, ["key"], attach)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False).agg(
@@ -276,13 +272,7 @@ def lm_score(sf_dir: str, v: int = LM_VOCAB_V):
                              "n_bigrams": nb,
                              "lm_logprob": np.round(out, 6)})
 
-    from nativeextractor_ray.functions.hashing import stable_part
-
-    def doc_part(t: pa.Table) -> pa.Table:
-        return t.append_column("dpart", stable_part(t, ["doc_id"], N_PARTS))
-
-    return (per_key.map_batches(doc_part, batch_format="pyarrow")
-            .groupby("dpart").map_groups(finish, batch_format="pandas"))
+    return exchange(per_key, ["doc_id"], finish)
 
 
 def lm_score_sql(v: int = LM_VOCAB_V) -> str:
@@ -328,7 +318,7 @@ FROM documents d LEFT JOIN sc USING (doc_id)"""
 PPL_TIERS = 3
 
 #: driver-fold the (doc_id, score, lang) join when documents × 24 B
-#: fits; tests force 0 to drive the co-partitioned attach + grouped
+#: fits; tests force 0 to drive the exchange attach + grouped
 #: refinement kernel
 PPL_DRIVER_FOLD_BOUND = 64 << 20
 
@@ -346,8 +336,8 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
     gates apply).  Under the documents metadata bound, the
     (doc_id, score) and (doc_id, lang) sides collect once and the
     edge selection + assignment are local array ops — no exchange
-    beyond lm_score's own.  Above it, the two sides co-partition by
-    doc_id (the tagged-union attach) and the per-lang edges come from
+    beyond lm_score's own.  Above it, the two sides meet in one exchange
+    on doc_id (the tagged-union attach) and the per-lang edges come from
     the grouped histogram-refinement kernel; assignment streams with
     broadcast edges.  Tier-edge ranks are exact integers on BOTH
     engines: ``(i·n + tiers - 1) // tiers`` (the rfm_segments rule).
@@ -356,7 +346,6 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
     import ray
 
     from nativeextractor_ray.functions.blocks import arrow_blocks
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.pipelines.quantiles import _exact_quantiles
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
@@ -407,27 +396,23 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
             "lm_logprob": pa.array(sc),
             "bucket": pa.array(bucket)})
 
-    # scale path: co-partitioned tagged-union attach of lang onto the
-    # scores, grouped refinement edges, broadcast-edge assignment
+    # scale path: tagged-union exchange attaching lang onto the scores,
+    # grouped refinement edges, broadcast-edge assignment
     docs_lang = read_table(sf_dir, "documents", ["doc_id", "lang"])
 
     def tag_score(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
             "lm_logprob": pc.cast(t.column("lm_logprob"), pa.float64()),
             "lang": pa.array([""] * t.num_rows, pa.string()),
             "is_score": pa.array(np.ones(t.num_rows, bool))})
-        return out.append_column(
-            "part", stable_part(out, ["doc_id"], 64))
 
     def tag_lang(t: pa.Table) -> pa.Table:
-        out = pa.table({
+        return pa.table({
             "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
             "lm_logprob": pa.array(np.zeros(t.num_rows, np.float64)),
             "lang": t.column("lang"),
             "is_score": pa.array(np.zeros(t.num_rows, bool))})
-        return out.append_column(
-            "part", stable_part(out, ["doc_id"], 64))
 
     def attach(df):
         import pandas as pd
@@ -440,11 +425,10 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
             "lang": m["lang"].to_numpy(object),
             "lm_logprob": m["lm_logprob"].to_numpy(np.float64)})
 
-    joined = (scores.map_batches(tag_score, batch_format="pyarrow")
-              .union(docs_lang.map_batches(tag_lang,
-                                           batch_format="pyarrow"))
-              .groupby("part")
-              .map_groups(attach, batch_format="pandas")).materialize()
+    joined = exchange(
+        scores.map_batches(tag_score, batch_format="pyarrow")
+        .union(docs_lang.map_batches(tag_lang, batch_format="pyarrow")),
+        ["doc_id"], attach).materialize()
 
     # per-lang n for the INTEGER rank edges (the rfm rule — never a
     # float q·n), then one ranks= kernel per language (languages are

@@ -186,41 +186,59 @@ def orders_by_nation(sf_dir: str):
 
 
 def order_priority_totals(sf_dir: str):
-    """Big-big hash join (``Dataset.join``, Ray's distributed hash
-    shuffle-join) — the path for when NEITHER side fits in a broadcast:
-    orders ⋈ lineitem on orderkey, rolled up per order priority.  Sums in
-    integer cents."""
-    import pyarrow.compute as pc2
-    from ray.data.aggregate import Sum
+    """Big-big join — the path for when NEITHER side fits in a broadcast:
+    orders ⋈ lineitem on orderkey, rolled up per order priority.  Both
+    sides are projected to (orderkey, priority | cents) and meet in one
+    tagged-union ``common.exchange`` on the orderkey; each block merges
+    and rolls up per priority, and the ≤ priorities-row partials fold on
+    the driver.  Sums in integer cents."""
+    from nativeextractor_ray.functions.blocks import arrow_blocks
+    from nativeextractor_ray.sources.tables import read_table
 
-    from nativeextractor_ray.sources.tables import read_table, target_parallelism
+    schema = pa.schema([("k", pa.int64()), ("prio", pa.string()),
+                        ("cents", pa.int64()), ("is_ord", pa.bool_())])
+
+    def tag_orders(t: pa.Table) -> pa.Table:
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("o_orderkey"),
+            "prio": pc.cast(t.column("o_orderpriority"), pa.string()),
+            "is_ord": True})
+
+    def tag_items(t: pa.Table) -> pa.Table:
+        return _union_side(schema, t.num_rows, {
+            "k": t.column("l_orderkey"),
+            "cents": pc.cast(pc.round(pc.multiply(
+                t.column("l_extendedprice"), 100.0)), pa.int64()),
+            "is_ord": False})
+
+    def join_part(df):
+        o = df[df["is_ord"]][["k", "prio"]]
+        l = df[~df["is_ord"]][["k", "cents"]]
+        g = (l.merge(o, on="k", how="inner").groupby("prio", sort=False)
+             ["cents"].agg(["size", "sum"]).reset_index())
+        return pa.table({"prio": pa.array(g["prio"], pa.string()),
+                         "n_items": pa.array(g["size"], pa.int64()),
+                         "total_cents": pa.array(g["sum"], pa.int64())})
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     items = read_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
-    joined = orders.join(
-        items,
-        join_type="inner",
-        num_partitions=target_parallelism(),
-        on=("o_orderkey",),
-        right_on=("l_orderkey",),
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc2.cast(pc2.round(pc2.multiply(t.column("l_extendedprice"), 100.0)),
-                         pa.int64())
-        tmp = pa.table({"o_orderpriority": t.column("o_orderpriority"), "cents": cents})
-        g = tmp.group_by("o_orderpriority").aggregate([("cents", "sum"), ("cents", "count")])
-        return pa.table({
-            "o_orderpriority": g.column("o_orderpriority"),
-            "n_items": pc2.cast(g.column("cents_count"), pa.int64()),
-            "total_cents": pc2.cast(g.column("cents_sum"), pa.int64()),
-        })
-
-    partials = joined.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("o_orderpriority").aggregate(
-        Sum("n_items", alias_name="n_items"),
-        Sum("total_cents", alias_name="total_cents"),
-    )
+    partials = exchange(
+        orders.map_batches(tag_orders, batch_format="pyarrow")
+        .union(items.map_batches(tag_items, batch_format="pyarrow")),
+        ["k"], join_part)
+    acc: dict = {}
+    for t in arrow_blocks(partials, stream=False):
+        for p_, n, c in zip(t.column("prio").to_pylist(),
+                            t.column("n_items").to_pylist(),
+                            t.column("total_cents").to_pylist()):
+            a = acc.setdefault(p_, [0, 0])
+            a[0] += n
+            a[1] += c
+    ks = sorted(acc)
+    return pa.table({
+        "o_orderpriority": pa.array(ks, pa.string()),
+        "n_items": pa.array([acc[k][0] for k in ks], pa.int64()),
+        "total_cents": pa.array([acc[k][1] for k in ks], pa.int64())})
 
 
 ORDER_PRIORITY_TOTALS_SQL = """SELECT o.o_orderpriority,
@@ -880,7 +898,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
       actor).  Like :func:`orders_by_nation`, this assumes the DIM side
       fits the object store (TPC-H customer is 1.5k rows/SF-GB;
       ~15 GB of packed int64 at 100 TB — at that point swap the probe
-      for the :func:`order_priority_totals` ``Dataset.join`` path).
+      for the :func:`order_priority_totals` exchange join).
     - orders filters on the date window and the region's customer
       nations INSIDE ``map_batches`` — the join's only shuffled side is
       this doubly-pruned (o_orderkey, cust_nation) projection.

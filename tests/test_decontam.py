@@ -2,7 +2,7 @@
 
 Oracle parity at sf0.001 is covered by test_oracle_parity.py (the entries
 are registered in __ray_entry__); here we pin the scale-path equivalence
-(broadcast vs coarse-partitioned attach) and edge semantics the oracle
+(broadcast vs exchange attach) and edge semantics the oracle
 can't see."""
 
 import numpy as np
@@ -23,11 +23,12 @@ def _df(res) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
-def test_boilerplate_paths_identical(sf_dir, ray_session):
-    """The driver-broadcast and coarse-attach paths must be bit-identical
-    (bound forced to 0 routes every gram through the shuffle attach)."""
+def test_boilerplate_paths_identical(sf_dir, ray_session, monkeypatch):
+    """The driver-broadcast and exchange-attach paths must be bit-identical
+    (bound forced to 0 routes every gram through the exchange attach)."""
     fast = _df(decontam.boilerplate_ngrams(sf_dir))
-    slow = _df(decontam.boilerplate_ngrams(sf_dir, broadcast_bound=0))
+    monkeypatch.setattr(decontam, "BOILER_BROADCAST_BOUND", 0)
+    slow = _df(decontam.boilerplate_ngrams(sf_dir))
     pd.testing.assert_frame_equal(fast, slow)
 
 

@@ -2,7 +2,9 @@
 inputs: copies of sf0.001 whose ``documents``, ``events`` and
 ``embeddings`` tables hold no rows, or one row, and, for the relational
 joins, copies whose ``orders`` and ``lineitem`` do, with every size gate
-of ``relational.py`` forced onto its shuffle path.  Each query is
+of ``relational.py`` forced onto its shuffle path; the graph,
+canonicalization and dedup-family queries run on the first copies with
+their own gates forced onto their exchange paths.  Each query is
 compared with its DuckDB oracle as in ``test_oracle_parity.py``.  An
 empty Ray Dataset carries no schema, so where the oracle returns no rows
 the query must return no rows, with the oracle's columns if it has any."""
@@ -14,6 +16,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+from nativeextractor_ray.pipelines import decontam, dedup, graph, lmscore
 from test_oracle_parity import TABLES, _norm, _to_table
 
 DEGENERATE = ["documents", "events", "embeddings"]
@@ -113,6 +116,67 @@ def test_relational_shuffle_path_on_degenerate_input(name, rel_degenerate,
                 or bound == "SEMI_BROADCAST_BOUND":
             monkeypatch.setattr(relational, bound, 0)
     _check_oracle(name, *rel_degenerate)
+
+
+# the graph, canonicalization and dedup-family queries on common.exchange
+# that read documents (triples derive from it) or embeddings
+GATED_QUERIES = [
+    # graph + canonicalization
+    "entity_degree", "degree_distribution", "two_hop_counts",
+    "triangle_counts", "entity_neighbor_jaccard", "surface_link_candidates",
+    "kcore_entities", "seed_reachability", "entity_pagerank",
+    "entity_components",
+    # dedup
+    "dedup_minhash", "dedup_simhash", "dedup_ngram_jaccard",
+    "dedup_embedding", "dedup_clusters", "dedup_semantic",
+    "dedup_incremental", "dup_rate_by_source", "dedup_minhash_incremental",
+    "dup_cluster_sizes", "source_dedup_matrix",
+    # decontam, lmscore, curation
+    "boilerplate_ngrams", "dup_spans", "cdc_chunks", "lm_score",
+    "perplexity_buckets", "curation_e2e", "sample_k_per_source",
+    "exact_stratified_split",
+]
+# gates forced to 0 (CC_DRIVER_MAX to -1) so every query takes its
+# exchange path
+GATES = {
+    graph: ["VOCAB_BOUND"],
+    dedup: ["PAIR_DRIVER_BOUND", "SHINGLE_BROADCAST_BOUND",
+            "COMPONENT_BROADCAST_BOUND", "INCR_BROADCAST_BOUND",
+            "SRC_MATRIX_BOUND"],
+    decontam: ["BENCH_BROADCAST_BOUND", "BOILER_BROADCAST_BOUND"],
+    lmscore: ["MODEL_BROADCAST_BOUND", "PPL_DRIVER_FOLD_BOUND"],
+}
+# VOCAB_BOUND has no exchange arm: it only fails loudly when the entity
+# vocabulary would not fit the driver, so at 0 every query that collects
+# a non-empty vocabulary must raise
+VOCAB_COLLECTORS = {"triangle_counts", "entity_neighbor_jaccard",
+                    "kcore_entities", "seed_reachability", "entity_pagerank"}
+
+
+@pytest.mark.parametrize("name", GATED_QUERIES)
+def test_gated_query_exchange_path_on_degenerate_input(
+        name, degenerate, ray_session, monkeypatch, request):
+    for mod, bounds in GATES.items():
+        for bound in bounds:
+            monkeypatch.setattr(mod, bound, 0)
+    monkeypatch.setattr(dedup, "CC_DRIVER_MAX", -1)
+    run_dir, con = degenerate
+    rows = request.node.callspec.params["degenerate"]
+    if name == "dedup_semantic":
+        # its oracle trains the centroid literals on this table
+        monkeypatch.setenv("GRAFT_ORACLE_SF_DIR", run_dir)
+        if not rows:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="no embeddings: similarity."
+                "_train_centroids has no sample to train the quantizer on, "
+                "and dedup_semantic_sql would emit no centroid literals"))
+    if name in VOCAB_COLLECTORS and rows:
+        import __ray_entry__ as e
+
+        with pytest.raises(ValueError, match="driver bound"):
+            e.queries()[name](run_dir)
+        return
+    _check_oracle(name, run_dir, con)
 
 
 @pytest.fixture(scope="module")

@@ -108,10 +108,14 @@ def test_exchange_keeps_the_callers_operator_name(ray_session):
 
 # modules whose keyed exchanges all go through common.exchange
 MIGRATED = ["pipelines/kg.py", "pipelines/events.py", "pipelines/windows.py",
-            "pipelines/similarity.py", "pipelines/relational.py"]
+            "pipelines/similarity.py", "pipelines/relational.py",
+            "pipelines/dedup.py", "pipelines/graph.py",
+            "functions/unionfind.py", "pipelines/decontam.py",
+            "pipelines/lmscore.py", "pipelines/curation.py"]
+# any partition column name: part, gpart, part2, partL, dpart, ...
 HAND_BUILT = [
-    re.compile(r"""groupby\(\s*["'][gu]?part["']\s*\)\s*\.\s*map_groups"""),
-    re.compile(r"\bdef\s+add_[gu]?part\b"),
+    re.compile(r"""groupby\(\s*["'][a-z]*part\w*["']\s*\)\s*\.\s*map_groups"""),
+    re.compile(r"\bdef\s+add_[a-z]*part\w*"),
 ]
 # "<module>:<function>" sites left on the hand-built form on purpose
 EXEMPT: set[str] = set()
