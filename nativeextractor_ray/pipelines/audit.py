@@ -8,8 +8,8 @@ amortizes 3× — and each batch resolves row + orphan counts for every
 edge in one vectorized ``np.searchsorted`` probe against the parents'
 broadcast sorted-key arrays (one ``ray.put`` per parent table, shared
 across edges).  Nothing but ≤ edges×blocks tiny count partials ever
-leaves the workers.  A parent whose DISTINCT-key set exceeds the
-broadcast bound drops that edge to the co-partitioned
+leaves the workers.  A parent whose DISTINCT-key set exceeds
+``common.BROADCAST_BOUND`` drops that edge to the co-partitioned
 :func:`~nativeextractor_ray.pipelines.relational.semi_anti_join` leg
 (nothing on the driver); independent legs overlap via a small thread
 pool so the seven-edge report doesn't serialize seven Dataset
@@ -28,6 +28,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
+
 #: (edge name, child table, FK column, parent table, PK column)
 FK_EDGES = [
     ("lineitem->orders", "lineitem", "l_orderkey", "orders", "o_orderkey"),
@@ -40,14 +43,8 @@ FK_EDGES = [
 ]
 
 
-def referential_audit(sf_dir: str,
-                      broadcast_bound: int | None = None) -> pa.Table:
-    """One row per FK edge: ``(edge, n_rows, n_orphans)``.
-
-    ``broadcast_bound`` (default
-    :data:`~nativeextractor_ray.pipelines.relational.SEMI_BROADCAST_BOUND`)
-    gates the fused broadcast path per parent; tests force it to 0 to
-    exercise the co-partitioned fallback and prove both paths agree."""
+def referential_audit(sf_dir: str) -> pa.Table:
+    """One row per FK edge: ``(edge, n_rows, n_orphans)``."""
     from concurrent.futures import ThreadPoolExecutor
 
     import ray
@@ -55,10 +52,8 @@ def referential_audit(sf_dir: str,
     from nativeextractor_ray.functions.blocks import arrow_blocks
     from nativeextractor_ray.functions.hashing import sorted_lookup
     from nativeextractor_ray.pipelines.relational import (
-        SEMI_BROADCAST_BOUND, fk_int64, semi_anti_join)
+        fk_int64, semi_anti_join)
     from nativeextractor_ray.sources.tables import read_table
-
-    bound = SEMI_BROADCAST_BOUND if broadcast_bound is None else broadcast_bound
 
     # 1. one sorted DISTINCT-key array per parent table (nation parents
     #    two edges — collected once).  None = over the broadcast bound.
@@ -80,8 +75,11 @@ def referential_audit(sf_dir: str,
         for table, pk in parent_specs.items()}
 
     def collect_parent(table: str) -> np.ndarray | None:
-        pds = parent_ds[table]
-        if (pds.size_bytes() or 0) > bound:
+        # the executed side replaces the plan: a fallback edge's
+        # semi-join consumes it and never reruns the parent read
+        pds, nbytes = measured(parent_ds[table])
+        parent_ds[table] = pds
+        if not fits(nbytes, common.BROADCAST_BOUND):
             return None
         chunks = [b.column("k").to_numpy()
                   for b in arrow_blocks(pds, stream=False)]
@@ -114,8 +112,7 @@ def referential_audit(sf_dir: str,
                 list(dict.fromkeys(fk for _, fk, _ in specs)))
             for child, specs in by_child.items()}
         fallback_ds = {
-            name: (read_table(sf_dir, child, [fk]),
-                   read_table(sf_dir, parent, [pk]))
+            name: (read_table(sf_dir, child, [fk]), parent_ds[parent])
             for name, child, fk, parent, pk in fallback}
 
         def child_pass(child: str) -> dict[str, tuple[int, int]]:
@@ -328,8 +325,6 @@ LIMIT {top_n}"""
 PROFILE_COLS = [("o_custkey", "int"), ("o_totalprice", "cents"),
                 ("o_orderstatus", "str"), ("o_orderpriority", "str")]
 
-_PROFILE_PARTS = 64
-
 
 def column_profile(sf_dir: str):
     """Per-column data-quality profile of ``orders`` — row count, null
@@ -341,15 +336,14 @@ def column_profile(sf_dir: str):
     per column per batch and finish on the driver (columns are bounded);
     the exact distinct counts use the ``daily_active_users`` combiner —
     per-batch DISTINCT (column, value-hash) 16-byte partials, one
-    composite groupby dedups globally, per-column recount partials sum in
-    a tiny final groupby.  The values themselves never shuffle.
+    ``common.exchange`` on both dedups globally, per-column recount
+    partials sum in a tiny final groupby.  The values themselves never shuffle.
 
     Output: ``(column, n_rows, n_null, n_distinct, min_v, max_v)``."""
     import pandas as pd
     import ray
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "orders", [c for c, _ in PROFILE_COLS])
@@ -426,10 +420,7 @@ def column_profile(sf_dir: str):
                 "column": pa.array([name] * len(u), pa.string()),
                 "v_hi": pa.array(raw[:, 0].view(np.int64)),
                 "v_lo": pa.array(raw[:, 1].view(np.int64))}))
-        out = pa.concat_tables(outs, promote_options="default")
-        return out.append_column(
-            "part",
-            stable_part(out, ["column", "v_hi", "v_lo"], _PROFILE_PARTS))
+        return pa.concat_tables(outs, promote_options="default")
 
     def recount(df: "pd.DataFrame") -> "pd.DataFrame":
         ded = df.drop_duplicates(["column", "v_hi", "v_lo"])
@@ -437,8 +428,8 @@ def column_profile(sf_dir: str):
         return pd.DataFrame({"column": vc.index.to_numpy(object),
                              "n_distinct": vc.to_numpy(np.int64)})
 
-    nd = (ds.map_batches(distinct_partial, batch_format="pyarrow")
-          .groupby("part").map_groups(recount, batch_format="pandas")
+    nd = (exchange(ds.map_batches(distinct_partial, batch_format="pyarrow"),
+                   ["column", "v_hi", "v_lo"], recount)
           .groupby("column").aggregate(Sum("n_distinct",
                                            alias_name="n_distinct")))
     from nativeextractor_ray.functions.blocks import concat_blocks

@@ -351,11 +351,14 @@ def bpe_encode_sql(k: int = BPE_MERGES, max_words: int = BPE_MAX_WORDS,
     sf_dir = sf_dir or os.environ.get("GRAFT_ORACLE_SF_DIR",
                                       "/root/testdata/sf0.01")
     rows = _bpe_encode_reference(sf_dir, k, max_words)
-    values = ",\n  ".join(f"({d}, {w}, {t}, {c})" for d, w, t, c in rows)
+    # no documents: one placeholder row, filtered out
+    values = (",\n  ".join(f"({d}, {w}, {t}, {c})" for d, w, t, c in rows)
+              or "(0, 0, 0, 0)")
     return f"""SELECT CAST(doc_id AS BIGINT) AS doc_id,
        CAST(n_words AS BIGINT) AS n_words,
        CAST(n_bpe_tokens AS BIGINT) AS n_bpe_tokens,
        CAST(tok_checksum AS BIGINT) AS tok_checksum
 FROM (VALUES
   {values}
-) AS m(doc_id, n_words, n_bpe_tokens, tok_checksum)"""
+) AS m(doc_id, n_words, n_bpe_tokens, tok_checksum)
+{"" if rows else "WHERE false"}"""

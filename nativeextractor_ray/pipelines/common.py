@@ -1,4 +1,17 @@
-"""Shared pipeline knobs, and ``exchange``: the one keyed exchange.
+"""Shared pipeline knobs, the one size planner, and ``exchange``: the
+one keyed exchange.
+
+Size planner.  A side small enough for the driver is collected: folded
+or deduplicated on the driver (``DRIVER_BOUND``), or ``ray.put`` once
+for every task to probe (``BROADCAST_BOUND``), the shape of the
+reference's trie probe (ner.c:29-31).  A larger side meets the other one
+in ``exchange``.  Each gate tests a byte estimate with ``fits``: a
+metadata gate passes ``table_nrows(...) × row width``; a gate on a
+computed side takes the estimate from ``measured``, which executes the
+side once and hands it back, so both arms consume the executed side and
+no lineage runs twice (``Dataset.size_bytes()`` on a lazy side executes
+it, and a dataset derived from that side runs it again).  Tests force
+the large arm by setting a bound to 0.
 
 ``exchange(ds, keys, fn)`` co-locates rows by key.  It tags every row
 with ``part = stable_part(keys) mod EXCHANGE_MODULUS``, range-partitions
@@ -31,6 +44,26 @@ stages)."""
 from __future__ import annotations
 
 DEFAULT_BATCH_SIZE = 4096
+
+#: bytes of a side that may be folded or deduplicated on the driver
+DRIVER_BOUND = 64 << 20
+#: bytes of a side that may be ``ray.put`` for every task to probe
+BROADCAST_BOUND = 64 << 20
+
+
+def fits(n, bound: int, width: int = 1) -> bool:
+    """Whether ``n`` items of ``width`` bytes are known (``n`` is not
+    None) and within ``bound``.  Pass the bound as ``common.DRIVER_BOUND``
+    or ``common.BROADCAST_BOUND``, so a test's override is read."""
+    return n is not None and n * width <= bound
+
+
+def measured(ds):
+    """Execute ``ds`` once; return the executed dataset and its size in
+    bytes (0 when Ray reports none)."""
+    ds = ds.materialize()
+    return ds, ds.size_bytes() or 0
+
 
 #: ``part`` values of ``exchange``: large, because it only spreads keys
 #: over the sort's range boundaries

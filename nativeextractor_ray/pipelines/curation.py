@@ -22,7 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from nativeextractor_ray.pipelines.common import exchange
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 from nativeextractor_ray.sources.transcripts import TRANSCRIPTS_SQL
 
 # ---------------------------------------------------------------- pii redact
@@ -415,7 +416,7 @@ def curated_docs(sf_dir: str):
 
     The near-dup DROP application is size-gated (same family as the
     minhash verify leg): a drop set under
-    ``dedup.COMPONENT_BROADCAST_BOUND`` broadcasts once via ``ray.put``
+    ``common.BROADCAST_BOUND`` broadcasts once via ``ray.put``
     (sorted int64 array + searchsorted) so the whole stage is one
     shuffle-free ``map_batches``; above the bound — web crawls run 30-50%
     near-dup, so the drop set is O(corpus) at 100 TB — the drop ids meet
@@ -426,7 +427,6 @@ def curated_docs(sf_dir: str):
     ``tests/test_trainingdata.py``."""
     import ray
 
-    from nativeextractor_ray.pipelines import dedup as _dd
     from nativeextractor_ray.pipelines.dedup import dedup_clusters
     from nativeextractor_ray.sources.tables import read_table
 
@@ -435,7 +435,7 @@ def curated_docs(sf_dir: str):
     def drops(t: pa.Table) -> pa.Table:
         return t.filter(pc.invert(t.column("keep"))).select(["doc_id"])
 
-    drop_ds = cl.map_batches(drops, batch_format="pyarrow").materialize()
+    drop_ds, nbytes = measured(cl.map_batches(drops, batch_format="pyarrow"))
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def gate_redact(t: pa.Table, dr: "np.ndarray | None") -> pa.Table:
@@ -458,7 +458,7 @@ def curated_docs(sf_dir: str):
             ),
         })
 
-    if (drop_ds.size_bytes() or 0) <= _dd.COMPONENT_BROADCAST_BOUND:
+    if fits(nbytes, common.BROADCAST_BOUND):
         from nativeextractor_ray.functions.blocks import arrow_blocks
 
         drop = np.sort(np.concatenate(
@@ -689,7 +689,7 @@ def domain_mix(sf_dir: str, domain_col: str = "lang"):
     # driver instead of paying a sort shuffle for a toy aggregate — at
     # 10^6 blocks × a handful of domains this is a few MB of rows
     counts = _domain_counts(sf_dir, domain_col)
-    nmin = min(counts.values())
+    nmin = min(counts.values(), default=0)
     thr = {s: (nmin * MIX_MOD) // n for s, n in counts.items()}
     thr_ref = ray.put(thr)
 
@@ -967,7 +967,7 @@ def _temperature_thresholds(counts: dict[str, int], alpha: float) -> dict[str, i
     literals in the oracle — pow() is not bit-reproducible across engines,
     a floor() at an integer boundary could differ, so neither side
     re-derives them."""
-    nmin = min(counts.values())
+    nmin = min(counts.values(), default=0)
     return {
         d: min(MIX_MOD, int(np.floor(
             MIX_MOD * (float(n) ** (alpha - 1.0)) * (float(nmin) ** (1.0 - alpha)))))
@@ -1027,11 +1027,11 @@ def domain_mix_temperature_sql(alpha: float = MIX_ALPHA,
                       (int(c) for c in vc.field("counts").to_pylist())))
     thr = _temperature_thresholds(counts, alpha)
     case = " ".join(f"WHEN '{d}' THEN {v}" for d, v in sorted(thr.items()))
+    lim = f"CASE {domain_col} {case} ELSE 0 END" if thr else "0"
     return f"""SELECT doc_id, {domain_col},
        (doc_id * {_SAMPLE_MULT}) % {MIX_MOD} AS bucket
 FROM documents
-WHERE (doc_id * {_SAMPLE_MULT}) % {MIX_MOD} <
-      (CASE {domain_col} {case} ELSE 0 END)"""
+WHERE (doc_id * {_SAMPLE_MULT}) % {MIX_MOD} < ({lim})"""
 
 
 # ------------------------------------------------------- span corruption

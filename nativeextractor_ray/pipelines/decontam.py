@@ -21,7 +21,7 @@ partial counts (each doc lives in exactly one batch, so per-batch
 distinct (doc, gram) pairs are globally distinct — the partial sum is
 exact, no pair-level shuffle).  The ≥``min_df`` survivor set is
 Zipf-bounded (at most ``total_grams / min_df`` grams), broadcast when
-under ``BOILER_BROADCAST_BOUND``, else attached to the gram stream by one
+under ``common.BROADCAST_BOUND``, else attached to the gram stream by one
 ``common.exchange`` on the gram over a tagged union (the same attach
 shape as ``dedup.py``'s scale-side verify) — no O(corpus) driver state on
 either path.  Both paths are asserted bit-identical in
@@ -36,7 +36,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.hashing import h64, word_shingles
-from nativeextractor_ray.pipelines.common import exchange
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 
 #: every doc_id divisible by this is the deterministic stand-in for "a
 #: benchmark/eval document" (no external data in this sandbox); the
@@ -51,7 +52,6 @@ BOILER_N = 3
 BOILER_MIN_DF = 4
 
 BENCH_BROADCAST_BOUND = 256 << 20
-BOILER_BROADCAST_BOUND = 256 << 20
 
 
 def _docs(sf_dir: str):
@@ -180,12 +180,10 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
 
         return t.filter(pc.greater_equal(t.column("sum(df)"), min_df))
 
-    df_ds = (
+    df_ds, nbytes = measured(
         _docs(sf_dir).map_batches(gram_partials, batch_format="pyarrow")
         .groupby("g").sum("df")
-        .map_batches(df_gate, batch_format="pyarrow")
-        .materialize()
-    )
+        .map_batches(df_gate, batch_format="pyarrow"))
 
     # pass 2 — per-doc gram stream, membership against the boiler set.
     def doc_grams(t: pa.Table) -> pa.Table:
@@ -205,7 +203,7 @@ def boilerplate_ngrams(sf_dir: str, n: int = BOILER_N,
                                 else np.array([], dtype=np.int64), pa.int64()),
         })
 
-    if (df_ds.size_bytes() or 0) <= BOILER_BROADCAST_BOUND:
+    if fits(nbytes, common.BROADCAST_BOUND):
         # broadcast path: the survivor set is Zipf-bounded (≤ grams/min_df)
         from nativeextractor_ray.functions.blocks import arrow_blocks
 

@@ -44,7 +44,8 @@ from nativeextractor_ray.functions.hashing import (
     minhash_perms,
     minhash_signature,
 )
-from nativeextractor_ray.pipelines.common import exchange
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 
 # LSH geometry: 16 bands x 4 rows over a 64-wide signature → catches
 # pairs from ~Jaccard 0.5 up with high probability.
@@ -53,13 +54,6 @@ BANDS = 16
 ROWS_PER_BAND = 4
 MAX_BUCKET = 1000
 
-# Driver/broadcast size gates for the minhash verify leg and the cluster
-# keep/drop application.  Below the bound the small side is pulled/broadcast
-# (fast path); above it everything stays distributed.  Module-level so tests
-# can force either path (set to 0) and assert bit-identical output.
-PAIR_DRIVER_BOUND = 256 << 20
-SHINGLE_BROADCAST_BOUND = 256 << 20
-COMPONENT_BROADCAST_BOUND = 256 << 20
 
 def _docs(sf_dir: str, columns=("doc_id", "text")):
     from nativeextractor_ray.sources.tables import read_table
@@ -403,11 +397,11 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
       RAW candidate rows run ~bands × the unique-pair count, and a driver
       pandas dedup over them was the serial leg that capped 4→16 scaling
       at ~0.43 measured at sf1); only the ID-FILTER choice is size-gated
-      on the DEDUPED pairs: ≤ ``PAIR_DRIVER_BOUND`` → exact sorted-int64
+      on the DEDUPED pairs: ≤ ``common.DRIVER_BOUND`` → exact sorted-int64
       id-array broadcast (8 B/id, vectorized probe), above → a
       constant-memory Bloom filter folded block-by-block
       (:func:`_bloom_from_pairs`).
-    - shingles ≤ ``SHINGLE_BROADCAST_BOUND``: one ``ray.put`` + shuffle-free
+    - shingles ≤ ``common.BROADCAST_BOUND``: one ``ray.put`` + shuffle-free
       ``map_batches`` verify; above: two exchanges attach each side of
       every pair.
 
@@ -423,10 +417,10 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
     import ray.data
 
     # raw candidates (band-level duplicates kept; deduped below).
-    cand = _minhash_candidates(
-        _docs(sf_dir), threshold, with_sig=False).materialize()
+    cand, nbytes = measured(_minhash_candidates(
+        _docs(sf_dir), threshold, with_sig=False))
 
-    if (cand.size_bytes() or 0) <= PAIR_DRIVER_BOUND:
+    if fits(nbytes, common.DRIVER_BOUND):
         # Small side: pull pair blocks, dedup exactly on the driver, and
         # broadcast the candidate ids as a sorted array.
         from nativeextractor_ray.functions.blocks import arrow_blocks
@@ -490,15 +484,15 @@ def dedup_minhash_pairs(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3)
             "sh": pa.array(s_out, pa.binary()),
         })
 
-    shingles = _docs(sf_dir).map_batches(
-        shingle_sets, batch_format="pyarrow"
-    ).materialize()  # consumed by BOTH verify shuffles — computed once
+    # consumed by BOTH verify shuffles — computed once
+    shingles, nbytes = measured(_docs(sf_dir).map_batches(
+        shingle_sets, batch_format="pyarrow"))
 
     # Small-side broadcast fast path: when the candidate shingle sets fit
     # comfortably in the object store, ship them once via ``ray.put`` and
     # verify pairs shuffle-free; otherwise fall through to the two
     # attach exchanges below.
-    if (shingles.size_bytes() or 0) <= SHINGLE_BROADCAST_BOUND:
+    if fits(nbytes, common.BROADCAST_BOUND):
         # flat columnar map, not a dict: (sorted ids, offsets, one buffer)
         # builds with numpy concatenates (the dict build was a serial
         # driver leg measured in seconds at sf1) and broadcasts compactly
@@ -1054,7 +1048,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3):
        component representative, the lexicographic min, is the numeric
        min).  Both produce identical min-member labels;
     3. the component map is applied with a SIZE-GATED strategy: under
-       ``COMPONENT_BROADCAST_BOUND`` it ships once via ``ray.put``
+       ``common.BROADCAST_BOUND`` it ships once via ``ray.put``
        (sorted key array + ``searchsorted`` probe) and the corpus is
        labeled map-side in one streaming ``map_batches`` — no shuffle, no
        text movement.  Above the bound (10^10 docs × 30% dups ⇒ a ~24 GB
@@ -1129,8 +1123,9 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5, shingle_n: int = 3):
                 "component": pc.cast(t.column("component"), pa.int64()),
             })
 
-        comp_ds = comp.map_batches(comp_int, batch_format="pyarrow").materialize()
-        if (comp_ds.size_bytes() or 0) > COMPONENT_BROADCAST_BOUND:
+        comp_ds, nbytes = measured(
+            comp.map_batches(comp_int, batch_format="pyarrow"))
+        if not fits(nbytes, common.BROADCAST_BOUND):
             return _label_by_merge(_docs(sf_dir, columns=("doc_id",)), comp_ds)
         # small side after all: stream blocks into flat arrays (no dict)
         from nativeextractor_ray.functions.blocks import arrow_blocks
@@ -1322,6 +1317,7 @@ def dedup_semantic_sql(sf_dir: str | None = None,
     import os
 
     from nativeextractor_ray.pipelines.similarity import (
+        _centroids_cte,
         _train_centroids,
         _train_sample,
     )
@@ -1329,12 +1325,8 @@ def dedup_semantic_sql(sf_dir: str | None = None,
     sf_dir = sf_dir or os.environ.get("GRAFT_ORACLE_SF_DIR",
                                       "/root/testdata/sf0.01")
     cent = _train_centroids(_train_sample(sf_dir), k=k)
-    lits = ",\n    ".join(
-        "(" + str(j) + ", [" + ", ".join(repr(v) for v in cent[j]) + "]::DOUBLE[])"
-        for j in range(len(cent))
-    )
-    return f"""WITH cent(j, c) AS (VALUES
-    {lits}
+    return f"""WITH cent(j, c) AS (
+    {_centroids_cte(cent)}
 ),
 asg AS (
   SELECT vec_id, embedding, j,
@@ -1360,9 +1352,6 @@ FROM assign v"""
 
 # ---------------------------------------------------------------- incremental
 
-#: broadcast gate for the existing-corpus key index; above it the semijoin
-#: runs as a distributed merge on one exchange (tests force 0)
-INCR_BROADCAST_BOUND = 256 << 20
 #: deterministic snapshot split: doc_id % INCR_MOD == 0 is the "new crawl"
 INCR_MOD = 4
 
@@ -1384,7 +1373,7 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
 
     Scale shape: the existing side never ships text — per-batch md5
     partials (16-byte keys + a count) reduce via one exchange on ``ka``
-    into a key→count index.  Below ``INCR_BROADCAST_BOUND`` the
+    into a key→count index.  Below ``common.BROADCAST_BOUND`` the
     index broadcasts once (``ray.put`` of a SORTED structured uint64×2
     array + counts; probe = one vectorized ``searchsorted`` per batch —
     the FlatDictionary economics, ``/root/reference/src/patricia.c``
@@ -1416,8 +1405,8 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
         agg = df.groupby(["ka", "kb"], sort=False)["c"].sum().reset_index()
         return agg
 
-    index = exchange(ds.map_batches(ex_partial, batch_format="pyarrow"),
-                     ["ka"], part_sum).materialize()
+    index, nbytes = measured(exchange(
+        ds.map_batches(ex_partial, batch_format="pyarrow"), ["ka"], part_sum))
 
     def new_keys(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
@@ -1434,7 +1423,7 @@ def dedup_incremental(sf_dir: str, mod: int = INCR_MOD):
     new = ds.map_batches(new_keys, batch_format="pyarrow")
     _KDT = np.dtype([("a", ">u8"), ("b", ">u8")])
 
-    if (index.size_bytes() or 0) <= INCR_BROADCAST_BOUND:
+    if fits(nbytes, common.BROADCAST_BOUND):
         from nativeextractor_ray.functions.blocks import arrow_blocks
 
         kas, kbs, cs = [], [], []
@@ -1782,11 +1771,6 @@ SELECT n AS cluster_size, CAST(count(*) AS BIGINT) AS n_clusters
 FROM sz WHERE n >= 2 GROUP BY n"""
 
 
-#: doc→source broadcast bound for the cross-source matrix; tests force 0
-#: to drive the double attach over two exchanges
-SRC_MATRIX_BOUND = 64 << 20
-
-
 def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
     """Cross-source near-dup matrix: for every unordered source pair,
     how many exact-n-gram-Jaccard near-dup pairs straddle them — the
@@ -1809,7 +1793,6 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     pairs = dedup_ngram_jaccard(sf_dir, n, threshold)
-    n_docs = table_nrows(sf_dir, "documents")
 
     def finish(acc: dict) -> pa.Table:
         ks = sorted(acc)
@@ -1818,7 +1801,7 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
             "source_b": pa.array([k[1] for k in ks], pa.string()),
             "n_pairs": pa.array([acc[k] for k in ks], pa.int64())})
 
-    if n_docs is not None and n_docs * 16 <= SRC_MATRIX_BOUND:
+    if fits(table_nrows(sf_dir, "documents"), common.BROADCAST_BOUND, 16):
         dl = load_table(sf_dir, "documents", columns=["doc_id", "source"])
         ids = dl.column("doc_id").to_numpy()
         src = dl.column("source")

@@ -30,6 +30,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import fits
+
 #: the Q13 flavor: exclude one order class so the distribution is not
 #: just "every customer, all their orders" (Q13's comment-filter analog)
 Q13_EXCLUDE_PRIORITY = "1-URGENT"
@@ -143,10 +146,6 @@ GROUP BY c_count ORDER BY custdist DESC, c_count DESC"""
 
 RFM_TIERS = 3
 
-#: driver-fold the per-customer rollup when customers × 24 B fits —
-#: ~2.8M customers per 64 MB; tests force 0 to drive the distributed path
-RFM_DRIVER_FOLD_BOUND = 64 << 20
-
 
 def rfm_segments(sf_dir: str, tiers: int = RFM_TIERS):
     """Customer RFM segmentation — recency (last order epoch-day),
@@ -198,8 +197,7 @@ def rfm_segments(sf_dir: str, tiers: int = RFM_TIERS):
     # paths bit-identical.
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
-    n_cust = table_nrows(sf_dir, "customer")
-    if n_cust is not None and n_cust * 24 <= RFM_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "customer"), common.DRIVER_BOUND, 24):
         ks, rs_, fs_, ms_ = [], [], [], []
         for t in arrow_blocks(
                 ds.map_batches(partial, batch_format="pyarrow"),

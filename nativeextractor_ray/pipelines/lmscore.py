@@ -27,7 +27,7 @@ Scale shapes
   pruned KenLM artifact — the reference's one-gazetteer-per-process
   economics, patricia.c).  It builds from per-batch ``np.unique``
   partials + one ``common.exchange`` on ``key``.  Scoring broadcasts it
-  when under ``MODEL_BROADCAST_BOUND``; above the bound the corpus bigram
+  when under ``common.BROADCAST_BOUND``; above it the corpus bigram
   stream attaches to the model by one exchange on ``key`` over a tagged
   union and per-doc sums reduce via a second exchange on ``doc_id`` —
   no O(model) driver state on the scale path.  Both paths are
@@ -45,12 +45,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from nativeextractor_ray.pipelines.common import exchange
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 
 #: bounded vocabulary; matches tokenize_ids' choice (< corpus vocab so the
 #: UNK path is exercised at every sf)
 LM_VOCAB_V = 25
-MODEL_BROADCAST_BOUND = 256 << 20
 
 
 def _docs(sf_dir: str):
@@ -155,11 +155,11 @@ def lm_score(sf_dir: str, v: int = LM_VOCAB_V):
     veff = len(st) + 1
     vref = ray.put((st, si))
 
-    model = _bigram_model(ds, vref, veff).materialize()
+    model, nbytes = measured(_bigram_model(ds, vref, veff))
     ctx = _ctx_vector(model, veff)
     ctx_ref = ray.put(ctx)
 
-    if (model.size_bytes() or 0) <= MODEL_BROADCAST_BOUND:
+    if fits(nbytes, common.BROADCAST_BOUND):
         from nativeextractor_ray.functions.blocks import arrow_blocks
 
         parts = list(arrow_blocks(model, stream=False))
@@ -317,12 +317,6 @@ FROM documents d LEFT JOIN sc USING (doc_id)"""
 
 PPL_TIERS = 3
 
-#: driver-fold the (doc_id, score, lang) join when documents × 24 B
-#: fits; tests force 0 to drive the exchange attach + grouped
-#: refinement kernel
-PPL_DRIVER_FOLD_BOUND = 64 << 20
-
-
 def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
     """CCNet-style perplexity bucketing (Wenzek et al., LREC'20): every
     document lands in one of ``tiers`` per-LANGUAGE buckets by exact
@@ -350,7 +344,6 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
     from nativeextractor_ray.sources.tables import load_table, read_table, table_nrows
 
     scores = lm_score(sf_dir)
-    n_docs = table_nrows(sf_dir, "documents")
 
     def edges_of(vals: np.ndarray) -> list:
         n = len(vals)
@@ -365,7 +358,7 @@ def perplexity_buckets(sf_dir: str, tiers: int = PPL_TIERS):
             s[v <= es[i]] = i + 1
         return s
 
-    if n_docs is not None and n_docs * 24 <= PPL_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "documents"), common.DRIVER_BOUND, 24):
         ks, vs = [], []
         for t in arrow_blocks(scores, stream=False):
             ks.append(t.column("doc_id").to_numpy())

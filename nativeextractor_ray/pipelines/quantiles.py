@@ -31,6 +31,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import fits
+
 N_BUCKETS = 512
 FINAL_N = 4096  # collect exact values once a target's sliver is this small
 MAX_ROUNDS = 40
@@ -575,9 +578,6 @@ FROM s2 JOIN med m USING (event_type) GROUP BY 1, 2"""
 
 SESSION_QS = (0.5, 0.9)
 
-#: collect per-session durations when events × 8 B fits (sessions ≤
-#: events); tests force 0 to drive the refinement-kernel path
-SESS_DRIVER_FOLD_BOUND = 64 << 20
 #: the test events are sparse (~1 event/user/11 h), so the default gap
 #: here is 12 h — wide enough that sessions span multiple events and the
 #: quantiles discriminate; events_sessionized keeps the classic 30 min
@@ -648,9 +648,8 @@ def session_duration_quantiles(sf_dir: str, qs=SESSION_QS,
     # scans would otherwise re-execute the sessionization exchange).
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
-    n_events = table_nrows(sf_dir, "events") if sf_dir else None
     qs_sorted = sorted(qs)
-    if n_events is not None and n_events * 8 <= SESS_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "events"), common.DRIVER_BOUND, 8):
         vs = [t.column("dur_us").to_numpy()
               for t in arrow_blocks(sessions, stream=False)]
         vals = np.sort(np.concatenate(vs)) if vs else \
@@ -771,11 +770,6 @@ JOIN r ON r.r = CAST(ceil(q * n) AS BIGINT)"""
 
 CONVERSION_QS = (0.5, 0.9)
 
-#: driver-fold the per-user conditional-min pairs when events × 16 B
-#: fits (events bound the distinct-user count from above); tests force 0
-#: to drive the distributed groupby + refinement kernel
-CONV_DRIVER_FOLD_BOUND = 64 << 20
-
 
 def conversion_latency_quantiles(sf_dir: str, qs=CONVERSION_QS):
     """Exact quantiles of per-user conversion latency — first ``click``
@@ -823,8 +817,7 @@ def conversion_latency_quantiles(sf_dir: str, qs=CONVERSION_QS):
     # user groupby — the quantile-composition rule).
     from nativeextractor_ray.functions.blocks import arrow_blocks
 
-    n_events = table_nrows(sf_dir, "events") if sf_dir else None
-    if n_events is not None and n_events * 16 <= CONV_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "events"), common.DRIVER_BOUND, 16):
         us, cs, ps = [], [], []
         for t in arrow_blocks(
                 ds.map_batches(partial, batch_format="pyarrow"),
@@ -897,10 +890,6 @@ JOIN r ON r.r = CAST(ceil(q * n) AS BIGINT)"""
 
 SHIP_QS = (0.5, 0.9)
 _SHIP_PARTS = 64
-
-#: broadcast the (orderkey, day, priority-code) side when orders × 24 B
-#: fits; tests force 0 to drive the co-partitioned merge path
-SHIP_DRIVER_FOLD_BOUND = 64 << 20
 
 
 def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
@@ -987,8 +976,7 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
             "lat_days": pc.cast(g.column("lat_days"), pa.int64()),
             "n": pc.cast(g.column("lat_days_count"), pa.int64())})
 
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    if n_orders is not None and n_orders * 24 <= SHIP_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.BROADCAST_BOUND, 24):
         oks, odays, oprios = [], [], []
         for t in arrow_blocks(
                 orders.map_batches(tag_orders, batch_format="pyarrow"),

@@ -17,7 +17,11 @@ Each join here takes one of two physical shapes, written once:
   resolves every key of its block with one vectorized pandas
   ``merge`` / ``groupby`` / ``isin``.
 
-The ``*_BOUND`` constants choose between them per query.
+Each query chooses between them with the size planner in
+:mod:`~nativeextractor_ray.pipelines.common`: a side that folds on the
+driver is gated on ``DRIVER_BOUND``, a side that broadcasts on
+``BROADCAST_BOUND``; tests force the shuffle shape by setting a bound
+to 0.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import pyarrow.compute as pc
 
 from nativeextractor_ray.functions.hashing import (
     ExactIdFilter, SortedLookup, sorted_lookup)
-from nativeextractor_ray.pipelines.common import exchange
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 
 
 def _us(col) -> np.ndarray:
@@ -385,11 +390,6 @@ FROM (
 
 # ------------------------------------------------------------ semi/anti join
 
-#: broadcast the distinct-key side when its encoded size is under this
-#: bound; above it, both sides meet in ``common.exchange`` and the
-#: membership test runs per block (tests force 0 to drive the shuffle path)
-SEMI_BROADCAST_BOUND = 64 << 20
-
 
 def fk_int64(col) -> tuple[np.ndarray, np.ndarray]:
     """Null-safe FK extraction for membership probes: return
@@ -419,7 +419,7 @@ def semi_anti_join(left, keys, left_key: str, anti: bool):
 
     Scale shape: the key side is first shrunk to per-batch DISTINCT keys
     (combiner), then either (a) collected + broadcast as ONE sorted int64
-    array (:class:`ExactIdFilter`) when under ``SEMI_BROADCAST_BOUND`` —
+    array (:class:`ExactIdFilter`) when under ``BROADCAST_BOUND`` —
     membership is a vectorized ``np.searchsorted`` probe inside a
     streaming ``map_batches``, the trie-probe shape of
     `/root/reference/src/ner.c:29-31` — or (b) both sides are co-located
@@ -436,7 +436,8 @@ def semi_anti_join(left, keys, left_key: str, anti: bool):
 
     key_ds = keys.map_batches(distinct_keys, batch_format="pyarrow")
 
-    if (key_ds.size_bytes() or 0) <= SEMI_BROADCAST_BOUND:
+    key_ds, nbytes = measured(key_ds)
+    if fits(nbytes, common.BROADCAST_BOUND):
         side = ray.put(ExactIdFilter(_collect_lookup(key_ds, "k").keys))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -681,7 +682,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
        orderkey groupby.
     3. The per-order revenue table picks up ``o_orderdate`` from the
        doubly-filtered orders via the size-gated attach (broadcast
-       sorted-array probe under ``Q3_ATTACH_BOUND`` — the revenue side
+       sorted-array probe under ``BROADCAST_BOUND`` — the revenue side
        never shuffles again — or a co-partitioned tagged-union merge
        above it; the merge path is forced bit-identical in a pytest).
        ``Dataset.join`` is deliberately NOT used here: its hash-shuffle
@@ -745,8 +746,7 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
     # Above the bound the distributed groupby + attach + per-block top-k
     # pipeline runs; a pytest forces bound=0 and asserts both paths
     # bit-identical.
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    if n_orders is not None and n_orders * 16 <= Q3_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.DRIVER_BOUND, 16):
         rev = _collect_lookup(rev_parts, "l_orderkey", "revenue_c",
                               fold=np.add)
         # filtered orders (o_orderkey, o_orderdate) — same collection the
@@ -784,16 +784,6 @@ def shipping_priority_topk(sf_dir: str, segment: str = Q3_SEGMENT,
                       [True, False], k, Q3_SCHEMA)
 
 
-#: broadcast the filtered (orderkey, orderdate) side when its encoded size
-#: is under this bound; above it, both sides meet in ``common.exchange``
-#: (tests force 0 to drive the merge path)
-Q3_ATTACH_BOUND = 64 << 20
-
-#: driver-fold the per-order revenue rollup when orders × 16 B fits —
-#: ~4M orders per 64 MB; tests force 0 to drive the distributed path
-Q3_DRIVER_FOLD_BOUND = 64 << 20
-
-
 def _attach_order_dates(rev, orders_f):
     """Inner-attach ``o_orderdate`` onto ``(l_orderkey, revenue_c)`` rows.
 
@@ -808,7 +798,8 @@ def _attach_order_dates(rev, orders_f):
 
     kd = orders_f.select_columns(["o_orderkey", "o_orderdate"])
 
-    if (kd.size_bytes() or 0) <= Q3_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         side = ray.put(_collect_lookup(kd, "o_orderkey", "o_orderdate"))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -876,10 +867,6 @@ ORDER BY revenue_c DESC, o.o_orderkey LIMIT {k}"""
 Q5_REGION = "ASIA"
 Q5_DATE_LO = "1995-01-01"
 Q5_DATE_HI = "1999-01-01"
-
-#: driver-fold the pruned (orderkey, cust_nation) side when orders × 16 B
-#: fits; tests force 0 to drive the co-partitioned exchange
-Q5_DRIVER_FOLD_BOUND = 64 << 20
 
 
 def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
@@ -972,7 +959,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
 
     # Gate on the ORDERS row count (metadata only): the doubly-pruned
     # (orderkey, cust_nation) projection is 16 B/order upper-bound —
-    # under the driver bound it collects once, broadcasts sorted, and
+    # under the broadcast bound it collects once, broadcasts sorted, and
     # lineitem streams through a probe whose ≤25-row nation rollups fold
     # on the driver: ZERO AllToAll for the 6-table join.  Above it the
     # single exchange on orderkey runs (the two_hop_counts lesson — same
@@ -984,8 +971,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
 
     pruned = orders.map_batches(prune_orders, batch_format="pyarrow")
     lines = items.map_batches(prune_items, batch_format="pyarrow")
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    if n_orders is not None and n_orders * 16 <= Q5_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.BROADCAST_BOUND, 16):
         oside = ray.put(_collect_lookup(pruned, "k", "nation"))
 
         def probe_items(t: pa.Table) -> pa.Table:
@@ -1146,15 +1132,6 @@ Q18_SCHEMA = pa.schema([
     ("c_name", pa.string()), ("c_custkey", pa.int64()),
     ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us")),
     ("total_price_c", pa.int64()), ("sum_qty", pa.int64())])
-#: broadcast the hot (orderkey, qty) table when under this encoded size;
-#: above it, attach via the co-partitioned tagged-union merge (tests
-#: force 0 to drive the merge path)
-Q18_ATTACH_BOUND = 64 << 20
-
-#: driver-fold the per-order quantity rollup when orders × 16 B fits —
-#: ~4M orders per 64 MB; tests force 0 to drive the distributed path
-Q18_DRIVER_FOLD_BOUND = 64 << 20
-
 
 def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
                           k: int = Q18_TOP_K):
@@ -1172,7 +1149,7 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
        (:func:`semi_anti_join` — size-gated broadcast / co-partitioned).
     3. The hot quantity rides onto the filtered orders through the same
        size-gated attach as :func:`_attach_order_dates`: broadcast sorted
-       (key, qty) arrays under ``Q18_ATTACH_BOUND``, tagged-union
+       (key, qty) arrays under ``BROADCAST_BOUND``, tagged-union
        co-partitioned merge above it — the orders side never shuffles a
        second time on the broadcast path.
     4. ``c_name`` probes a broadcast customer dim (sorted custkey +
@@ -1213,23 +1190,20 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
     # AllToAll.  Above the bound the distributed groupby + semi-join +
     # attach pipeline runs; a pytest forces bound=0 and asserts both
     # paths bit-identical.
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
     hot_side = None
-    if n_orders is not None and n_orders * 16 <= Q18_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.DRIVER_BOUND, 16):
         q = _collect_lookup(
             items.map_batches(qty_partial, batch_format="pyarrow"),
             "l_orderkey", "sum_qty", fold=np.add)
         keep = q.values[0] > threshold
         hot_side = ray.put(SortedLookup(q.keys[keep], q.values[0][keep]))
     else:
-        # materialize: the HAVING output is the small side and feeds
-        # THREE consumers (semi-join keys, the size gate, the attach) —
-        # without it the lineitem aggregate would re-execute per consumer
-        hot = (items.map_batches(qty_partial, batch_format="pyarrow")
-               .groupby("l_orderkey")
-               .aggregate(Sum("sum_qty", alias_name="sum_qty"))
-               .map_batches(hot_only, batch_format="pyarrow")
-               .materialize())
+        # the HAVING output feeds two consumers (semi-join keys, attach)
+        hot, hot_bytes = measured(
+            items.map_batches(qty_partial, batch_format="pyarrow")
+            .groupby("l_orderkey")
+            .aggregate(Sum("sum_qty", alias_name="sum_qty"))
+            .map_batches(hot_only, batch_format="pyarrow"))
 
     orders = read_table(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate",
@@ -1262,7 +1236,7 @@ def large_order_customers(sf_dir: str, threshold: int = Q18_QTY_THRESHOLD,
             "sum_qty": pa.array(qv),
         })
 
-    if hot_side is not None or (hot.size_bytes() or 0) <= Q18_ATTACH_BOUND:
+    if hot_side is not None or fits(hot_bytes, common.BROADCAST_BOUND):
         if hot_side is None:
             hot_side = ray.put(_collect_lookup(hot, "l_orderkey", "sum_qty"))
 
@@ -1421,11 +1395,6 @@ GROUP BY p.p_brand"""
 # ------------------------------------------- LEFT OUTER join report
 
 
-#: broadcast the per-order aggregate when under this encoded size;
-#: above it, co-partitioned tagged-union merge (tests force 0)
-FILL_ATTACH_BOUND = 64 << 20
-
-
 def order_fill_report(sf_dir: str):
     """Per-order fulfillment report — the LEFT OUTER join shape: EVERY
     order appears once, with its line count and total quantity, zero-
@@ -1436,7 +1405,7 @@ def order_fill_report(sf_dir: str):
     int64 partials + one orderkey groupby (16-byte rows shuffle, never
     payloads); ``orders`` then streams through a size-gated attach —
     broadcast sorted arrays with a missing→0 probe under
-    ``FILL_ATTACH_BOUND``, a tagged-union LEFT merge through
+    ``common.BROADCAST_BOUND``, a tagged-union LEFT merge through
     ``common.exchange`` above it.  The orders side never shuffles on the
     broadcast path.
 
@@ -1478,25 +1447,21 @@ def order_fill_report(sf_dir: str):
     # groupby AllToAll disappears (the Q21 lesson); above it the groupby
     # runs and feeds the same size-gated attach.
 
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    driver_fold = (n_orders is not None
-                   and n_orders * 24 <= FILL_ATTACH_BOUND)
-
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
 
-    if driver_fold:
-        agg = None
+    if fits(table_nrows(sf_dir, "orders"), common.DRIVER_BOUND, 24):
+        agg, small = items.map_batches(partial, batch_format="pyarrow"), True
     else:
-        agg = (items.map_batches(partial, batch_format="pyarrow")
-               .groupby("l_orderkey")
-               .aggregate(Sum("n_items", alias_name="n_items"),
-                          Sum("sum_qty", alias_name="sum_qty"))
-               .map_batches(pin, batch_format="pyarrow"))
+        agg, nbytes = measured(
+            items.map_batches(partial, batch_format="pyarrow")
+            .groupby("l_orderkey")
+            .aggregate(Sum("n_items", alias_name="n_items"),
+                       Sum("sum_qty", alias_name="sum_qty"))
+            .map_batches(pin, batch_format="pyarrow"))
+        small = fits(nbytes, common.BROADCAST_BOUND)
 
-    if driver_fold or (agg.size_bytes() or 0) <= FILL_ATTACH_BOUND:
-        src = (items.map_batches(partial, batch_format="pyarrow")
-               if driver_fold else agg)
-        side = ray.put(_collect_lookup(src, "l_orderkey", "n_items",
+    if small:
+        side = ray.put(_collect_lookup(agg, "l_orderkey", "n_items",
                                        "sum_qty", fold=np.add))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -1560,10 +1525,6 @@ ON a.l_orderkey = o.o_orderkey"""
 
 # ------------------------------------------------ Q4 shape: EXISTS count
 
-#: driver-fold the per-order max-shipdate when orders × 16 B fits —
-#: tests force 0 to drive the co-partitioned merge path
-Q4_DRIVER_FOLD_BOUND = 64 << 20
-
 
 def late_shipment_priority(sf_dir: str):
     """TPC-H Q4 shape — order-priority checking with a correlated EXISTS:
@@ -1609,8 +1570,7 @@ def late_shipment_priority(sf_dir: str):
     # max-shipdate fold is 16 B/order — under the bound it folds on the
     # driver and broadcasts into a streaming orders probe whose ≤5-row
     # priority partials fold locally: ZERO AllToAll.
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    if n_orders is not None and n_orders * 16 <= Q4_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.DRIVER_BOUND, 16):
         side = ray.put(_collect_lookup(
             li.map_batches(li_max, batch_format="pyarrow"),
             "k", "date_us", fold=np.maximum))
@@ -2073,10 +2033,6 @@ WHERE p.p_brand = '{brand}' AND p.p_size BETWEEN {slo} AND {shi}
 Q7_NATION_A = "NATION_3"
 Q7_NATION_B = "NATION_8"
 
-#: driver-fold the pruned (orderkey, cust_nation) side when orders × 16 B
-#: fits; tests force 0 to drive the co-partitioned exchange
-Q7_DRIVER_FOLD_BOUND = 64 << 20
-
 
 def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
                         nation_b: str = Q7_NATION_B):
@@ -2166,8 +2122,7 @@ def nation_trade_volume(sf_dir: str, nation_a: str = Q7_NATION_A,
     # AllToAll.  A pytest forces bound=0 onto the exchange path.
     pruned = orders.map_batches(prune_orders, batch_format="pyarrow")
     lines = items.map_batches(prune_items, batch_format="pyarrow")
-    n_orders = table_nrows(sf_dir, "orders") if sf_dir else None
-    if n_orders is not None and n_orders * 16 <= Q7_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "orders"), common.BROADCAST_BOUND, 16):
         oside = ray.put(_collect_lookup(pruned, "k", "nation"))
 
         def probe_items(t: pa.Table) -> pa.Table:
@@ -2232,10 +2187,6 @@ GROUP BY 1, 2, 3"""
 Q10_DATE_LO = "1996-01-01"
 Q10_DATE_HI = "1996-04-01"
 Q10_K = 20
-#: broadcast the quarter-pruned (orderkey, custkey) map when under this
-#: bound; above it, both sides co-partition (tests force 0)
-Q10_ATTACH_BOUND = 64 << 20
-
 
 def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
                           date_hi: str = Q10_DATE_HI, k: int = Q10_K):
@@ -2250,7 +2201,7 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
       so only ``(orderkey, rev_c)`` partials move;
     - the quarter-pruned ``orderkey → custkey`` map is SIZE-GATED (the
       :func:`_attach_order_dates` convention): under
-      ``Q10_ATTACH_BOUND`` it broadcasts as one sorted array pair and
+      ``BROADCAST_BOUND`` it broadcasts as one sorted array pair and
       lineitem partials resolve their custkey map-side — ZERO orderkey
       exchange; above the bound both sides meet in ONE tagged-union
       ``common.exchange`` on orderkey (tests force 0, both paths
@@ -2310,7 +2261,8 @@ def returned_item_revenue(sf_dir: str, date_lo: str = Q10_DATE_LO,
         return pa.table({"c_custkey": g.column("c_custkey"),
                          "revenue_c": g.column("revenue_c_sum")})
 
-    if (kd.size_bytes() or 0) <= Q10_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         side = ray.put(_collect_lookup(kd, "k", "cust"))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -2410,10 +2362,6 @@ LIMIT {k}"""
 
 
 Q12_LATE_DAYS = 30
-#: broadcast the (orderkey, odate, priority) map when under this bound
-#: (tests force 0)
-Q12_ATTACH_BOUND = 64 << 20
-
 
 def late_line_priority_mix(sf_dir: str, late_days: int = Q12_LATE_DAYS):
     """TPC-H Q12 shape re-keyed to this star's columns (it has no
@@ -2423,7 +2371,7 @@ def late_line_priority_mix(sf_dir: str, late_days: int = Q12_LATE_DAYS):
     algebra of Q12 exactly.
 
     Scale shape: size-gated orders attach (the Q3/Q8/Q9/Q10
-    convention) — under ``Q12_ATTACH_BOUND`` the packed
+    convention) — under ``BROADCAST_BOUND`` the packed
     ``orderkey → (odate, is_high)`` map broadcasts once and every
     lineitem batch resolves lateness + the per-flag conditional counts
     map-side (ZERO exchange, ≤ |flags| partial rows per batch); above
@@ -2470,7 +2418,8 @@ def late_line_priority_mix(sf_dir: str, late_days: int = Q12_LATE_DAYS):
             "low_line_count": g.column("low_line_count_sum")})
 
     kd = orders.map_batches(odate_map, batch_format="pyarrow")
-    if (kd.size_bytes() or 0) <= Q12_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         oside = ray.put(_collect_lookup(kd, "k", "odate", "is_high"))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -2619,9 +2568,6 @@ WHERE r.total_revenue_c = (SELECT max(total_revenue_c) FROM rev)"""
 
 
 Q21_LATE_DAYS = 30
-#: broadcast the (orderkey, odate) map when under this bound (tests force 0)
-Q21_ATTACH_BOUND = 64 << 20
-
 
 def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
     """TPC-H Q21 shape — suppliers who were the ONLY late shipper on a
@@ -2632,7 +2578,7 @@ def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
 
     Scale shape: the per-order distinct counts NEED the order's lines
     co-located, so ONE orderkey exchange is irreducible — but the
-    ORDERS side of it isn't: under ``Q21_ATTACH_BOUND`` the
+    ORDERS side of it isn't: under ``BROADCAST_BOUND`` the
     ``orderkey → odate`` map broadcasts once, lineitem resolves its
     late flag map-side and ships only DISTINCT ``(orderkey, suppkey,
     late)`` rows (a per-batch Arrow dedup combiner) into the exchange;
@@ -2680,7 +2626,8 @@ def sole_late_supplier(sf_dir: str, late_days: int = Q21_LATE_DAYS):
         lambda t: pa.table({"k": t.column("o_orderkey"),
                             "odate": _us(t.column("o_orderdate"))}),
         batch_format="pyarrow")
-    if (kd.size_bytes() or 0) <= Q21_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         oside = ray.put(_collect_lookup(kd, "k", "odate"))
 
         def late_flags(t: pa.Table) -> pa.Table:
@@ -2780,10 +2727,6 @@ GROUP BY 1, 2"""
 Q8_REGION = "ASIA"
 Q8_TYPE = "MEDIUM"
 Q8_NATION = "NATION_3"
-#: broadcast the region-pruned (orderkey, year) map when under this
-#: bound; above it, both sides co-partition (tests force 0)
-Q8_ATTACH_BOUND = 64 << 20
-
 
 def market_share(sf_dir: str, region: str = Q8_REGION,
                  p_type: str = Q8_TYPE, nation: str = Q8_NATION):
@@ -2798,7 +2741,7 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
     broadcast array (``ray.put`` once).  lineitem prunes to matching
     parts and ships ``(orderkey, is_target_nation, rev_c)`` partials;
     orders prunes to region customers and ships ``(orderkey, year)``;
-    under ``Q8_ATTACH_BOUND`` that map broadcasts and lineitem resolves
+    under ``BROADCAST_BOUND`` that map broadcasts and lineitem resolves
     its year map-side; above it ONE tagged-union ``common.exchange`` on
     orderkey resolves the join, folding each block to ≤ |years| (num,
     den) integer-cents partial rows.  Share = exact half-up micro ratio.
@@ -2885,7 +2828,8 @@ def market_share(sf_dir: str, region: str = Q8_REGION,
     # above it, the tagged union meets in common.exchange (tests force 0).
     kd = orders.map_batches(year_map, batch_format="pyarrow")
     lines = items.map_batches(prune_items, batch_format="pyarrow")
-    if (kd.size_bytes() or 0) <= Q8_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         oside = ray.put(_collect_lookup(kd, "k", "year"))
 
         def probe(t: pa.Table) -> pa.Table:
@@ -3043,9 +2987,6 @@ WHERE l_shipdate >= TIMESTAMP '{year}-01-01'
 
 
 Q9_NAME_WORD = "widget"
-#: broadcast the (orderkey, year) map when under this bound (tests force 0)
-Q9_ATTACH_BOUND = 64 << 20
-
 
 def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
     """TPC-H Q9 — profit per (supplier nation, order year) on parts whose
@@ -3058,7 +2999,7 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
     ``(orderkey, nation, amount_c)`` partials — amount in exact integer
     cents, ``floor(ext·(1−disc)·100+0.5) − cost_c · qty`` — and meets
     the ``orders (orderkey, year)`` projection — broadcast under
-    ``Q9_ATTACH_BOUND``, else in ONE tagged-union ``common.exchange`` on
+    ``BROADCAST_BOUND``, else in ONE tagged-union ``common.exchange`` on
     orderkey; the (nation, year) rollup resolves per batch or block,
     ≤ nations·years partial rows out.
 
@@ -3137,7 +3078,8 @@ def product_type_profit(sf_dir: str, name_word: str = Q9_NAME_WORD):
 
     kd = orders.map_batches(year_map, batch_format="pyarrow")
     lines = items.map_batches(prune_items, batch_format="pyarrow")
-    if (kd.size_bytes() or 0) <= Q9_ATTACH_BOUND:
+    kd, nbytes = measured(kd)
+    if fits(nbytes, common.BROADCAST_BOUND):
         oside = ray.put(_collect_lookup(kd, "k", "year"))
 
         def probe(t: pa.Table) -> pa.Table:

@@ -117,7 +117,7 @@ def _train_centroids(mat: np.ndarray, k: int = N_CENTROIDS, iters: int = 10) -> 
     centroid matrix stays broadcast-sized (k × d)."""
     rng = np.random.default_rng(_IVF_SEED)
     cent = mat[rng.choice(len(mat), size=min(k, len(mat)), replace=False)].copy()
-    for _ in range(iters):
+    for _ in range(iters if len(mat) else 0):  # no sample: no centroids
         assign = np.argmax(mat @ cent.T, axis=1)
         for c in range(len(cent)):
             members = mat[assign == c]
@@ -127,6 +127,16 @@ def _train_centroids(mat: np.ndarray, k: int = N_CENTROIDS, iters: int = 10) -> 
                 if n > 0:
                     cent[c] = v / n
     return cent
+
+
+def _centroids_cte(cent: np.ndarray) -> str:
+    """The body of a ``cent(j, c)`` CTE: the centroids as DOUBLE[]
+    literals, or a typed empty relation when there are none."""
+    if not len(cent):
+        return "SELECT 0 AS j, CAST([] AS DOUBLE[]) AS c WHERE false"
+    return "VALUES\n    " + ",\n    ".join(
+        "(" + str(j) + ", [" + ", ".join(repr(v) for v in cent[j]) + "]::DOUBLE[])"
+        for j in range(len(cent)))
 
 
 TRAIN_SAMPLE = 4096
@@ -223,12 +233,8 @@ def ann_ivf_sql(sf_dir: str | None = None) -> str:
 
     sf_dir = sf_dir or os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
     cent = _train_centroids(_train_sample(sf_dir))
-    lits = ",\n    ".join(
-        "(" + str(j) + ", [" + ", ".join(repr(v) for v in cent[j]) + "]::DOUBLE[])"
-        for j in range(len(cent))
-    )
-    return f"""WITH cent(j, c) AS (VALUES
-    {lits}
+    return f"""WITH cent(j, c) AS (
+    {_centroids_cte(cent)}
 ),
 asg AS (
   SELECT vec_id, embedding, j,

@@ -20,7 +20,7 @@ Scale shape (the two-stage PPJoin / V-SMART join-back; Vernica §4.2)
 2. **Global rarity order** — gram document-frequencies come from per-batch
    partials + one vocabulary-sized ``groupby(gram).sum``.  The df table is
    collected and broadcast (``ray.put`` once) ONLY under
-   ``DF_BROADCAST_BOUND``; above it the operator falls back to raw-hash
+   ``common.BROADCAST_BOUND``; above it the operator falls back to raw-hash
    order, which needs NO global state at all.  Correctness is identical on
    both paths (any fixed total order of the token universe satisfies the
    prefix-filter theorem — df order is purely a bucket-size optimization),
@@ -67,6 +67,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import fits, measured
+
 #: τ = TAU_NUM / TAU_DEN (exact rational, never a float)
 TAU_NUM = 1
 TAU_DEN = 2
@@ -80,9 +83,6 @@ GRAM_N = 2
 
 #: coarse verify partitions (matches dedup.py's conventions)
 N_PARTS = 64
-
-#: df-table broadcast bound — above this the hash-order fallback runs
-DF_BROADCAST_BOUND = 256 << 20
 
 _MASK = 0x7FFFFFFFFFFFFFFF
 
@@ -162,9 +162,10 @@ def _df_rank(sets_ds):
         return pa.table({"gram": g.column("gram"),
                          "df": pc.cast(g.column("gram_count"), pa.int64())})
 
-    df_tbl = (sets_ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("gram").aggregate(Sum("df", alias_name="df")))
-    if df_tbl.size_bytes() is not None and df_tbl.size_bytes() > DF_BROADCAST_BOUND:
+    df_tbl, nbytes = measured(
+        sets_ds.map_batches(partial, batch_format="pyarrow")
+        .groupby("gram").aggregate(Sum("df", alias_name="df")))
+    if not fits(nbytes, common.BROADCAST_BOUND):
         return None
     from nativeextractor_ray.functions.blocks import concat_blocks
 
@@ -225,14 +226,6 @@ def emit_prefix_rows(t: pa.Table, rank_map, num: int, den: int) -> pa.Table:
                      "doc_id": pa.array(np.repeat(doc, p)),
                      "s": pa.array(np.repeat(s, p)),
                      "part": pa.array(tok % N_PARTS)})
-
-
-#: broadcast the whole gram-set table when its encoded size fits — the
-#: verify then runs IN the prefix buckets (one AllToAll total) instead of
-#: the two join-back exchanges (each pays the ~2.5 s AllToAll floor).
-#: Above the bound the join-back path runs; a pytest forces bound=0 and
-#: asserts both paths bit-identical.
-SETS_BROADCAST_BOUND = 256 << 20
 
 
 def _sets_side(sets_ds, rank_map):
@@ -476,10 +469,10 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
     ``(doc_a, doc_b, inter, un, jacc_micro)``, ``doc_a < doc_b``."""
     import ray
 
-    # materialized once: the df pass, the prefix pass and BOTH join-back
+    # executed once: the df pass, the prefix pass and BOTH join-back
     # exchanges scan it, and the gram-set derivation (tokenize + hash)
     # is the expensive leg
-    sets_ds = _doc_gram_sets(sf_dir).materialize()
+    sets_ds, nbytes = measured(_doc_gram_sets(sf_dir))
     rank_map = _df_rank(sets_ds) if use_df_order else None
     rank_ref = ray.put(rank_map)
 
@@ -488,7 +481,10 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
     def emit_prefix(t: pa.Table) -> pa.Table:
         return emit_prefix_rows(t, ray.get(rank_ref), num, den)
 
-    if (sets_ds.size_bytes() or 0) <= SETS_BROADCAST_BOUND:
+    # broadcast the whole gram-set table when it fits: the verify then
+    # runs IN the prefix buckets (one AllToAll total) instead of the two
+    # join-back exchanges (each pays the ~2.5 s AllToAll floor)
+    if fits(nbytes, common.BROADCAST_BOUND):
         side_ref = ray.put(_sets_side(sets_ds, rank_map))
         return (sets_ds.map_batches(emit_prefix, batch_format="pyarrow")
                 .groupby("part")

@@ -311,6 +311,9 @@ def _cov_matrix_local(sf_dir: str) -> np.ndarray:
     m = embedding_matrix(tbl.column("embedding")).astype(np.float64)
     q = np.floor(m * float(QSCALE) + 0.5).astype(np.int64)
     n = len(q)
+    C = np.zeros((EMB_DIM, EMB_DIM), np.float64)
+    if n == 0:  # embedding_covariance emits no rows: the zero matrix
+        return C
     # exact integer moments: int64 matmul per ≤4096-row chunk (the
     # proven per-batch bound), Python-int accumulation across chunks
     sij = np.zeros((EMB_DIM, EMB_DIM), dtype=object)
@@ -319,7 +322,6 @@ def _cov_matrix_local(sf_dir: str) -> np.ndarray:
         ch = q[lo:lo + 4096]
         sij = sij + (ch.T @ ch).astype(object)
         s1 = s1 + ch.sum(axis=0).astype(object)
-    C = np.zeros((EMB_DIM, EMB_DIM), np.float64)
     for a in range(EMB_DIM):
         for b in range(a, EMB_DIM):
             num = n * int(sij[a, b]) - int(s1[a]) * int(s1[b])
@@ -342,14 +344,13 @@ def _pca_top2(sf_dir: str, cov: np.ndarray | None = None) -> np.ndarray:
         C = cov
     else:
         cov_ds = embedding_covariance(sf_dir)
-        parts = list(arrow_blocks(cov_ds, stream=False))
-        t = pa.concat_tables(parts, promote_options="default")
         C = np.zeros((EMB_DIM, EMB_DIM), np.float64)
-        i = t.column("i").to_numpy() - 1
-        j = t.column("j").to_numpy() - 1
-        v = t.column("cov_micro").to_numpy() / 1e6
-        C[i, j] = v
-        C[j, i] = v
+        for t in arrow_blocks(cov_ds, stream=False):
+            i = t.column("i").to_numpy() - 1
+            j = t.column("j").to_numpy() - 1
+            v = t.column("cov_micro").to_numpy() / 1e6
+            C[i, j] = v
+            C[j, i] = v
     comps = []
     M = C.copy()
     for _ in range(2):

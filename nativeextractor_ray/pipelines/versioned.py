@@ -35,14 +35,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines import common
+from nativeextractor_ray.pipelines.common import fits
+
 INSERT_OFFSET = 1_000_000_000
 _MOD = 2305843009213693951  # 2^61 - 7
 
 N_PARTS = 64
-
-#: collect-and-classify the whole tagged union when docs × 64 B fits —
-#: ~1M docs per 64 MB; tests force 0 to drive the co-partitioned path
-DIFF_DRIVER_FOLD_BOUND = 64 << 20
 
 
 def _h64_text(arr: pa.Array) -> np.ndarray:
@@ -225,8 +224,7 @@ def snapshot_diff(sf_dir: str):
     # doc-hash co-partition runs and only its ≤4-row-per-partition
     # partials fold on the driver (one exchange; the second groupby was
     # pure fixed cost for a 4-row result either way)
-    n_docs = table_nrows(sf_dir, "documents")
-    if n_docs is not None and n_docs * 64 <= DIFF_DRIVER_FOLD_BOUND:
+    if fits(table_nrows(sf_dir, "documents"), common.DRIVER_BOUND, 64):
         parts = list(arrow_blocks(ds, stream=False))
         if parts:
             df_all = pa.concat_tables(

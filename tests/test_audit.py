@@ -6,9 +6,11 @@ import numpy as np
 import pyarrow as pa
 
 
-def test_referential_audit_detects_planted_orphans(ray_session, tmp_path):
+def test_referential_audit_detects_planted_orphans(ray_session, tmp_path,
+                                                   monkeypatch):
     import pyarrow.parquet as pq
 
+    from nativeextractor_ray.pipelines import common
     from nativeextractor_ray.pipelines.audit import referential_audit
 
     pq.write_table(pa.table({
@@ -78,7 +80,8 @@ def test_referential_audit_detects_planted_orphans(ray_session, tmp_path):
     assert rows["supplier->nation"] == (1, 0)
     assert rows["nation->region"] == (2, 1)
 
-    # broadcast_bound=0 drops every edge to the co-partitioned
+    # BROADCAST_BOUND=0 drops every edge to the co-partitioned
     # semi_anti_join fallback — both paths must agree bit-for-bit.
-    forced = referential_audit(str(tmp_path), broadcast_bound=0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
+    forced = referential_audit(str(tmp_path))
     assert forced.equals(got)

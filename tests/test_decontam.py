@@ -10,7 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from nativeextractor_ray.pipelines import decontam
+from nativeextractor_ray.pipelines import common, decontam
 
 
 def _df(res) -> pd.DataFrame:
@@ -27,7 +27,7 @@ def test_boilerplate_paths_identical(sf_dir, ray_session, monkeypatch):
     """The driver-broadcast and exchange-attach paths must be bit-identical
     (bound forced to 0 routes every gram through the exchange attach)."""
     fast = _df(decontam.boilerplate_ngrams(sf_dir))
-    monkeypatch.setattr(decontam, "BOILER_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     slow = _df(decontam.boilerplate_ngrams(sf_dir))
     pd.testing.assert_frame_equal(fast, slow)
 

@@ -1,11 +1,12 @@
 """The queries that co-locate rows with ``common.exchange``, on degenerate
 inputs: copies of sf0.001 whose ``documents``, ``events`` and
 ``embeddings`` tables hold no rows, or one row, and, for the relational
-joins, copies whose ``orders`` and ``lineitem`` do, with every size gate
-of ``relational.py`` forced onto its shuffle path; the graph,
-canonicalization and dedup-family queries run on the first copies with
-their own gates forced onto their exchange paths.  Each query is
-compared with its DuckDB oracle as in ``test_oracle_parity.py``.  An
+joins, copies whose ``orders`` and ``lineitem`` do, with both bounds of
+the size planner (``common.DRIVER_BOUND``, ``common.BROADCAST_BOUND``)
+at 0, so every gate takes its shuffle path; the graph, canonicalization
+and dedup-family queries run on the first copies the same way.  Each
+query is compared with its DuckDB oracle as in
+``test_oracle_parity.py``.  An
 empty Ray Dataset carries no schema, so where the oracle returns no rows
 the query must return no rows, with the oracle's columns if it has any."""
 
@@ -16,7 +17,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from nativeextractor_ray.pipelines import decontam, dedup, graph, lmscore
+from nativeextractor_ray.pipelines import common, decontam, dedup, graph
 from test_oracle_parity import TABLES, _norm, _to_table
 
 DEGENERATE = ["documents", "events", "embeddings"]
@@ -109,12 +110,8 @@ def test_exchange_query_on_degenerate_input(name, degenerate, ray_session):
 @pytest.mark.parametrize("name", REL_QUERIES)
 def test_relational_shuffle_path_on_degenerate_input(name, rel_degenerate,
                                                      ray_session, monkeypatch):
-    from nativeextractor_ray.pipelines import relational
-
-    for bound in dir(relational):
-        if bound.endswith(("_ATTACH_BOUND", "_DRIVER_FOLD_BOUND")) \
-                or bound == "SEMI_BROADCAST_BOUND":
-            monkeypatch.setattr(relational, bound, 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     _check_oracle(name, *rel_degenerate)
 
 
@@ -135,17 +132,18 @@ GATED_QUERIES = [
     "boilerplate_ngrams", "dup_spans", "cdc_chunks", "lm_score",
     "perplexity_buckets", "curation_e2e", "sample_k_per_source",
     "exact_stratified_split",
+    # similarity: trains dedup_semantic's quantizer
+    "ann_ivf_topk",
 ]
 # gates forced to 0 (CC_DRIVER_MAX to -1) so every query takes its
 # exchange path
 GATES = {
+    common: ["DRIVER_BOUND", "BROADCAST_BOUND"],
     graph: ["VOCAB_BOUND"],
-    dedup: ["PAIR_DRIVER_BOUND", "SHINGLE_BROADCAST_BOUND",
-            "COMPONENT_BROADCAST_BOUND", "INCR_BROADCAST_BOUND",
-            "SRC_MATRIX_BOUND"],
-    decontam: ["BENCH_BROADCAST_BOUND", "BOILER_BROADCAST_BOUND"],
-    lmscore: ["MODEL_BROADCAST_BOUND", "PPL_DRIVER_FOLD_BOUND"],
+    decontam: ["BENCH_BROADCAST_BOUND"],
 }
+# their oracles train centroid literals on the table they run against
+TRAINED_ON_TABLE = {"dedup_semantic", "ann_ivf_topk"}
 # VOCAB_BOUND has no exchange arm: it only fails loudly when the entity
 # vocabulary would not fit the driver, so at 0 every query that collects
 # a non-empty vocabulary must raise
@@ -162,14 +160,8 @@ def test_gated_query_exchange_path_on_degenerate_input(
     monkeypatch.setattr(dedup, "CC_DRIVER_MAX", -1)
     run_dir, con = degenerate
     rows = request.node.callspec.params["degenerate"]
-    if name == "dedup_semantic":
-        # its oracle trains the centroid literals on this table
+    if name in TRAINED_ON_TABLE:
         monkeypatch.setenv("GRAFT_ORACLE_SF_DIR", run_dir)
-        if not rows:
-            request.applymarker(pytest.mark.xfail(
-                strict=True, reason="no embeddings: similarity."
-                "_train_centroids has no sample to train the quantizer on, "
-                "and dedup_semantic_sql would emit no centroid literals"))
     if name in VOCAB_COLLECTORS and rows:
         import __ray_entry__ as e
 
@@ -177,6 +169,19 @@ def test_gated_query_exchange_path_on_degenerate_input(
             e.queries()[name](run_dir)
         return
     _check_oracle(name, run_dir, con)
+
+
+def test_every_oracle_builds_and_runs_on_degenerate_input(degenerate,
+                                                          monkeypatch):
+    """The oracles that read the table at build time (trained centroids,
+    covariance, BPE merges, mix thresholds) build on it, and every oracle
+    runs."""
+    import __ray_entry__ as e
+
+    run_dir, con = degenerate
+    monkeypatch.setenv("GRAFT_ORACLE_SF_DIR", run_dir)
+    for name, sql in e.oracle_sql().items():
+        con.sql(sql).arrow()
 
 
 @pytest.fixture(scope="module")

@@ -111,7 +111,8 @@ MIGRATED = ["pipelines/kg.py", "pipelines/events.py", "pipelines/windows.py",
             "pipelines/similarity.py", "pipelines/relational.py",
             "pipelines/dedup.py", "pipelines/graph.py",
             "functions/unionfind.py", "pipelines/decontam.py",
-            "pipelines/lmscore.py", "pipelines/curation.py"]
+            "pipelines/lmscore.py", "pipelines/curation.py",
+            "pipelines/audit.py"]
 # any partition column name: part, gpart, part2, partL, dpart, ...
 HAND_BUILT = [
     re.compile(r"""groupby\(\s*["'][a-z]*part\w*["']\s*\)\s*\.\s*map_groups"""),

@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from nativeextractor_ray.pipelines import lmscore
+from nativeextractor_ray.pipelines import common, lmscore
 
 
 def _collect(res) -> pd.DataFrame:
@@ -18,7 +18,7 @@ def _collect(res) -> pd.DataFrame:
 
 def test_paths_agree(sf_dir, ray_session, monkeypatch):
     broadcast = _collect(lmscore.lm_score(sf_dir))
-    monkeypatch.setattr(lmscore, "MODEL_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     attached = _collect(lmscore.lm_score(sf_dir))
     assert list(broadcast.columns) == list(attached.columns)
     # float-sum order differs between the paths (per-position vs
@@ -52,7 +52,7 @@ def test_perplexity_buckets_scale_path_matches_driver(ray_session,
 
     sf = "/root/testdata/sf0.001"
     base = to_df(lmscore.perplexity_buckets(sf))
-    monkeypatch.setattr(lmscore, "PPL_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = to_df(lmscore.perplexity_buckets(sf))
     pd.testing.assert_frame_equal(base, forced, check_dtype=False)
     assert len(base) > 0

@@ -27,14 +27,13 @@ def test_q18_merge_path_matches_broadcast(ray_session, monkeypatch):
     tagged-union merge attach AND co-partitioned semi join) on sf0.001
     and require bit-identical output to the zero-AllToAll driver-fold
     path."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     cols = ["c_name", "c_custkey", "o_orderkey"]
     base = _df(relational.large_order_customers(sf)).reset_index(drop=True)
-    monkeypatch.setattr(relational, "Q18_DRIVER_FOLD_BOUND", 0)
-    monkeypatch.setattr(relational, "Q18_ATTACH_BOUND", 0)
-    monkeypatch.setattr(relational, "SEMI_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _df(relational.large_order_customers(sf)).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
     assert len(base) > 0 and list(base.columns)[:3] == cols
@@ -44,11 +43,11 @@ def test_q3_distributed_path_matches_driver_fold(ray_session, monkeypatch):
     """shipping_priority_topk: bound 0 forces the distributed groupby +
     attach + per-block top-k pipeline; output must be bit-identical to
     the zero-AllToAll driver fold."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     base = _df(relational.shipping_priority_topk(sf)).reset_index(drop=True)
-    monkeypatch.setattr(relational, "Q3_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(relational.shipping_priority_topk(sf)).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
     assert len(base) > 0
@@ -59,13 +58,12 @@ def test_topk_no_surviving_rows_keeps_oracle_columns(ray_session, monkeypatch,
                                                     forced):
     """Q3/Q18 with a filter no row passes: 0 rows with the oracle's
     columns, on the driver-fold and the forced distributed path."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     if forced:
-        for bound in ("Q3_DRIVER_FOLD_BOUND", "Q18_DRIVER_FOLD_BOUND",
-                      "Q18_ATTACH_BOUND", "SEMI_BROADCAST_BOUND"):
-            monkeypatch.setattr(relational, bound, 0)
+        monkeypatch.setattr(common, "DRIVER_BOUND", 0)
+        monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     con = duckdb.connect()
     for name in ("customer", "orders", "lineitem"):
         con.register(name, pq.read_table(f"{sf}/{name}.parquet"))
@@ -82,12 +80,12 @@ def test_q4_merge_path_matches_driver_fold(ray_session, monkeypatch):
     """late_shipment_priority: bound 0 forces the co-partitioned merge
     EXISTS; output must be bit-identical to the zero-AllToAll driver
     fold (np.maximum.at per-order max-ship + broadcast probe)."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     base = _df(relational.late_shipment_priority(sf)).sort_values(
         "o_orderpriority").reset_index(drop=True)
-    monkeypatch.setattr(relational, "Q4_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(relational.late_shipment_priority(sf)).sort_values(
         "o_orderpriority").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
@@ -98,12 +96,12 @@ def test_q5_exchange_path_matches_driver_fold(ray_session, monkeypatch):
     """local_supplier_volume: bound 0 forces the co-partitioned tagged
     union; output must be bit-identical to the zero-AllToAll broadcast
     probe + driver fold."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     base = _df(relational.local_supplier_volume(sf)).sort_values(
         "n_name").reset_index(drop=True)
-    monkeypatch.setattr(relational, "Q5_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _df(relational.local_supplier_volume(sf)).sort_values(
         "n_name").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
@@ -114,13 +112,13 @@ def test_q7_exchange_path_matches_driver_fold(ray_session, monkeypatch):
     """nation_trade_volume: bound 0 forces the co-partitioned tagged
     union; output must be bit-identical to the broadcast probe +
     driver fold."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
     cols = ["supp_nation", "cust_nation", "l_year"]
     base = _df(relational.nation_trade_volume(sf)).sort_values(
         cols).reset_index(drop=True)
-    monkeypatch.setattr(relational, "Q7_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _df(relational.nation_trade_volume(sf)).sort_values(
         cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
@@ -178,7 +176,7 @@ def test_order_fill_report_left_outer_zero_fill(ray_session, tmp_path,
     an inner join drops), on BOTH the broadcast and merge paths."""
     import pyarrow.parquet as pq
 
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     pq.write_table(pa.table({
         "o_orderkey": pa.array([1, 2, 3], pa.int64()),
@@ -211,7 +209,8 @@ def test_order_fill_report_left_outer_zero_fill(ray_session, tmp_path,
     })
     for bound in (None, 0):
         if bound is not None:
-            monkeypatch.setattr(relational, "FILL_ATTACH_BOUND", bound)
+            monkeypatch.setattr(common, "DRIVER_BOUND", bound)
+            monkeypatch.setattr(common, "BROADCAST_BOUND", bound)
         got = _df(relational.order_fill_report(str(tmp_path))).sort_values(
             "o_orderkey").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)

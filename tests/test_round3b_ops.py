@@ -71,7 +71,7 @@ def test_dedup_incremental_planted(ray_session, tmp_path):
 
 def test_dedup_incremental_paths_identical(ray_session, tmp_path, monkeypatch):
     """Broadcast and distributed semijoin paths are bit-identical."""
-    from nativeextractor_ray.pipelines import dedup
+    from nativeextractor_ray.pipelines import common, dedup
 
     rng = np.random.default_rng(7)
     words = np.array(["aa", "bb", "cc"])
@@ -79,7 +79,7 @@ def test_dedup_incremental_paths_identical(ray_session, tmp_path, monkeypatch):
     sf = _write_docs(tmp_path, list(range(80)), texts)
 
     a = _df(dedup.dedup_incremental(sf)).sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dedup, "INCR_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     b = _df(dedup.dedup_incremental(sf)).sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
     assert a["dup"].sum() > 0  # random 5-word texts over 5 words collide

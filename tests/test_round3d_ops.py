@@ -111,7 +111,7 @@ def test_value_outliers_per_type_stats(ray_session, tmp_path):
 def test_anti_join_broadcast_equals_shuffle(ray_session, tmp_path, monkeypatch):
     """Customers with no orders; the broadcast searchsorted path and the
     forced co-partitioned shuffle path return the identical set."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     n_cust, n_orders = 200, 300
     rng = np.random.default_rng(11)
@@ -137,7 +137,7 @@ def test_anti_join_broadcast_equals_shuffle(ray_session, tmp_path, monkeypatch):
         "c_custkey").reset_index(drop=True)
     assert list(a["c_custkey"]) == want
 
-    monkeypatch.setattr(relational, "SEMI_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     b = _df(relational.customers_without_orders(sf)).sort_values(
         "c_custkey").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
@@ -271,7 +271,7 @@ def test_anti_join_shuffle_sparse_partitions(ray_session, tmp_path, monkeypatch)
     hold rows from only ONE side — resolve() must not KeyError, int keys
     must stay exact int64 (no float padding), and output must equal the
     broadcast path."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     big = (1 << 55) + 3  # far above float64's 2^53 exact-int range
     sf = _write(tmp_path, "customer", pa.table({
@@ -288,7 +288,7 @@ def test_anti_join_shuffle_sparse_partitions(ray_session, tmp_path, monkeypatch)
         "c_custkey").reset_index(drop=True)
     assert list(a["c_custkey"]) == [1, 3, 4, 5]
 
-    monkeypatch.setattr(relational, "SEMI_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     b = _df(relational.customers_without_orders(sf)).sort_values(
         "c_custkey").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns])

@@ -164,16 +164,19 @@ def _null_fk_star(tmp_path) -> str:
     return str(tmp_path)
 
 
-def test_audit_null_fk_is_orphan_on_both_paths(ray_session, tmp_path):
+def test_audit_null_fk_is_orphan_on_both_paths(ray_session, tmp_path,
+                                                monkeypatch):
     """A NULL FK counts as an orphan (NOT-EXISTS semantics) on the
     fused broadcast pass AND the co-partitioned fallback, and both
     agree with the DuckDB oracle (ADVICE r3 #4)."""
+    from nativeextractor_ray.pipelines import common
     from nativeextractor_ray.pipelines.audit import (
         referential_audit, referential_audit_sql)
 
     sf = _null_fk_star(tmp_path)
     fused = referential_audit(sf)
-    fallback = referential_audit(sf, broadcast_bound=0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
+    fallback = referential_audit(sf)
     assert fused.to_pylist() == fallback.to_pylist()
 
     rows = {r["edge"]: (r["n_rows"], r["n_orphans"])
@@ -193,13 +196,15 @@ def test_audit_null_fk_is_orphan_on_both_paths(ray_session, tmp_path):
         check_dtype=False)
 
 
-def test_semi_anti_join_null_key_both_paths(ray_session, tmp_path):
+def test_semi_anti_join_null_key_both_paths(ray_session, tmp_path,
+                                            monkeypatch):
     """semi drops / anti keeps a NULL-keyed left row on the broadcast
     AND shuffle paths, and non-null exactness survives (no float64
     widening of the probe column)."""
     import ray.data
 
     import nativeextractor_ray.pipelines.relational as rel
+    from nativeextractor_ray.pipelines import common
 
     left = pa.table({
         "id": pa.array([1, 2, 3, 4], pa.int64()),
@@ -207,18 +212,14 @@ def test_semi_anti_join_null_key_both_paths(ray_session, tmp_path):
     })
     keys = pa.table({"k": pa.array([100, 200, None], pa.int64())})
 
-    for bound in (rel.SEMI_BROADCAST_BOUND, 0):
-        old = rel.SEMI_BROADCAST_BOUND
-        rel.SEMI_BROADCAST_BOUND = bound
-        try:
-            semi = _df(rel.semi_anti_join(
-                ray.data.from_arrow(left), ray.data.from_arrow(keys),
-                "fk", anti=False))
-            anti = _df(rel.semi_anti_join(
-                ray.data.from_arrow(left), ray.data.from_arrow(keys),
-                "fk", anti=True))
-        finally:
-            rel.SEMI_BROADCAST_BOUND = old
+    for bound in (common.BROADCAST_BOUND, 0):
+        monkeypatch.setattr(common, "BROADCAST_BOUND", bound)
+        semi = _df(rel.semi_anti_join(
+            ray.data.from_arrow(left), ray.data.from_arrow(keys),
+            "fk", anti=False))
+        anti = _df(rel.semi_anti_join(
+            ray.data.from_arrow(left), ray.data.from_arrow(keys),
+            "fk", anti=True))
         assert sorted(semi["id"]) == [1, 3], f"bound={bound}"
         assert sorted(anti["id"]) == [2, 4], f"bound={bound}"
 
@@ -445,10 +446,11 @@ def test_market_share_planted(ray_session, tmp_path):
 
 
 def test_returned_item_revenue_merge_path_identical(ray_session,
-                                                    tmp_path):
-    """Forcing Q10_ATTACH_BOUND to 0 drives the co-partitioned merge
+                                                    tmp_path, monkeypatch):
+    """Forcing BROADCAST_BOUND to 0 drives the co-partitioned merge
     path; output is bit-identical to the broadcast path."""
     import nativeextractor_ray.pipelines.relational as rel
+    from nativeextractor_ray.pipelines import common
 
     sf = _star4(
         tmp_path,
@@ -459,21 +461,18 @@ def test_returned_item_revenue_merge_path_identical(ray_session,
                    dict(order=20, price=50.0, flag="R"),
                    dict(order=20, price=25.0, flag="N")])
     a = _df(rel.returned_item_revenue(sf))
-    old = rel.Q10_ATTACH_BOUND
-    rel.Q10_ATTACH_BOUND = 0
-    try:
-        b = _df(rel.returned_item_revenue(sf))
-    finally:
-        rel.Q10_ATTACH_BOUND = old
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
+    b = _df(rel.returned_item_revenue(sf))
     pd.testing.assert_frame_equal(a, b)
     assert list(a["c_custkey"]) == [1, 2]
     assert list(a["revenue_c"]) == [10000, 5000]
 
 
-def test_q12_q21_merge_paths_identical(ray_session, tmp_path):
-    """Forcing the Q12/Q21 attach bounds to 0 drives the co-partitioned
+def test_q12_q21_merge_paths_identical(ray_session, tmp_path, monkeypatch):
+    """Forcing BROADCAST_BOUND to 0 drives the Q12/Q21 co-partitioned
     merge paths; outputs match the broadcast paths."""
     import nativeextractor_ray.pipelines.relational as rel
+    from nativeextractor_ray.pipelines import common
 
     sf = _star4(
         tmp_path,
@@ -493,13 +492,9 @@ def test_q12_q21_merge_paths_identical(ray_session, tmp_path):
 
     a12 = norm(_df(rel.late_line_priority_mix(sf)), ["l_returnflag"])
     a21 = norm(_df(rel.sole_late_supplier(sf)), ["s_suppkey"])
-    o12, o21 = rel.Q12_ATTACH_BOUND, rel.Q21_ATTACH_BOUND
-    rel.Q12_ATTACH_BOUND = rel.Q21_ATTACH_BOUND = 0
-    try:
-        b12 = norm(_df(rel.late_line_priority_mix(sf)), ["l_returnflag"])
-        b21 = norm(_df(rel.sole_late_supplier(sf)), ["s_suppkey"])
-    finally:
-        rel.Q12_ATTACH_BOUND, rel.Q21_ATTACH_BOUND = o12, o21
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
+    b12 = norm(_df(rel.late_line_priority_mix(sf)), ["l_returnflag"])
+    b21 = norm(_df(rel.sole_late_supplier(sf)), ["s_suppkey"])
     pd.testing.assert_frame_equal(a12, b12)
     pd.testing.assert_frame_equal(a21, b21)
     assert list(a21["s_suppkey"]) == [1]

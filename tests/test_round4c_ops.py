@@ -244,21 +244,18 @@ def test_feature_hashing_planted(ray_session, tmp_path):
             zip(got["doc_id"], got["feature"], got["n"])} == want
 
 
-def test_q8_q9_merge_paths_identical(ray_session, tmp_path):
-    """Forcing the Q8/Q9 attach bounds to 0 drives the co-partitioned
+def test_q8_q9_merge_paths_identical(ray_session, tmp_path, monkeypatch):
+    """Forcing BROADCAST_BOUND to 0 drives the Q8/Q9 co-partitioned
     merge paths; outputs are identical to the broadcast paths."""
     import nativeextractor_ray.pipelines.relational as rel
+    from nativeextractor_ray.pipelines import common
 
     sf = "/root/testdata/sf0.001"
     a8 = rel.market_share(sf).to_pandas()
     a9 = _df(rel.product_type_profit(sf))
-    o8, o9 = rel.Q8_ATTACH_BOUND, rel.Q9_ATTACH_BOUND
-    rel.Q8_ATTACH_BOUND = rel.Q9_ATTACH_BOUND = 0
-    try:
-        b8 = rel.market_share(sf).to_pandas()
-        b9 = _df(rel.product_type_profit(sf))
-    finally:
-        rel.Q8_ATTACH_BOUND, rel.Q9_ATTACH_BOUND = o8, o9
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
+    b8 = rel.market_share(sf).to_pandas()
+    b9 = _df(rel.product_type_profit(sf))
     key9 = ["nation", "o_year"]
     pd.testing.assert_frame_equal(
         a8.sort_values("o_year").reset_index(drop=True),

@@ -170,12 +170,12 @@ def test_curriculum_assign_planted(ray_session, tmp_path):
 def test_session_duration_kernel_matches_driver(ray_session, monkeypatch):
     """Bound 0 forces the materialize + refinement-kernel path; output
     must equal the single-collect local quantile selection."""
-    from nativeextractor_ray.pipelines import quantiles
+    from nativeextractor_ray.pipelines import common, quantiles
 
     sf = "/root/testdata/sf0.001"
     base = _df(quantiles.session_duration_quantiles(sf)).sort_values(
         "q").reset_index(drop=True)
-    monkeypatch.setattr(quantiles, "SESS_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(quantiles.session_duration_quantiles(sf)).sort_values(
         "q").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)

@@ -90,14 +90,14 @@ def test_ssjoin_joinback_path_identical(ray_session, tmp_path,
     """Forcing the sets-broadcast bound to 0 drives the two-exchange
     join-back path; its pair set must be bit-identical to the broadcast
     in-bucket verify (the repo's size-gate convention)."""
-    from nativeextractor_ray.pipelines import ssjoin
+    from nativeextractor_ray.pipelines import common, ssjoin
 
     docs = [(i, f"w{i % 3} common a b w{i % 5} c d e") for i in range(12)]
     docs += [(100, "x y z t u v"), (101, "x y z t u q")]
     sf = _write_docs(tmp_path, docs)
     a = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
         ["doc_a", "doc_b"]).reset_index(drop=True)
-    monkeypatch.setattr(ssjoin, "SETS_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     b = _df(ssjoin.ssjoin_jaccard(sf)).sort_values(
         ["doc_a", "doc_b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
@@ -429,13 +429,13 @@ def test_source_dedup_matrix_fallback_matches_broadcast(ray_session,
                                                         monkeypatch):
     """Bound 0 forces the two doc-keyed co-partition attaches; output
     must equal the broadcast probe + driver fold."""
-    from nativeextractor_ray.pipelines import dedup
+    from nativeextractor_ray.pipelines import common, dedup
 
     sf = "/root/testdata/sf0.001"
     cols = ["source_a", "source_b"]
     base = _df(dedup.source_dedup_matrix(sf)).sort_values(
         cols).reset_index(drop=True)
-    monkeypatch.setattr(dedup, "SRC_MATRIX_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _df(dedup.source_dedup_matrix(sf)).sort_values(
         cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)

@@ -168,12 +168,12 @@ def test_snapshot_diff_distributed_path_matches_driver(ray_session,
                                                        monkeypatch):
     """Bound 0 forces the doc-hash co-partitioned classify; output must
     be identical to the single-collect driver classify."""
-    from nativeextractor_ray.pipelines import versioned
+    from nativeextractor_ray.pipelines import common, versioned
 
     sf = "/root/testdata/sf0.001"
     base = _df(versioned.snapshot_diff(sf)).sort_values(
         "change").reset_index(drop=True)
-    monkeypatch.setattr(versioned, "DIFF_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(versioned.snapshot_diff(sf)).sort_values(
         "change").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
@@ -184,12 +184,12 @@ def test_conversion_latency_distributed_matches_driver(ray_session,
                                                        monkeypatch):
     """Bound 0 forces the distributed user groupby + refinement kernel;
     output must equal the driver conditional-min fold."""
-    from nativeextractor_ray.pipelines import quantiles
+    from nativeextractor_ray.pipelines import common, quantiles
 
     sf = "/root/testdata/sf0.001"
     base = _df(quantiles.conversion_latency_quantiles(sf)).sort_values(
         "q").reset_index(drop=True)
-    monkeypatch.setattr(quantiles, "CONV_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(quantiles.conversion_latency_quantiles(sf)).sort_values(
         "q").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)

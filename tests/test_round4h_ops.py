@@ -308,12 +308,12 @@ def test_rfm_distributed_path_matches_driver_fold(ray_session,
     """Bound 0 forces the distributed groupby + quantile-refinement
     kernel; output must be bit-identical to the zero-AllToAll driver
     fold (np rollup + local rank selection)."""
-    from nativeextractor_ray.pipelines import distributions
+    from nativeextractor_ray.pipelines import common, distributions
 
     sf = "/root/testdata/sf0.001"
     base = _df(distributions.rfm_segments(sf)).sort_values(
         "c_custkey").reset_index(drop=True)
-    monkeypatch.setattr(distributions, "RFM_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced = _df(distributions.rfm_segments(sf)).sort_values(
         "c_custkey").reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)
@@ -448,13 +448,13 @@ def test_ship_latency_merge_path_matches_broadcast(ray_session,
                                                    monkeypatch):
     """Bound 0 forces the co-partitioned tagged-union merge; output must
     be bit-identical to the broadcast-probe histogram fold."""
-    from nativeextractor_ray.pipelines import quantiles
+    from nativeextractor_ray.pipelines import common, quantiles
 
     sf = "/root/testdata/sf0.001"
     cols = ["priority", "q"]
     base = _df(quantiles.ship_latency_quantiles_by_priority(sf)) \
         .sort_values(cols).reset_index(drop=True)
-    monkeypatch.setattr(quantiles, "SHIP_DRIVER_FOLD_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _df(quantiles.ship_latency_quantiles_by_priority(sf)) \
         .sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(base, forced)

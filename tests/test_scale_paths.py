@@ -24,19 +24,19 @@ def _cluster_rows(ds):
 
 def test_minhash_distributed_pair_leg_bit_identical(sf_dir, ray_session,
                                                     monkeypatch):
-    """PAIR_DRIVER_BOUND=0 forces _pair_dedup shuffle + Bloom id filter;
-    SHINGLE_BROADCAST_BOUND=0 forces the two-shuffle attach verify.  Output
+    """DRIVER_BOUND=0 forces _pair_dedup shuffle + Bloom id filter;
+    BROADCAST_BOUND=0 then forces the two-shuffle attach verify.  Output
     must equal the driver-dedup + broadcast fast path exactly."""
-    from nativeextractor_ray.pipelines import dedup
+    from nativeextractor_ray.pipelines import common, dedup
 
     base = _pair_rows(dedup.dedup_minhash_pairs(sf_dir))
     assert base  # corpus must exercise the verify leg
 
-    monkeypatch.setattr(dedup, "PAIR_DRIVER_BOUND", 0)
+    monkeypatch.setattr(common, "DRIVER_BOUND", 0)
     forced_pairs = _pair_rows(dedup.dedup_minhash_pairs(sf_dir))
     assert forced_pairs == base
 
-    monkeypatch.setattr(dedup, "SHINGLE_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced_both = _pair_rows(dedup.dedup_minhash_pairs(sf_dir))
     assert forced_both == base
 
@@ -44,15 +44,15 @@ def test_minhash_distributed_pair_leg_bit_identical(sf_dir, ray_session,
 def test_clusters_distributed_label_merge_bit_identical(sf_dir, ray_session,
                                                         monkeypatch):
     """CC_DRIVER_MAX=-1 forces the distributed CC kernel and
-    COMPONENT_BROADCAST_BOUND=0 forces the coarse-partitioned label merge
+    BROADCAST_BOUND=0 forces the coarse-partitioned label merge
     (no driver-resident component map)."""
-    from nativeextractor_ray.pipelines import dedup
+    from nativeextractor_ray.pipelines import common, dedup
 
     base = _cluster_rows(dedup.dedup_clusters(sf_dir))
     assert any(not keep for _, _, keep in base)  # non-trivial clusters
 
     monkeypatch.setattr(dedup, "CC_DRIVER_MAX", -1)
-    monkeypatch.setattr(dedup, "COMPONENT_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = _cluster_rows(dedup.dedup_clusters(sf_dir))
     assert forced == base
 
@@ -60,7 +60,7 @@ def test_clusters_distributed_label_merge_bit_identical(sf_dir, ray_session,
 def test_clusters_distributed_cc_small_component_map(sf_dir, ray_session,
                                                      monkeypatch):
     """The MIDDLE path: distributed CC (CC_DRIVER_MAX=-1) but the
-    component map still under COMPONENT_BROADCAST_BOUND, so it streams
+    component map still under BROADCAST_BOUND, so it streams
     back to the driver block by block.  Regression for the 500k-doc
     scaling-run crash: the CC pipeline's sort/map_groups stages can leave
     a *pandas* block in the materialized output even though the final
@@ -77,11 +77,11 @@ def test_clusters_distributed_cc_small_component_map(sf_dir, ray_session,
 
 def test_curated_docs_anti_merge_bit_identical(sf_dir, ray_session,
                                                monkeypatch):
-    """COMPONENT_BROADCAST_BOUND=0 forces curated_docs' drop application
+    """BROADCAST_BOUND=0 forces curated_docs' drop application
     through the co-partitioned anti-merge instead of the sorted-array
     broadcast (and dedup_clusters through its merge path via
     CC_DRIVER_MAX=-1).  The curated corpus must be unchanged."""
-    from nativeextractor_ray.pipelines import curation, dedup
+    from nativeextractor_ray.pipelines import common, curation, dedup
 
     def rows(ds):
         return sorted(
@@ -93,7 +93,7 @@ def test_curated_docs_anti_merge_bit_identical(sf_dir, ray_session,
     assert base
 
     monkeypatch.setattr(dedup, "CC_DRIVER_MAX", -1)
-    monkeypatch.setattr(dedup, "COMPONENT_BROADCAST_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = rows(curation.curated_docs(sf_dir))
     assert forced == base
 

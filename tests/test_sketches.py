@@ -317,9 +317,9 @@ def test_order_count_distribution_planted(ray_session, tmp_path):
 
 
 def test_shipping_priority_merge_path_bit_identical(ray_session, monkeypatch):
-    """Q3_ATTACH_BOUND=0 forces the co-partitioned tagged-union merge;
+    """BROADCAST_BOUND=0 forces the co-partitioned tagged-union merge;
     it must match the broadcast probe row for row on real tables."""
-    from nativeextractor_ray.pipelines import relational
+    from nativeextractor_ray.pipelines import common, relational
 
     sf = "/root/testdata/sf0.001"
 
@@ -332,7 +332,7 @@ def test_shipping_priority_merge_path_bit_identical(ray_session, monkeypatch):
     base = rows(relational.shipping_priority_topk(sf))
     assert len(base) == relational.Q3_TOP_K
 
-    monkeypatch.setattr(relational, "Q3_ATTACH_BOUND", 0)
+    monkeypatch.setattr(common, "BROADCAST_BOUND", 0)
     forced = rows(relational.shipping_priority_topk(sf))
     import pandas as pd
 
