@@ -6,10 +6,11 @@ algorithm HuggingFace ``tokenizers`` / SentencePiece-BPE run).
 Algorithm
 ---------
 1. WORD HISTOGRAM (the corpus-scale part): whitespace words count
-   distributed — per-batch Arrow ``group_by`` partials, one coarse
-   ``hash(term) % P`` shuffle, per-partition local top-``max_words``
-   (global top-W ⊆ union of per-partition top-W under term-hash
-   partitioning — the ``tokenize_ids`` vocab shape), tiny driver merge.
+   distributed — ``textstats.term_histogram``, the ``tokenize_ids``
+   vocabulary: per-batch Arrow ``group_by`` partials, one ``exchange`` on
+   term, a local top-``max_words`` per block (global top-W ⊆ union of
+   the blocks' top-W, since a term's counts sit in one block), tiny
+   driver merge.
    Real BPE trainers bound the histogram exactly like this (a frequency
    floor / pre-tokenized vocab cap): at 100 TB the histogram shuffle is
    the only data motion; the merge loop below is vocabulary-bounded.
@@ -38,41 +39,16 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines.textstats import term_histogram
+
 BPE_MERGES = 24
 BPE_MAX_WORDS = 512
-_PARTS = 64
 
 
 def _docs(sf_dir: str):
     from nativeextractor_ray.sources.tables import read_table
 
     return read_table(sf_dir, "documents", ["doc_id", "text"])
-
-
-def _word_histogram(ds, max_words: int) -> list[tuple[str, int]]:
-    """Bounded top-``max_words`` word histogram, (count desc, word asc)."""
-    from nativeextractor_ray.functions.hashing import stable_part
-
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t.column("text"), " ")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        g = pa.table({"term": flat}).group_by("term").aggregate([("term", "count")])
-        out = pa.table({"term": g.column("term"),
-                        "cnt": pc.cast(g.column("term_count"), pa.int64())})
-        return out.append_column("part", stable_part(out, ["term"], _PARTS))
-
-    def local_top(df: pd.DataFrame) -> pd.DataFrame:
-        agg = df.groupby("term", sort=False)["cnt"].sum().reset_index()
-        agg = agg.sort_values(["cnt", "term"], ascending=[False, True],
-                              kind="stable")
-        return agg.head(max_words)
-
-    cand = (ds.map_batches(counts, batch_format="pyarrow")
-            .groupby("part").map_groups(local_top, batch_format="pandas")
-            .take_all())
-    cand.sort(key=lambda r: (-r["cnt"], r["term"]))
-    return [(r["term"], int(r["cnt"])) for r in cand[:max_words]]
 
 
 def _merge_loop(hist: list[tuple[str, int]], k: int) -> list[tuple]:
@@ -120,7 +96,7 @@ def _merges_table(merges: list[tuple]) -> pa.Table:
 
 
 def bpe_train(sf_dir: str, k: int = BPE_MERGES, max_words: int = BPE_MAX_WORDS):
-    hist = _word_histogram(_docs(sf_dir), max_words)
+    hist = term_histogram(_docs(sf_dir), "text", max_words)
     return _merges_table(_merge_loop(hist, k))
 
 
@@ -179,8 +155,8 @@ def bpe_train_sql(k: int = BPE_MERGES, max_words: int = BPE_MAX_WORDS,
         return "'" + s.replace("'", "''") + "'"
 
     if not merges:
-        return """SELECT CAST(NULL AS BIGINT) AS rank, CAST(NULL AS VARCHAR) AS left_sym,
-       CAST(NULL AS VARCHAR) AS right_sym, CAST(NULL AS VARCHAR) AS merged,
+        return """SELECT CAST(NULL AS BIGINT) AS rank, CAST(NULL AS VARCHAR) AS "left",
+       CAST(NULL AS VARCHAR) AS "right", CAST(NULL AS VARCHAR) AS merged,
        CAST(NULL AS BIGINT) AS pair_count WHERE FALSE"""
     values = ",\n  ".join(
         f"({r}, {q(l)}, {q(rt)}, {q(m)}, {c})" for r, l, rt, m, c in merges
@@ -259,7 +235,7 @@ def bpe_encode(sf_dir: str, k: int = BPE_MERGES, max_words: int = BPE_MAX_WORDS)
     Oracle: like :func:`bpe_train`, the expected per-doc summary comes
     from an independent scalar reference embedded as VALUES literals
     (iterative merge apply is not SQL-expressible)."""
-    merges = _merge_loop(_word_histogram(_docs(sf_dir), max_words), k)
+    merges = _merge_loop(term_histogram(_docs(sf_dir), "text", max_words), k)
     ranks = {(m[1], m[2]): m[0] for m in merges}
     rank_items = tuple(sorted((a, b, r) for (a, b), r in ranks.items()))
 

@@ -83,13 +83,14 @@ def _tag_part(t, keys: list[str]):
     return t.append_column("part", stable_part(t, keys, EXCHANGE_MODULUS))
 
 
-def exchange(ds, keys: list[str], fn):
+def exchange(ds, keys: list[str], fn, batch_format: str = "pandas"):
     """Co-locate the rows of ``ds`` by ``keys`` and call ``fn`` once per
-    block (module docstring) on a pandas frame that carries the extra
-    ``part`` column."""
+    block (module docstring) on a ``batch_format`` batch (a pandas frame,
+    or an Arrow table for ``"pyarrow"``) that carries the extra ``part``
+    column."""
     tagged = ds.map_batches(_tag_part, batch_format="pyarrow",
                             fn_kwargs={"keys": list(keys)})
-    return sorted_blocks(tagged, fn, "pandas")
+    return sorted_blocks(tagged, fn, batch_format)
 
 
 def _cpus() -> int:

@@ -1771,6 +1771,10 @@ SELECT n AS cluster_size, CAST(count(*) AS BIGINT) AS n_clusters
 FROM sz WHERE n >= 2 GROUP BY n"""
 
 
+_SOURCE_PAIRS = pa.schema([("source_a", pa.string()),
+                           ("source_b", pa.string()), ("n", pa.int64())])
+
+
 def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
     """Cross-source near-dup matrix: for every unordered source pair,
     how many exact-n-gram-Jaccard near-dup pairs straddle them — the
@@ -1868,42 +1872,38 @@ def source_dedup_matrix(sf_dir: str, n: int = 3, threshold: float = 0.3):
             "src": pa.array([""] * t.num_rows, pa.string()),
             "is_src": pa.array(np.zeros(t.num_rows, bool))})
 
-    def attach(df):
-        import pandas as pd
-
-        s = df[df["is_src"]][["k", "src"]]
-        p = df[~df["is_src"]][["k", "other"]]
-        m = p.merge(s, on="k", how="inner")
-        return pd.DataFrame({
-            "k": m["other"].to_numpy(np.int64),     # re-key on doc_b
-            "other": m["k"].to_numpy(np.int64),
-            "src": m["src"].to_numpy(object),       # src of doc_a rides
-            "is_src": np.zeros(len(m), bool)})
+    # Arrow bodies: a pandas body's empty object column has no size Ray
+    # can estimate
+    def attach(t: pa.Table) -> pa.Table:
+        is_src = t.column("is_src")
+        m = t.filter(pc.invert(is_src)).select(["k", "other"]).join(
+            t.filter(is_src).select(["k", "src"]), "k", join_type="inner")
+        return pa.table({
+            "k": m["other"],                        # re-key on doc_b
+            "other": m["k"],
+            "src": m["src"],                        # src of doc_a rides
+            "is_src": pa.array(np.zeros(m.num_rows, bool))})
 
     src_side = docs_src.map_batches(tag_src, batch_format="pyarrow")
     with_a = exchange(
         src_side.union(pairs.map_batches(tag_pair_a, batch_format="pyarrow")),
-        ["k"], attach)
+        ["k"], attach, batch_format="pyarrow")
 
-    def resolve(df):
-        import pandas as pd
-
-        s = df[df["is_src"]][["k", "src"]].rename(columns={"src": "sb"})
-        p = df[~df["is_src"]][["k", "src"]].rename(columns={"src": "sa"})
-        m = p.merge(s, on="k", how="inner")
-        sa_ = m["sa"].to_numpy(object)
-        sb_ = m["sb"].to_numpy(object)
-        swap = sb_ < sa_
-        lo = np.where(swap, sb_, sa_)
-        hi = np.where(swap, sa_, sb_)
-        g = (pd.DataFrame({"source_a": lo, "source_b": hi})
-             .groupby(["source_a", "source_b"], sort=False).size()
-             .reset_index(name="n"))
-        g["n"] = g["n"].astype("int64")
-        return g
+    def resolve(t: pa.Table) -> pa.Table:
+        is_src = t.column("is_src")
+        m = t.filter(pc.invert(is_src)).select(["k", "src"]).join(
+            t.filter(is_src).select(["k", "src"]), "k", join_type="inner",
+            left_suffix="_a", right_suffix="_b")
+        g = pa.table({
+            "source_a": pc.min_element_wise(m["src_a"], m["src_b"]),
+            "source_b": pc.max_element_wise(m["src_a"], m["src_b"]),
+        }).group_by(["source_a", "source_b"]).aggregate([([], "count_all")])
+        return pa.table({"source_a": g["source_a"], "source_b": g["source_b"],
+                         "n": g["count_all"]}).cast(_SOURCE_PAIRS)
 
     acc2: dict = {}
-    for t in arrow_blocks(exchange(src_side.union(with_a), ["k"], resolve),
+    for t in arrow_blocks(exchange(src_side.union(with_a), ["k"], resolve,
+                                   batch_format="pyarrow"),
                           stream=False):
         for a_, b_, c_ in zip(t.column("source_a").to_pylist(),
                               t.column("source_b").to_pylist(),

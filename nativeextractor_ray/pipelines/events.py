@@ -172,16 +172,16 @@ FROM hops GROUP BY 1, 2"""
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 min
 
 
-def _sessions(df):
+def _sessions(df, gap_us: int = SESSION_GAP_US):
     """Number the sessions of one user-keyed exchange block, fully
     vectorized: sort by (user, ts); a session starts where the user
-    changes or the gap reaches SESSION_GAP_US.  Returns the sorted
+    changes or the gap reaches ``gap_us``.  Returns the sorted
     ``(uid, ts_us, sess)`` arrays."""
     df = df.sort_values(["user_id", "ts"], kind="stable")
     uid = df["user_id"].to_numpy()
     ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
     starts = np.ones(len(uid), dtype=bool)
-    starts[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) >= SESSION_GAP_US)
+    starts[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) >= gap_us)
     return uid, ts, np.cumsum(starts)
 
 

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.pipelines import common
-from nativeextractor_ray.pipelines.common import fits
+from nativeextractor_ray.pipelines.common import exchange, fits
 
 N_BUCKETS = 512
 FINAL_N = 4096  # collect exact values once a target's sliver is this small
@@ -592,55 +592,31 @@ def session_duration_quantiles(sf_dir: str, qs=SESSION_QS,
     table (sessions exist only as a streaming intermediate, never on
     disk).
 
-    Scale shape: ONE hash(user) co-partition sessionizes vectorized
-    (the :func:`~nativeextractor_ray.pipelines.events.events_sessionized`
-    kernel — session starts where the 30-min gap rule fires), folds
-    each partition to (session) duration rows, and the exact
-    histogram-refinement kernel (R+1 streaming scans, no global sort)
-    selects the order statistics.  Durations are integer µs, exact in
-    float64.
+    Scale shape: ONE ``exchange`` on user_id sessionizes each block with
+    :func:`~nativeextractor_ray.pipelines.events._sessions` (the
+    :func:`~nativeextractor_ray.pipelines.events.events_sessionized`
+    kernel, here with the ``gap_us`` gap) and folds it to per-session
+    duration rows; the exact histogram-refinement kernel (R+1 streaming
+    scans, no global sort) selects the order statistics.  Durations are
+    integer µs, exact in float64.
 
     Output: ``(q, dur_us)``."""
-    import numpy as np
     import pandas as pd
     import ray.data
 
+    from nativeextractor_ray.pipelines.events import _sessions
     from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-
-        from nativeextractor_ray.functions.hashing import stable_part
-
-        tbl = pa.table({"user_id": t.column("user_id"),
-                        "ts": t.column("ts")})
-        return tbl.append_column(
-            "part", stable_part(tbl, ["user_id"], 64))
-
     def durations(part: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(part):
-            return pd.DataFrame({"dur_us": pd.Series([], dtype=np.float64)})
-        part = part.sort_values(["user_id", "ts"], kind="stable")
-        uid = part["user_id"].to_numpy()
-        ts = part["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        new_user = np.empty(len(part), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.empty(len(part), dtype=bool)
-        gap[0] = True
-        gap[1:] = (ts[1:] - ts[:-1]) >= gap_us
-        starts = new_user | gap
-        sess = np.cumsum(starts)
-        df = pd.DataFrame({"sess": sess, "ts": ts})
-        g = df.groupby("sess", sort=False)["ts"].agg(["min", "max"])
+        _uid, ts, sess = _sessions(part, gap_us)
+        g = pd.DataFrame({"sess": sess, "ts": ts}).groupby(
+            "sess", sort=False)["ts"].agg(["min", "max"])
         return pd.DataFrame({
             "dur_us": (g["max"] - g["min"]).to_numpy(np.float64)})
 
-    sessions = (ds.map_batches(add_part, batch_format="pyarrow")
-                .groupby("part").map_groups(durations,
-                                            batch_format="pandas"))
+    sessions = exchange(ds, ["user_id"], durations)
     # Under the events metadata bound the per-session durations (≤ one
     # row per session ≤ events) collect ONCE and the exact quantiles are
     # a local sort; above it the Dataset MATERIALIZES before the
@@ -655,11 +631,12 @@ def session_duration_quantiles(sf_dir: str, qs=SESSION_QS,
         vals = np.sort(np.concatenate(vs)) if vs else \
             np.array([], np.float64)
         n = len(vals)
-        out = [float(vals[int(np.ceil(q * n)) - 1]) if n else None
-               for q in qs_sorted]
+        # no sessions, no order statistics (the oracle's rank join)
+        qs_out = qs_sorted if n else []
         return pa.table({
-            "q": pa.array(qs_sorted, pa.float64()),
-            "dur_us": pa.array(out, pa.float64())})
+            "q": pa.array(qs_out, pa.float64()),
+            "dur_us": pa.array([float(vals[int(np.ceil(q * n)) - 1])
+                                for q in qs_out], pa.float64())})
 
     sessions = sessions.materialize()
     got = _exact_quantiles(sessions, "dur_us", qs)
@@ -889,7 +866,6 @@ JOIN r ON r.r = CAST(ceil(q * n) AS BIGINT)"""
 
 
 SHIP_QS = (0.5, 0.9)
-_SHIP_PARTS = 64
 
 
 def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
@@ -898,17 +874,19 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
     demonstration that the grouped refinement kernel composes over a
     JOINED derivation (latency exists on no single table).
 
-    Scale shape: both sides prune to 16-byte key rows and co-partition
-    on ``orderkey % P`` (the tagged-union merge — no ``Dataset.join``
-    aggregator overhead); each partition emits (priority, lat_days)
-    rows, and the grouped histogram-refinement kernel selects the order
-    statistics with no global sort and no priority ever materializing
-    on one node.
+    Scale shape: both sides prune to 16-byte key rows; under
+    ``common.BROADCAST_BOUND`` the orders side is broadcast and probed,
+    above it the two meet in one tagged-union ``exchange`` on orderkey
+    (no ``Dataset.join`` aggregator overhead).  Either way per-batch
+    (priority, lat_days, n) histograms fold on the driver, which reads
+    the order statistics off them: no global sort, and no priority ever
+    materializes on one node.
 
     Output: ``(priority, q, lat_days)``."""
     import pandas as pd
     import ray.data
 
+    from nativeextractor_ray.functions.hashing import sorted_lookup
     from nativeextractor_ray.sources.tables import read_table, table_nrows
 
     orders = read_table(sf_dir, "orders",
@@ -924,8 +902,7 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
             "k": pa.array(k), "side": pa.array(
                 np.zeros(len(k), np.int64)),
             "day": pa.array(day),
-            "priority": t.column("o_orderpriority"),
-            "part": pa.array(k % _SHIP_PARTS)})
+            "priority": t.column("o_orderpriority")})
 
     def tag_lines(t: pa.Table) -> pa.Table:
         k = t.column("l_orderkey").to_numpy()
@@ -935,21 +912,18 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
         return pa.table({
             "k": pa.array(k), "side": pa.array(np.ones(len(k), np.int64)),
             "day": pa.array(day),
-            "priority": pa.array([""] * len(k), pa.string()),
-            "part": pa.array(k % _SHIP_PARTS)})
+            "priority": pa.array([""] * len(k), pa.string())})
 
     def merge(df: "pd.DataFrame") -> pa.Table:
-        o = df[df["side"] == 0]
+        o = df[df["side"] == 0].sort_values("k", kind="stable")
         l = df[df["side"] == 1]
-        ok = o.sort_values("k", kind="stable")
-        keys = ok["k"].to_numpy()
-        pos = np.searchsorted(keys, l["k"].to_numpy())
-        # FK integrity holds on this star; a missing parent would be a
-        # referential_audit finding, not silent data loss
-        lat = l["day"].to_numpy() - ok["day"].to_numpy()[pos]
+        # an inner join, as the oracle's: a line without its order drops
+        hit, pos = sorted_lookup(o["k"].to_numpy(), l["k"].to_numpy())
+        pos = pos[hit]
+        lat = l["day"].to_numpy()[hit] - o["day"].to_numpy()[pos]
         # Arrow out: the quantile kernel reads the Arrow schema
         return pa.table({
-            "priority": pa.array(ok["priority"].to_numpy(object)[pos],
+            "priority": pa.array(o["priority"].to_numpy(object)[pos],
                                  pa.string()),
             "lat_days": pa.array(lat.astype(np.float64))})
 
@@ -999,13 +973,9 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
 
         def probe(t: pa.Table) -> pa.Table:
             keys, day, code, names_ = ray.get(side)
-            lk = t.column("k").to_numpy()
-            lday = t.column("day").to_numpy()
-            pos = (np.searchsorted(keys, lk) if len(keys)
-                   else np.zeros(len(lk), np.int64))
-            # FK integrity holds on this star (see merge)
-            pos = np.clip(pos, 0, max(0, len(keys) - 1))
-            lat_ = lday - day[pos]
+            hit, pos = sorted_lookup(keys, t.column("k").to_numpy())
+            pos = pos[hit]  # an inner join (see merge)
+            lat_ = t.column("day").to_numpy()[hit] - day[pos]
             sub = pa.table({
                 "priority": pa.array(
                     [names_[c] for c in code[pos]], pa.string()),
@@ -1015,9 +985,9 @@ def ship_latency_quantiles_by_priority(sf_dir: str, qs=SHIP_QS):
         hist_ds = li.map_batches(tag_lines, batch_format="pyarrow") \
                     .map_batches(probe, batch_format="pyarrow")
     else:
-        lat = (orders.map_batches(tag_orders, batch_format="pyarrow")
-               .union(li.map_batches(tag_lines, batch_format="pyarrow"))
-               .groupby("part").map_groups(merge, batch_format="pandas"))
+        both = (orders.map_batches(tag_orders, batch_format="pyarrow")
+                .union(li.map_batches(tag_lines, batch_format="pyarrow")))
+        lat = exchange(both, ["k"], merge)
 
         def to_hist(t: pa.Table) -> pa.Table:
             return hist_partial(pa.table({

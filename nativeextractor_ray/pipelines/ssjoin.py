@@ -32,23 +32,30 @@ Scale shape (the two-stage PPJoin / V-SMART join-back; Vernica §4.2)
    O((1-τ)·s) bytes per doc, LINEAR in doc length (the round-4 shape
    shipped the full rank array once per prefix token: O((1-τ)·s²), a
    scale-killer on long documents — ``tests/test_round4e_ops.py``
-   asserts the linear growth).  The partition key is the gram rank —
+   asserts the linear growth).  The exchange key is the gram rank —
    rank 0 is the RAREST gram, so the hot-key problem of stopword buckets
    is structurally removed.
-4. **In-bucket candidates** — ``groupby(part).map_groups`` co-partitions
-   equal prefix grams; candidate pairs pass the length filter
-   (``num·(sa+sb) ≤ (num+den)·min(sa,sb)``) and are emitted as bare
-   ``(doc_a, doc_b)`` id pairs (cross-partition duplicates allowed —
-   they are cheap and deduped at the next hop).
-5. **Join-back verify** — two co-partitioned tagged-union exchanges keyed
-   on doc_id (the relational.py merge idiom): the first lands every
-   candidate pair in doc_a's partition (global pair-dedup via one
-   ``np.unique``) and attaches ``grams_a``; the second lands it in
-   doc_b's partition and verifies with a partition-local bitset
-   popcount-AND.  The gram sets ship once per exchange (O(s)/doc); only
-   VERIFIED-candidate payloads carry an array (O(C·s) where C is the
-   post-filter candidate count — small after length+prefix filtering;
-   a dup-saturated corpus should use ``dedup_minhash`` instead).
+4. **In-block candidates** — ``common.exchange`` on ``tok`` puts every
+   row of one prefix gram in one block (a block holds many grams); docs
+   sharing a gram in the block are candidate pairs if they pass the
+   length filter (``num·(sa+sb) ≤ (num+den)·min(sa,sb)``).  A pair that
+   shares several prefix grams can surface in several blocks.  Under
+   ``common.BROADCAST_BOUND`` the gram sets are broadcast and the block
+   verifies its pairs itself, keeping a pair only in the block that owns
+   its smallest common prefix gram ``r0`` (``r0`` is one of the block's
+   own ``tok`` values; each gram is in one block), so every pair is
+   emitted once with no further exchange.  Above the bound the block
+   emits bare ``(doc_a, doc_b)`` id pairs, duplicates allowed — they
+   are cheap and deduped at the next hop.
+5. **Join-back verify** — two tagged-union exchanges keyed on doc_id
+   (the relational.py merge idiom): the first lands every candidate
+   pair with doc_a's set (global pair-dedup via one ``np.unique``) and
+   attaches ``grams_a``; the second lands it with doc_b's set and
+   verifies with a block-local bitset popcount-AND.  The gram sets ship
+   once per exchange (O(s)/doc); only VERIFIED-candidate payloads carry
+   an array (O(C·s) where C is the post-filter candidate count — small
+   after length+prefix filtering; a dup-saturated corpus should use
+   ``dedup_minhash`` instead).
 
 Everything is integer end-to-end: the τ = num/den predicate is
 ``(den+num)·inter ≥ num·(sa+sb)`` and the reported similarity is the exact
@@ -68,7 +75,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.pipelines import common
-from nativeextractor_ray.pipelines.common import fits, measured
+from nativeextractor_ray.pipelines.common import exchange, fits, measured
 
 #: τ = TAU_NUM / TAU_DEN (exact rational, never a float)
 TAU_NUM = 1
@@ -80,9 +87,6 @@ TAU_DEN = 2
 #: family (dedup_minhash / dedup_ngram_jaccard) uses 3-grams, so the two
 #: operators stay distinguishable in the registry.
 GRAM_N = 2
-
-#: coarse verify partitions (matches dedup.py's conventions)
-N_PARTS = 64
 
 _MASK = 0x7FFFFFFFFFFFFFFF
 
@@ -192,7 +196,7 @@ def _popcount_rows(a: np.ndarray) -> np.ndarray:
 
 
 def emit_prefix_rows(t: pa.Table, rank_map, num: int, den: int) -> pa.Table:
-    """Prefix exchange payload: ``(tok, doc_id, s, part)`` — 4 ints per
+    """Prefix exchange payload: ``(tok, doc_id, s)`` — 3 ints per
     prefix token, O((1-τ)·s) bytes per doc (NO per-row gram arrays; the
     round-4 shape tiled the full array once per prefix token, O((1-τ)·s²)
     — the linear-growth pytest drives this function directly)."""
@@ -209,8 +213,7 @@ def emit_prefix_rows(t: pa.Table, rank_map, num: int, den: int) -> pa.Table:
     if not (s > 0).any():
         return pa.table({"tok": pa.array([], pa.int64()),
                          "doc_id": pa.array([], pa.int64()),
-                         "s": pa.array([], pa.int64()),
-                         "part": pa.array([], pa.int64())})
+                         "s": pa.array([], pa.int64())})
     # in-doc rank sort, vectorized across the whole batch: one lexsort
     # on (rank, doc-segment) orders every doc's grams rarest-first
     seg = np.repeat(np.arange(len(doc)), s)
@@ -224,8 +227,7 @@ def emit_prefix_rows(t: pa.Table, rank_map, num: int, den: int) -> pa.Table:
     tok = flat[pref_mask]
     return pa.table({"tok": pa.array(tok),
                      "doc_id": pa.array(np.repeat(doc, p)),
-                     "s": pa.array(np.repeat(s, p)),
-                     "part": pa.array(tok % N_PARTS)})
+                     "s": pa.array(np.repeat(s, p))})
 
 
 def _sets_side(sets_ds, rank_map):
@@ -274,43 +276,48 @@ _RESULT_EMPTY = pa.table({"doc_a": pa.array([], pa.int64()),
                           "jacc_micro": pa.array([], pa.int64())})
 
 
-def _broadcast_verifier(side_ref, num: int, den: int):
-    """In-bucket candidate + verify kernel for the broadcast path.
+def _token_pairs(tok: np.ndarray, doc: np.ndarray):
+    """Candidate pairs of one prefix-token block: ``(uniq_docs, doc_code,
+    pi, pj)`` with ``uniq_docs[doc_code] == doc`` and ``(pi, pj)`` the
+    distinct ``pi < pj`` pairs of doc codes that share a token."""
+    uniq_docs, doc_code = np.unique(doc, return_inverse=True)
+    order = np.argsort(tok, kind="stable")
+    tok_s, dc_s = tok[order], doc_code[order]
+    bounds = np.flatnonzero(np.r_[True, tok_s[1:] != tok_s[:-1], True])
+    pi, pj = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b - a >= 2:
+            members = np.unique(dc_s[a:b])
+            ii, jj = np.triu_indices(len(members), k=1)
+            pi.append(members[ii])
+            pj.append(members[jj])
+    m = len(uniq_docs)
+    packed = np.unique(np.concatenate(pi) * m + np.concatenate(pj))
+    return uniq_docs, doc_code, packed // m, packed % m
 
-    Candidate pairs come from shared prefix tokens in this bucket (as on
-    the join-back path); gram arrays come from the broadcast side, so
-    the verify needs NO further exchange.  A pair may surface in every
-    bucket that holds one of its shared prefix tokens — it is emitted
-    ONLY in the bucket OWNING its smallest common prefix gram
-    (``r0 % N_PARTS == part``), which dedups globally without a shuffle.
+
+def _broadcast_verifier(side_ref, num: int, den: int):
+    """In-block candidate + verify kernel for the broadcast path.
+
+    Candidate pairs come from shared prefix tokens in this exchange
+    block (as on the join-back path); gram arrays come from the
+    broadcast side, so the verify needs NO further exchange.  A pair may
+    surface in every block that holds one of its shared prefix tokens,
+    and a block holds many tokens.  The pair is emitted ONLY in the
+    block that owns its smallest common prefix gram ``r0``: the block
+    whose own ``tok`` values include ``r0``.  Every row of one token
+    lands in one block, so exactly one block owns ``r0``, and both docs
+    list ``r0`` in their prefixes, so that block sees the pair: a global
+    dedup without a shuffle.
     """
     import ray
 
     def verify_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _RESULT_EMPTY
         keys, starts, sz, flat_all = ray.get(side_ref)
         tok = t.column("tok").to_numpy(zero_copy_only=False)
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        uniq_docs, doc_code = np.unique(doc, return_inverse=True)
+        uniq_docs, _, pi, pj = _token_pairs(tok, doc)
         m = len(uniq_docs)
-        # candidate pairs from shared tokens (local codes)
-        order = np.argsort(tok, kind="stable")
-        tok_s, dc_s = tok[order], doc_code[order]
-        bounds = np.flatnonzero(np.r_[True, tok_s[1:] != tok_s[:-1],
-                                      True])
-        pi, pj = [], []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b - a >= 2:
-                members = np.unique(dc_s[a:b])
-                if len(members) >= 2:
-                    ii, jj = np.triu_indices(len(members), k=1)
-                    pi.append(members[ii])
-                    pj.append(members[jj])
-        if not pi:
-            return _RESULT_EMPTY
-        packed = np.unique(np.concatenate(pi) * m + np.concatenate(pj))
-        pi, pj = packed // m, packed % m
         gi = np.searchsorted(keys, uniq_docs)
         sizes = sz[gi]
         sa, sb = sizes[pi], sizes[pj]
@@ -346,7 +353,7 @@ def _broadcast_verifier(side_ref, num: int, den: int):
         pi, pj, sa, sb, inter = pi[ok], pj[ok], sa[ok], sb[ok], inter[ok]
         if not len(pi):
             return _RESULT_EMPTY
-        # smallest common PREFIX gram r0 → canonical owner bucket
+        # smallest common PREFIX gram r0 → the one block owning it
         pand = pref_bs[pi] & pref_bs[pj]
         nz = pand != 0
         first_w = np.argmax(nz, axis=1)
@@ -361,8 +368,7 @@ def _broadcast_verifier(side_ref, num: int, den: int):
             lowv[big] >>= np.uint64(shift)
         r0_local = first_w.astype(np.int64) * 64 + bit
         r0 = vocab[np.minimum(r0_local, len(vocab) - 1)]
-        pid = int(t.column("part")[0].as_py())
-        keep = any_common & (r0 % N_PARTS == pid)
+        keep = any_common & np.isin(r0, tok)
         pi, pj, sa, sb, inter = (pi[keep], pj[keep], sa[keep], sb[keep],
                                  inter[keep])
         if not len(pi):
@@ -389,7 +395,7 @@ def _split_group(t: pa.Table):
 
 def _gram_lookup(set_tbl: pa.Table):
     """(sorted keys, flat grams, offsets, sorted→orig row map, sizes)
-    for partition-local docs.  ``keys``/``sizes`` are key-sorted;
+    for block-local docs.  ``keys``/``sizes`` are key-sorted;
     ``goffs``/``gflat`` stay in ORIGINAL row order — callers must go
     through ``order[ai]`` to slice a doc's grams."""
     keys = set_tbl.column("k").to_numpy(zero_copy_only=False)
@@ -403,20 +409,14 @@ def _gram_lookup(set_tbl: pa.Table):
     return keys, gflat, goffs, order, sizes
 
 
-_JACC_EMPTY = pa.table({"doc_a": pa.array([], pa.int64()),
-                        "doc_b": pa.array([], pa.int64()),
-                        "inter": pa.array([], pa.int64()),
-                        "un": pa.array([], pa.int64()),
-                        "jacc_micro": pa.array([], pa.int64())})
-
-
-def _verify_joined(t: pa.Table, num: int, den: int) -> pa.Table:
-    """Join-back verify (exchange 3: pairs land in doc_b's partition):
-    partition-local bitset popcount-AND between the carried grams_a and
-    the co-partitioned grams_b — no per-pair Python."""
+def _verify_joined(t: pa.Table, num: int = TAU_NUM,
+                   den: int = TAU_DEN) -> pa.Table:
+    """Join-back verify (exchange 3: pairs land with doc_b's set):
+    block-local bitset popcount-AND between the carried grams_a and
+    the co-located grams_b — no per-pair Python."""
     set_t, pair_t = _split_group(t)
     if pair_t.num_rows == 0 or set_t.num_rows == 0:
-        return _JACC_EMPTY
+        return _RESULT_EMPTY
     db = pair_t.column("k").to_numpy(zero_copy_only=False)
     da = pair_t.column("other").to_numpy(zero_copy_only=False)
     sa = pair_t.column("s").to_numpy(zero_copy_only=False)
@@ -424,8 +424,8 @@ def _verify_joined(t: pa.Table, num: int, den: int) -> pa.Table:
     aoffs = ga.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     aoffs = aoffs - aoffs[0]
     aflat = pc.list_flatten(pair_t.column("grams")).to_numpy()
-    # only doc_b rows of some pair get a bitset: a partition holds
-    # ~n_docs/N_PARTS set rows but may hold few candidate pairs
+    # only doc_b rows of some pair get a bitset: a block holds many set
+    # rows but may hold few candidate pairs
     set_t = set_t.filter(pc.is_in(set_t.column("k"),
                                   value_set=pa.array(np.unique(db))))
     keys, gflat, goffs, order, sizes = _gram_lookup(set_t)
@@ -452,7 +452,7 @@ def _verify_joined(t: pa.Table, num: int, den: int) -> pa.Table:
     ok = (den + num) * inter >= num * (sa + sb)
     da, db, sa, sb, inter = da[ok], db[ok], sa[ok], sb[ok], inter[ok]
     if not len(da):
-        return _JACC_EMPTY
+        return _RESULT_EMPTY
     un = sa + sb - inter
     lo, hi = np.minimum(da, db), np.maximum(da, db)
     return pa.table({
@@ -462,6 +462,13 @@ def _verify_joined(t: pa.Table, num: int, den: int) -> pa.Table:
         "un": pa.array(un.astype(np.int64)),
         "jacc_micro": pa.array(
             (2 * inter * 1_000_000 + un) // (2 * un))})
+
+
+_PAIR_EMPTY = pa.table({"k": pa.array([], pa.int64()),
+                        "other": pa.array([], pa.int64()),
+                        "s": pa.array([], pa.int64()),
+                        "grams": pa.array([], pa.list_(pa.int64())),
+                        "is_set": pa.array([], pa.bool_())})
 
 
 def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
@@ -481,53 +488,28 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
     def emit_prefix(t: pa.Table) -> pa.Table:
         return emit_prefix_rows(t, ray.get(rank_ref), num, den)
 
+    prefixes = sets_ds.map_batches(emit_prefix, batch_format="pyarrow")
     # broadcast the whole gram-set table when it fits: the verify then
-    # runs IN the prefix buckets (one AllToAll total) instead of the two
+    # runs IN the prefix blocks (one AllToAll total) instead of the two
     # join-back exchanges (each pays the ~2.5 s AllToAll floor)
     if fits(nbytes, common.BROADCAST_BOUND):
         side_ref = ray.put(_sets_side(sets_ds, rank_map))
-        return (sets_ds.map_batches(emit_prefix, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(_broadcast_verifier(side_ref, num, den),
-                            batch_format="pyarrow"))
+        return exchange(prefixes, ["tok"],
+                        _broadcast_verifier(side_ref, num, den),
+                        batch_format="pyarrow")
 
     # ---- exchange 1: prefix tokens → candidate id pairs ---------------
     def candidates(t: pa.Table) -> pa.Table:
-        """Per prefix-gram bucket: docs sharing a token group become
-        candidate pairs iff they pass the length filter.  Emits bare
-        (doc_a, doc_b, part=doc_a % N_PARTS) id pairs, locally deduped;
-        cross-partition duplicates are deduped in doc_a's partition."""
-        e = pa.table({"k": pa.array([], pa.int64()),
-                      "other": pa.array([], pa.int64()),
-                      "s": pa.array([], pa.int64()),
-                      "grams": pa.array([], pa.list_(pa.int64())),
-                      "is_set": pa.array([], pa.bool_()),
-                      "part": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return e
-        tok = t.column("tok").to_numpy(zero_copy_only=False)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
+        """Per prefix-token block: docs sharing a token become candidate
+        pairs iff they pass the length filter.  Emits bare (doc_a,
+        doc_b) id pairs keyed by doc_a, locally deduped; duplicates
+        across blocks are deduped with doc_a's set."""
         s = t.column("s").to_numpy(zero_copy_only=False)
-        uniq_docs, doc_code = np.unique(doc, return_inverse=True)
+        uniq_docs, doc_code, pi, pj = _token_pairs(
+            t.column("tok").to_numpy(zero_copy_only=False),
+            t.column("doc_id").to_numpy(zero_copy_only=False))
         sizes = np.zeros(len(uniq_docs), np.int64)
         sizes[doc_code] = s
-        order = np.argsort(tok, kind="stable")
-        tok_s, dc_s = tok[order], doc_code[order]
-        bounds = np.flatnonzero(np.r_[True, tok_s[1:] != tok_s[:-1],
-                                      True])
-        pi, pj = [], []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b - a >= 2:
-                members = np.unique(dc_s[a:b])
-                if len(members) >= 2:
-                    ii, jj = np.triu_indices(len(members), k=1)
-                    pi.append(members[ii])
-                    pj.append(members[jj])
-        if not pi:
-            return e
-        m = len(uniq_docs)
-        packed = np.unique(np.concatenate(pi) * m + np.concatenate(pj))
-        pi, pj = packed // m, packed % m
         sa, sb = sizes[pi], sizes[pj]
         ok = num * (sa + sb) <= (num + den) * np.minimum(sa, sb)
         da = uniq_docs[pi[ok]]
@@ -539,39 +521,27 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
                          "s": pa.array(np.zeros(n, np.int64)),
                          "grams": pa.ListArray.from_arrays(
                              loffs, pa.array([], pa.int64())),
-                         "is_set": pa.array(np.zeros(n, bool)),
-                         "part": pa.array(da % N_PARTS)})
+                         "is_set": pa.array(np.zeros(n, bool))})
 
     def tag_sets(t: pa.Table) -> pa.Table:
         """Sets side of the tagged union, keyed by doc_id — identical
         non-null columns on both sides (the semi_anti_join lesson)."""
-        k = pc.cast(t.column("doc_id"), pa.int64())
         return pa.table({
-            "k": k,
+            "k": pc.cast(t.column("doc_id"), pa.int64()),
             "other": pa.array(np.zeros(t.num_rows, np.int64)),
             "s": pc.cast(t.column("s"), pa.int64()),
             "grams": t.column("grams"),
-            "is_set": pa.array(np.ones(t.num_rows, bool)),
-            "part": pa.array(k.to_numpy(zero_copy_only=False)
-                             % N_PARTS)})
+            "is_set": pa.array(np.ones(t.num_rows, bool))})
 
-    # ---- exchange 2: pair lands in doc_a's partition, attach grams_a --
-    pair_empty = pa.table({
-        "k": pa.array([], pa.int64()),
-        "other": pa.array([], pa.int64()),
-        "s": pa.array([], pa.int64()),
-        "grams": pa.array([], pa.list_(pa.int64())),
-        "is_set": pa.array([], pa.bool_()),
-        "part": pa.array([], pa.int64())})
-
+    # ---- exchange 2: pair lands with doc_a's set, attach grams_a ------
     def attach_a(t: pa.Table) -> pa.Table:
         set_t, pair_t = _split_group(t)
         if pair_t.num_rows == 0 or set_t.num_rows == 0:
-            return pair_empty
+            return _PAIR_EMPTY
         da = pair_t.column("k").to_numpy(zero_copy_only=False)
         db = pair_t.column("other").to_numpy(zero_copy_only=False)
-        # GLOBAL pair dedup: every copy of (a, b) — one per shared
-        # prefix-gram bucket — lands here, keyed by doc_a
+        # GLOBAL pair dedup: every copy of (a, b) — one per block that
+        # holds a shared prefix gram — lands here, keyed by doc_a
         packed = np.unique(np.stack([da, db], axis=1), axis=0)
         da, db = packed[:, 0], packed[:, 1]
         keys, gflat, goffs, order, sizes = _gram_lookup(set_t)
@@ -595,20 +565,15 @@ def ssjoin_jaccard(sf_dir: str, use_df_order: bool = True):
             "s": pa.array(sa.astype(np.int64)),
             "grams": pa.ListArray.from_arrays(
                 pa.array(loffs, pa.int32()), pa.array(values)),
-            "is_set": pa.array(np.zeros(len(da), bool)),
-            "part": pa.array(db % N_PARTS)})
+            "is_set": pa.array(np.zeros(len(da), bool))})
 
-    cand = (sets_ds.map_batches(emit_prefix, batch_format="pyarrow")
-            .groupby("part").map_groups(candidates,
-                                        batch_format="pyarrow"))
+    cand = exchange(prefixes, ["tok"], candidates, batch_format="pyarrow")
     sets_tagged = sets_ds.map_batches(tag_sets, batch_format="pyarrow")
-    with_a = (sets_tagged.union(cand)
-              .groupby("part").map_groups(attach_a,
-                                          batch_format="pyarrow"))
-    return (sets_tagged.union(with_a)
-            .groupby("part").map_groups(_verify_joined,
-                                        batch_format="pyarrow",
-                                        fn_kwargs={"num": num, "den": den}))
+    with_a = exchange(sets_tagged.union(cand), ["k"], attach_a,
+                      batch_format="pyarrow")
+    # ---- exchange 3: pair lands with doc_b's set, verify --------------
+    return exchange(sets_tagged.union(with_a), ["k"], _verify_joined,
+                    batch_format="pyarrow")
 
 
 def ssjoin_jaccard_sql() -> str:

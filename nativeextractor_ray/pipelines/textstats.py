@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from nativeextractor_ray.pipelines.common import exchange
+
 TOKEN_RE = r"[^\s]+"
 WORD_RE = r"[A-Za-z0-9]+"
 NONWORD_RE = r"[^A-Za-z0-9\s]"
@@ -315,7 +317,6 @@ WHERE len(regexp_extract_all(text, '{TOKEN_RE}')) >= 10"""
 
 
 TFIDF_TOP_K = 10
-_TFIDF_PARTS = 64
 
 
 def top_terms_tfidf(sf_dir: str, k: int = TFIDF_TOP_K):
@@ -330,14 +331,12 @@ def top_terms_tfidf(sf_dir: str, k: int = TFIDF_TOP_K):
     Scale shape: per-batch Arrow-kernel partials — split_pattern →
     list_parent_indices → two C++ group_bys — reduce every batch to
     (lang, term, tf, dfl) rows where dfl is exact because a document
-    never spans batches; ONE coarse hash(term) shuffle colocates each
-    term's partials; each partition vectorizes tf/df sums + scores and
-    emits only its local top-k per lang; the final per-lang resolve sees
-    k × partitions rows.  Vocabulary never sits on one node and text
-    never shuffles."""
+    never spans batches; ONE ``exchange`` on term colocates each term's
+    partials; each block vectorizes tf/df sums + scores and emits only
+    its local top-k per lang; the final per-lang resolve sees k × blocks
+    rows.  Vocabulary never sits on one node and text never shuffles."""
     import pandas as pd
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "lang", "text"])
@@ -357,13 +356,12 @@ def top_terms_tfidf(sf_dir: str, k: int = TFIDF_TOP_K):
         g = tbl.group_by(["lang", "term"]).aggregate(
             [("term", "count"), ("doc_id", "count_distinct")]
         )
-        out = pa.table({
+        return pa.table({
             "lang": g.column("lang"),
             "term": g.column("term"),
             "tf": pc.cast(g.column("term_count"), pa.int64()),
             "dfl": pc.cast(g.column("doc_id_count_distinct"), pa.int64()),
         })
-        return out.append_column("part", stable_part(out, ["term"], _TFIDF_PARTS))
 
     def score_part(df: "pd.DataFrame") -> "pd.DataFrame":
         agg = (df.groupby(["lang", "term"], sort=False)
@@ -384,9 +382,8 @@ def top_terms_tfidf(sf_dir: str, k: int = TFIDF_TOP_K):
         return df
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(score_part, batch_format="pandas")
+        exchange(ds.map_batches(partial, batch_format="pyarrow"), ["term"],
+                 score_part)
         .groupby("lang")           # few languages -> per-group UDF is fine
         .map_groups(resolve, batch_format="pandas")
     )
@@ -417,7 +414,6 @@ SELECT lang, term, tf, df, score, CAST(rn AS BIGINT) AS rnk FROM (
 
 
 POSTINGS_CAP = 64
-_IDX_PARTS = 64
 
 
 def inverted_index(sf_dir: str, cap: int = POSTINGS_CAP):
@@ -428,11 +424,9 @@ def inverted_index(sf_dir: str, cap: int = POSTINGS_CAP):
 
     Scale shape: per-batch Arrow kernels reduce each batch to DISTINCT
     (term, doc_id) pairs (a doc never spans batches, so batch-distinct is
-    globally distinct); ONE coarse hash(term) shuffle colocates each
-    term's pairs; each partition sorts once and builds every posting
-    ListArray straight from numpy offset arithmetic — zero per-term
-    Python."""
-    from nativeextractor_ray.functions.hashing import stable_part
+    globally distinct); ONE ``exchange`` on term colocates each term's
+    pairs; each block sorts once and builds every posting ListArray
+    straight from numpy offset arithmetic — zero per-term Python."""
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
@@ -447,8 +441,7 @@ def inverted_index(sf_dir: str, cap: int = POSTINGS_CAP):
             "term": flat,
             "doc_id": t.column("doc_id").take(parent),
         })
-        g = tbl.group_by(["term", "doc_id"]).aggregate([])  # distinct pairs
-        return g.append_column("part", stable_part(g, ["term"], _IDX_PARTS))
+        return tbl.group_by(["term", "doc_id"]).aggregate([])  # distinct pairs
 
     def build(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -476,11 +469,8 @@ def inverted_index(sf_dir: str, cap: int = POSTINGS_CAP):
             "postings": pc.binary_join(lists, ","),
         })
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(build, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(pairs, batch_format="pyarrow"), ["term"],
+                    build, batch_format="pyarrow")
 
 
 def inverted_index_sql(cap: int = POSTINGS_CAP) -> str:
@@ -508,35 +498,31 @@ def tokenize_ids(sf_dir: str, v: int = VOCAB_V):
     its id sequence.
 
     Scale shape: the vocab is BOUNDED by construction (real tokenizers
-    are), so it broadcasts.  Term counts reduce per batch (Arrow C++
-    group_by), one coarse hash(term) shuffle sums them; each partition
-    emits only its LOCAL top-v (global top-v ⊆ union of per-partition
-    top-v under term-hash partitioning), and the driver merges v×P tiny
-    rows.  The map stage is one searchsorted lookup per token against
-    the broadcast sorted vocab — no joins, no second shuffle; ids emit
-    as a comma-joined string (the gate row-sorts columns)."""
+    are), so it broadcasts: :func:`term_histogram` builds it.  The map
+    stage is one searchsorted lookup per token against the broadcast
+    sorted vocab — no joins, no second shuffle; ids emit as a
+    comma-joined string (the gate row-sorts columns)."""
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     return _encode_ids(ds, _top_v_vocab(ds, "text", v), "text")
 
 
-def _top_v_vocab(ds, text_col: str, v: int):
-    """Bounded top-v vocabulary of a text column → broadcastable
-    ``(sorted_terms, sorted_ids)`` arrays (id = 1-based rank in
-    (count desc, term asc) order)."""
-    import ray
+def _term_counts(t: pa.Table, text_col: str) -> pa.Table:
+    """``(term, cnt)``: the batch's whitespace terms and their counts."""
+    flat = pc.list_flatten(pc.split_pattern(t.column(text_col), " "))
+    flat = flat.filter(pc.not_equal(flat, ""))
+    g = pa.table({"term": flat}).group_by("term").aggregate([("term", "count")])
+    return pa.table({"term": g.column("term"),
+                     "cnt": pc.cast(g.column("term_count"), pa.int64())})
 
-    from nativeextractor_ray.functions.hashing import stable_part
 
-    def counts(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t.column(text_col), " ")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        g = pa.table({"term": flat}).group_by("term").aggregate([("term", "count")])
-        out = pa.table({"term": g.column("term"),
-                        "cnt": pc.cast(g.column("term_count"), pa.int64())})
-        return out.append_column("part", stable_part(out, ["term"], 64))
+def term_histogram(ds, text_col: str, v: int) -> list[tuple[str, int]]:
+    """The top-``v`` terms of a text column with their corpus counts,
+    ranked by (count desc, term asc).  Per-batch counts meet in one
+    ``exchange`` on term; each block emits its LOCAL top-v (the global
+    top-v is a subset of their union, since every term's counts sit in
+    one block) and the driver merges v × blocks tiny rows."""
 
     def local_top(df):
         agg = df.groupby("term", sort=False)["cnt"].sum().reset_index()
@@ -544,20 +530,21 @@ def _top_v_vocab(ds, text_col: str, v: int):
                               kind="stable")
         return agg.head(v)
 
-    cand = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(local_top, batch_format="pandas")
-        .take_all()
-    )
+    cand = exchange(ds.map_batches(_term_counts, batch_format="pyarrow",
+                                   fn_kwargs={"text_col": text_col}),
+                    ["term"], local_top).take_all()
     cand.sort(key=lambda r: (-r["cnt"], r["term"]))
-    vocab = cand[:v]
-    terms = np.array([r["term"] for r in vocab], dtype=object)
+    return [(r["term"], int(r["cnt"])) for r in cand[:v]]
+
+
+def _top_v_vocab(ds, text_col: str, v: int):
+    """Bounded top-v vocabulary of a text column → broadcastable
+    ``(sorted_terms, sorted_ids)`` arrays (id = 1-based rank in
+    (count desc, term asc) order)."""
+    vocab = term_histogram(ds, text_col, v)
+    terms = np.array([w for w, _ in vocab], dtype=object)
     order = np.argsort(terms)
-    sorted_terms = terms[order]
-    # id = 1-based rank in (cnt desc, term asc) order
-    sorted_ids = (np.arange(1, len(vocab) + 1))[order]
-    return sorted_terms, sorted_ids
+    return terms[order], np.arange(1, len(vocab) + 1)[order]
 
 
 def _encode_ids(ds, vocab, text_col: str):
@@ -631,16 +618,16 @@ def source_report(sf_dir: str, min_tokens: int = 10):
 
     Scale shape: token/gate sums reduce per batch to one row per source
     (sources are bounded).  Distinct-content counts need the md5 keys
-    co-located: per-batch distinct (source, key) pairs → ONE coarse
-    hash(key) shuffle (16-byte keys + a source tag, never text) →
-    per-partition distinct → per-source partial counts → tiny final
-    groupby.  A key seen in two sources counts once per source
-    (count(DISTINCT text) semantics per source)."""
+    co-located: per-batch distinct (source, key) pairs → ONE ``exchange``
+    on key (16-byte keys + a source tag, never text) → per-block
+    distinct → per-source partial counts → tiny final groupby, collected
+    on the driver (a row per source) and attached to the totals.  A key
+    seen in two sources counts once per source (count(DISTINCT text)
+    semantics per source)."""
     import hashlib
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
@@ -648,11 +635,10 @@ def source_report(sf_dir: str, min_tokens: int = 10):
     def keyed(t: pa.Table) -> pa.Table:
         keys = [hashlib.md5(s.encode()).hexdigest()
                 for s in t.column("text").to_pylist()]
-        out = pa.table({
+        return pa.table({
             "source": t.column("source"),
             "key": pa.array(keys, pa.string()),
         }).group_by(["source", "key"]).aggregate([])
-        return out.append_column("part", stable_part(out, ["key"], 64))
 
     def part_counts(t: pa.Table) -> pa.Table:
         g = (t.select(["source", "key"])
@@ -663,13 +649,13 @@ def source_report(sf_dir: str, min_tokens: int = 10):
             "n_distinct_texts": pc.cast(g.column("key_count"), pa.int64()),
         })
 
-    distinct = (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_counts, batch_format="pyarrow")
+    distinct = {
+        r["source"]: r["n_distinct_texts"] for r in
+        exchange(ds.map_batches(keyed, batch_format="pyarrow"), ["key"],
+                 part_counts, batch_format="pyarrow")
         .groupby("source")
         .aggregate(Sum("n_distinct_texts", alias_name="n_distinct_texts"))
-    )
+        .take_all()}
 
     def stats(t: pa.Table) -> pa.Table:
         ntok = _count(t.column("text"), TOKEN_RE)
@@ -695,16 +681,16 @@ def source_report(sf_dir: str, min_tokens: int = 10):
                    Sum("n_gate_pass", alias_name="n_gate_pass"))
     )
 
-    # bounded join: sources are a handful of rows on each side
-    joined = totals.join(distinct, join_type="inner", num_partitions=2,
-                         on=("source",))
-
     def finish(t: pa.Table) -> pa.Table:
-        cols = ["source", "n_docs", "n_distinct_texts", "sum_tokens",
-                "n_gate_pass"]
-        return t.select(cols)
+        n_distinct = [distinct[s] for s in t.column("source").to_pylist()]
+        return pa.table({
+            "source": t.column("source"),
+            "n_docs": t.column("n_docs"),
+            "n_distinct_texts": pa.array(n_distinct, pa.int64()),
+            "sum_tokens": t.column("sum_tokens"),
+            "n_gate_pass": t.column("n_gate_pass")})
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return totals.map_batches(finish, batch_format="pyarrow")
 
 
 def source_report_sql(min_tokens: int = 10) -> str:
@@ -782,20 +768,17 @@ FROM agg WHERE n_tokens > 0"""
 # --------------------------------------------------- term-frequency Zipf
 
 
-_ZIPF_PARTS = 64
-
-
 def term_freq_histogram(sf_dir: str):
     """Corpus-wide Zipf profile: for every corpus frequency ``f``, the
     number of DISTINCT terms occurring exactly ``f`` times — the
     count-of-counts curve used to sanity-check tokenizers, spot boiler-
     plate spikes and size vocabulary cut-offs.
 
-    Scale shape: per-batch (term, count) Arrow partials → ONE coarse
-    hash(term) shuffle (each term's partials colocate, so the per-
-    partition sum is the exact corpus tf) → per-partition count-of-
-    counts folds the vocabulary away (≤ distinct-f rows leave each
-    partition) → a tiny final ``groupby(freq)`` sum.  The vocabulary
+    Scale shape: per-batch (term, count) Arrow partials → ONE
+    ``exchange`` on term (each term's partials colocate, so the per-
+    block sum is the exact corpus tf) → per-block count-of-counts folds
+    the vocabulary away (≤ distinct-f rows leave each block) → a tiny
+    final ``groupby(freq)`` sum.  The vocabulary
     never sits on one node; the result is O(distinct frequencies) —
     hundreds of rows for any corpus.
 
@@ -804,34 +787,19 @@ def term_freq_histogram(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from nativeextractor_ray.functions.hashing import stable_part
     from nativeextractor_ray.sources.tables import read_table
 
     ds = read_table(sf_dir, "documents", ["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(pc.split_pattern(t.column("text"), " "))
-        flat = flat.filter(pc.not_equal(flat, ""))
-        g = pa.table({"term": flat}).group_by("term").aggregate(
-            [("term", "count")])
-        out = pa.table({
-            "term": g.column("term"),
-            "tf": pc.cast(g.column("term_count"), pa.int64())})
-        return out.append_column(
-            "part", stable_part(out, ["term"], _ZIPF_PARTS))
-
     def count_of_counts(df: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd_
-
-        tf = df.groupby("term", sort=False)["tf"].sum()
-        vc = tf.value_counts()
-        return pd_.DataFrame({
+        vc = df.groupby("term", sort=False)["cnt"].sum().value_counts()
+        return pd.DataFrame({
             "freq": vc.index.to_numpy(np.int64),
             "n_terms": vc.to_numpy(np.int64)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(count_of_counts, batch_format="pandas")
+    return (exchange(ds.map_batches(_term_counts, batch_format="pyarrow",
+                                    fn_kwargs={"text_col": "text"}),
+                     ["term"], count_of_counts)
             .groupby("freq")
             .aggregate(Sum("n_terms", alias_name="n_terms")))
 

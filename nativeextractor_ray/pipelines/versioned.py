@@ -12,17 +12,17 @@ Derived delta (version 2):
 
 Scale shapes
 ------------
-``snapshot_compact``: the base and delta stream through ONE hash(doc_id)
-co-partition; each group keeps its max-version row and tombstones drop —
-the MERGE INTO latest-wins semantics with exactly one narrow exchange
-(16-byte keys + content hashes; text never shuffles — the output carries
-``content_h``, not text).
+``snapshot_compact``: the base and delta stream through ONE
+``common.exchange`` on doc_id; each doc keeps its max-version row and
+tombstones drop — the MERGE INTO latest-wins semantics with exactly one
+narrow exchange (16-byte keys + content hashes; text never shuffles —
+the output carries ``content_h``, not text).
 
 ``snapshot_diff``: the OLD snapshot and the COMPACTED new one are two
-independent Datasets diffed by a tagged-union co-partition on the same
-key hash (the repo's attach shape) — per partition a vectorized
-merge classifies added / deleted / changed / unchanged and folds to ≤ 4
-partial rows; one tiny final groupby sums.  This is the generic
+independent Datasets diffed by a tagged-union exchange on the same key
+(the repo's attach shape) — per block a vectorized merge classifies
+added / deleted / changed / unchanged and folds to ≤ 4 partial rows;
+the driver sums them.  This is the generic
 content-hash diff: nothing about the derivation is assumed.
 """
 
@@ -36,12 +36,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from nativeextractor_ray.pipelines import common
-from nativeextractor_ray.pipelines.common import fits
+from nativeextractor_ray.pipelines.common import exchange, fits
 
 INSERT_OFFSET = 1_000_000_000
 _MOD = 2305843009213693951  # 2^61 - 7
-
-N_PARTS = 64
 
 
 def _h64_text(arr: pa.Array) -> np.ndarray:
@@ -137,10 +135,6 @@ def snapshot_compact(sf_dir: str):
     ``(doc_id, version, content_h)`` — tombstoned docs gone."""
     ds = _tagged_union(sf_dir)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(t.column("doc_id").to_numpy() % N_PARTS))
-
     def latest(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["doc_id", "version"],
                             ascending=[True, False], kind="stable")
@@ -148,8 +142,7 @@ def snapshot_compact(sf_dir: str):
         keep = keep[~keep["deleted"]]
         return keep[["doc_id", "version", "content_h"]].astype("int64")
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(latest, batch_format="pandas"))
+    return exchange(ds, ["doc_id"], latest)
 
 
 #: CTE rendering of the derived delta — MUST stay in lockstep with
@@ -195,10 +188,6 @@ def snapshot_diff(sf_dir: str):
     # pay a second shuffle and a third text-hash pass for nothing
     ds = _tagged_union(sf_dir)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(t.column("doc_id").to_numpy() % N_PARTS))
-
     def classify(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["doc_id", "version"],
                             ascending=[True, False], kind="stable")
@@ -221,8 +210,8 @@ def snapshot_diff(sf_dir: str):
     # Gate on the DOCUMENTS row count (metadata only): the tagged union
     # is ≤ 2 rows × 25 B per doc — under the bound it collects once and
     # classifies in ONE local pandas pass (zero exchanges); above it the
-    # doc-hash co-partition runs and only its ≤4-row-per-partition
-    # partials fold on the driver (one exchange; the second groupby was
+    # doc_id exchange runs and only its ≤4-row-per-block partials fold on
+    # the driver (one exchange; the second groupby was
     # pure fixed cost for a 4-row result either way)
     if fits(table_nrows(sf_dir, "documents"), common.DRIVER_BOUND, 64):
         parts = list(arrow_blocks(ds, stream=False))
@@ -239,11 +228,8 @@ def snapshot_diff(sf_dir: str):
                                pa.string()),
             "n": pa.array(out["n"].to_numpy(np.int64))})
 
-    both = ds.map_batches(add_part, batch_format="pyarrow")
     acc: dict[str, int] = {}
-    for t in arrow_blocks(both.groupby("part")
-                          .map_groups(classify, batch_format="pandas"),
-                          stream=False):
+    for t in arrow_blocks(exchange(ds, ["doc_id"], classify), stream=False):
         for c, n in zip(t.column("change").to_pylist(),
                         t.column("n").to_pylist()):
             acc[c] = acc.get(c, 0) + int(n)

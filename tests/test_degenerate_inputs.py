@@ -53,6 +53,8 @@ REL_QUERIES = [
     "product_type_profit",
     # semi_anti_join callers outside relational.py
     "referential_audit", "order_count_distribution",
+    # quantiles: the orders/lineitem tagged-union exchange
+    "ship_latency_quantiles",
 ]
 
 
@@ -134,6 +136,10 @@ GATED_QUERIES = [
     "exact_stratified_split",
     # similarity: trains dedup_semantic's quantizer
     "ann_ivf_topk",
+    # textstats, bpe, ssjoin, versioned, quantiles
+    "top_terms_tfidf", "inverted_index", "tokenize_ids", "source_report",
+    "term_freq_histogram", "bpe_train", "bpe_encode", "ssjoin_jaccard",
+    "snapshot_compact", "snapshot_diff", "session_duration_quantiles",
 ]
 # gates forced to 0 (CC_DRIVER_MAX to -1) so every query takes its
 # exchange path
@@ -142,8 +148,10 @@ GATES = {
     graph: ["VOCAB_BOUND"],
     decontam: ["BENCH_BROADCAST_BOUND"],
 }
-# their oracles train centroid literals on the table they run against
-TRAINED_ON_TABLE = {"dedup_semantic", "ann_ivf_topk"}
+# their oracles build literals (trained centroids, BPE merges) from the
+# table they run against
+TRAINED_ON_TABLE = {"dedup_semantic", "ann_ivf_topk", "bpe_train",
+                    "bpe_encode"}
 # VOCAB_BOUND has no exchange arm: it only fails loudly when the entity
 # vocabulary would not fit the driver, so at 0 every query that collects
 # a non-empty vocabulary must raise

@@ -1,6 +1,7 @@
 """``common.exchange`` against the hand-built exchange it replaces (tag a
-``part`` column, ``groupby("part").map_groups(fn)``), and a guard that
-keeps the hand-built form out of the migrated pipeline modules."""
+``part`` column, ``groupby("part").map_groups(fn)``), and guards that
+keep the hand-built form and the partition primitives out of every
+module of the package."""
 
 import re
 from pathlib import Path
@@ -106,31 +107,41 @@ def test_exchange_keeps_the_callers_operator_name(ray_session):
     assert "per_key" in plan, plan
 
 
-# modules whose keyed exchanges all go through common.exchange
-MIGRATED = ["pipelines/kg.py", "pipelines/events.py", "pipelines/windows.py",
-            "pipelines/similarity.py", "pipelines/relational.py",
-            "pipelines/dedup.py", "pipelines/graph.py",
-            "functions/unionfind.py", "pipelines/decontam.py",
-            "pipelines/lmscore.py", "pipelines/curation.py",
-            "pipelines/audit.py"]
 # any partition column name: part, gpart, part2, partL, dpart, ...
 HAND_BUILT = [
     re.compile(r"""groupby\(\s*["'][a-z]*part\w*["']\s*\)\s*\.\s*map_groups"""),
     re.compile(r"\bdef\s+add_[a-z]*part\w*"),
 ]
-# "<module>:<function>" sites left on the hand-built form on purpose
-EXEMPT: set[str] = set()
+# the partition primitives and a tagger's partition column: only the
+# exchange itself, the hash, and the headline's triple partitions
+# (``kg.N_TRIPLE_PARTS``, combined by ``kg.combine_parts``) use them
+PRIMITIVES = re.compile(
+    r"""\b(?:sorted_blocks|stable_part)\(|["'][a-z]*part\d*["']\s*:"""
+    r"""|append_column\(\s*["'][a-z]*part""")
+CORE = {"pipelines/common.py", "functions/hashing.py", "pipelines/kg.py",
+        "stages/kg_extract.py"}
+
+
+def _package_matches(pat):
+    """``(module, "<module>:<function> (line n): <match>")`` for every
+    match of ``pat`` in a ``*.py`` file of the package."""
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        src = path.read_text()
+        for m in pat.finditer(src):
+            lineno = src.count("\n", 0, m.start()) + 1
+            func = re.findall(r"^def (\w+)", src[:m.start()], re.M)
+            yield rel, (f"{rel}:{func[-1] if func else ''} (line {lineno}): "
+                        f"{m.group(0)!r}")
 
 
 def test_no_hand_built_part_exchange():
-    offenders = []
-    for rel in MIGRATED:
-        src = (PKG / rel).read_text()
-        for pat in HAND_BUILT:
-            for m in pat.finditer(src):
-                lineno = src.count("\n", 0, m.start()) + 1
-                func = re.findall(r"^def (\w+)", src[:m.start()], re.M)
-                site = f"{rel}:{func[-1] if func else ''}"
-                if site not in EXEMPT:
-                    offenders.append(f"{site} (line {lineno}): {m.group(0)!r}")
+    offenders = [site for pat in HAND_BUILT
+                 for _rel, site in _package_matches(pat)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_partition_primitives_only_in_the_core():
+    offenders = [site for rel, site in _package_matches(PRIMITIVES)
+                 if rel not in CORE]
     assert not offenders, "\n".join(offenders)
