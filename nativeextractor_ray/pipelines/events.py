@@ -1163,8 +1163,6 @@ def peak_concurrency(sf_dir: str):
             "lmax": pa.array([lmax], pa.int64()),
             "lmax_ts": pa.array([int(tu[first])], pa.int64())})
 
-    import pandas as pd
-
     partials = sorted(
         ((r["k0"], -r["k1"], r["k2"], r["k3"]),
          r["total"], r["lmax"], r["lmax_ts"])
@@ -1176,14 +1174,9 @@ def peak_concurrency(sf_dir: str):
         if peak is None or cand > peak:
             peak, peak_ts = cand, lmax_ts
         acc += total
-    if peak is None:
-        # empty events: the oracle's max-over-empty row is (NULL, NULL) —
-        # match it instead of feeding None to a non-nullable int64 array
-        return pd.DataFrame({
-            "peak_sessions": pd.array([None], dtype="Int64"),
-            "first_peak_us": pd.array([None], dtype="Int64")})
-    return pd.DataFrame({"peak_sessions": pd.array([peak], dtype="int64"),
-                         "first_peak_us": pd.array([peak_ts], dtype="int64")})
+    # empty events: peak is None, the oracle's max-over-empty (NULL, NULL)
+    return pa.table({"peak_sessions": pa.array([peak], pa.int64()),
+                     "first_peak_us": pa.array([peak_ts], pa.int64())})
 
 
 def peak_concurrency_sql() -> str:
@@ -1725,20 +1718,12 @@ def session_bounce_rate(sf_dir: str):
     parts = exchange(ds, ["user_id"], part_counts).take_all()
     n = sum(r["n_sessions"] for r in parts)
     b = sum(r["n_bounce"] for r in parts)
-    import pandas as pd
-
-    if n == 0:
-        # empty events: the oracle's agg row is (0, 0, NULL) — DuckDB's
-        # 0 // 0 is NULL — so match it instead of raising ZeroDivision
-        return pd.DataFrame({
-            "n_sessions": pd.array([0], dtype="int64"),
-            "n_bounce": pd.array([0], dtype="int64"),
-            "bounce_micro": pd.array([None], dtype="Int64")})
-    return pd.DataFrame({
-        "n_sessions": pd.array([n], dtype="int64"),
-        "n_bounce": pd.array([b], dtype="int64"),
-        "bounce_micro": pd.array([(2 * b * 1_000_000 + n) // (2 * n)],
-                                 dtype="int64")})
+    # empty events: the oracle's agg row is (0, 0, NULL), DuckDB's 0 // 0
+    return pa.table({
+        "n_sessions": pa.array([n], pa.int64()),
+        "n_bounce": pa.array([b], pa.int64()),
+        "bounce_micro": pa.array([(2 * b * 1_000_000 + n) // (2 * n) if n else None],
+                                 pa.int64())})
 
 
 def session_bounce_rate_sql() -> str:

@@ -4,14 +4,15 @@ per-entity reports over the same extraction.
 
 Shape (SURVEY.md §3.4): streaming read → KgExtract in task mode, fused
 with the transcripts derive (mention-detect + link + triple-emit with
-per-batch combining) → materialized partials → sort by a stable hash
-``part`` of (subj, pred, obj) (the ONLY shuffle; it moves partial counts,
-not occurrences) → one Arrow group_by per sorted block (``combine_parts``,
-``common.sorted_blocks``) → triples.  The checkpointed ``run_kg`` runs
-the same plan per input slice and ``finalize`` merges the slices with
-the same ``combine_parts``.  Every keyed report (per conversation, per
-entity, per (minute, term)) co-locates its rows with ``common.exchange``
-and groups on the real key inside one call per sorted block.
+per-batch combining) → sort of the partials by a stable hash ``part`` of
+(subj, pred, obj) (the ONLY shuffle; it moves partial counts, not
+occurrences) → one Arrow group_by per sorted block (``combine_parts``,
+``common.sorted_blocks``) → triples, all in one streaming execution.
+The checkpointed ``run_kg`` runs the same plan per input slice and
+``finalize`` merges the slices with the same ``combine_parts``.  Every
+keyed report (per conversation, per entity, per (minute, term))
+co-locates its rows with ``common.exchange`` and groups on the real key
+inside one call per sorted block.
 Canonicalization groups distinct surfaces (bounded vocabulary), runs
 union-find on the driver, and the resulting surface→entity map is
 broadcast-sized."""
@@ -87,18 +88,19 @@ def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
     The final dedup/sum sorts by ``part``, a stable int hash of
     (subj, pred, obj) mod N_TRIPLE_PARTS, instead of the 3-string key
     directly: the shuffle sorts a single int column, and ``combine_parts``
-    then combines each sorted block with one vectorized Arrow group_by."""
+    then combines each sorted block with one vectorized Arrow group_by.
+
+    The whole plan (read → derive → KgExtract → sort → combine) is ONE
+    streaming execution.  Ahead of the sort, Ray's per-operator
+    reservation throttled the extract map (3.45 s a pass vs 1.34 s
+    without it, 600k turns at 4 Ray CPUs), so a fused plan runs without
+    it (see ``transcripts_dataset``).  Materializing the partials, the
+    earlier way round the throttle, cost a second execution for a set
+    read once (1.87 s)."""
     kg = KgExtract()
     ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition,
                              fuse=True)
-    partial = ds.map_batches(kg, batch_format="pyarrow", batch_size=None)
-    # explicit stage boundary before the dedup shuffle: streamed into an
-    # AllToAll consumer, the streaming executor throttles the extraction
-    # map to ~1 concurrent task on small CPU counts (measured 34 s vs
-    # 10 s at 4 CPUs, 1.6M turns; equal-or-faster at 16+).  The
-    # materialized set is the compact PARTIAL aggregate — the same
-    # boundary the per-partition checkpoints commit — never the input.
-    return combine_parts(partial.materialize())
+    return combine_parts(ds.map_batches(kg, batch_format="pyarrow", batch_size=None))
 
 
 def triples_tool(sf_dir: str):
