@@ -142,12 +142,13 @@ def run_mentions_throughput() -> dict:
 
 def run_gazetteer() -> dict:
     """100k-word gazetteer scan: FlatDictionary built once + ray.put once,
-    resolved per actor (the PATTY-mmap economics, VERDICT r1 item 6)."""
+    resolved once per worker process (the PATTY-mmap economics, VERDICT
+    r1 item 6)."""
     import numpy as np
     import ray
 
-    from nativeextractor_ray.sources.transcripts import DICT_NAMES, transcripts_dataset
-    from nativeextractor_ray.stages.miner_pool import MinerPool
+    from nativeextractor_ray.pipelines.extract import mentions_dataset
+    from nativeextractor_ray.sources.transcripts import DICT_NAMES
     from nativeextractor_ray.state.flatdict import FlatDictionary
 
     rng = np.random.default_rng(5)
@@ -156,17 +157,9 @@ def run_gazetteer() -> dict:
     ref = ray.put(FlatDictionary(sorted(set(DICT_NAMES) | big)))
     build = time.perf_counter() - t0
 
-    from nativeextractor_ray.pipelines.common import pool_concurrency
-
-    ds = transcripts_dataset(SF_DIR, replicate=max(1, REPLICATE // 4))
     t0 = time.perf_counter()
-    n = ds.map_batches(
-        MinerPool,
-        fn_constructor_args=([("ner", (ref,), {"label": "Dict"})],),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=pool_concurrency(),
-    ).count()
+    n = mentions_dataset(SF_DIR, specs=[("ner", (ref,), {"label": "Dict"})],
+                         replicate=max(1, REPLICATE // 4)).count()
     return {"sec": round(time.perf_counter() - t0, 3),
             "build_sec": round(build, 3), "mentions": n}
 

@@ -17,8 +17,8 @@ top of ``ray.data.Dataset`` pipelines:
 
 Everything is expressed Ray-Data-first: a Parquet read planned from file
 footers (``sources.tables.read_table``, a ``ray.data`` Datasource) →
-``map_batches`` over zero-copy Arrow with actor pools for compile-once
-miner state →
+``map_batches`` over zero-copy Arrow, whose miner state compiles once per
+worker process (``stages.miner_pool``) →
 ``groupby``/``aggregate`` for the wide steps → partitioned ``write_parquet``
 with per-partition manifests for resume.
 

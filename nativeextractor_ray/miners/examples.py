@@ -3,8 +3,10 @@ README walks through writing a hello-world miner against the C combinator
 API; here a user subclasses :class:`Miner` and returns spans).
 
 To run a custom miner distributed, pass the CLASS in the MinerSpec —
-``MinerPool`` instantiates it inside each actor worker:
+``MinerPool`` instantiates it inside each worker process, once per task
+worker (``mentions_dataset``) or per actor:
 
+    mentions_dataset(sf_dir, specs=[(ShoutMiner, (), {})])
     ds.map_batches(MinerPool, fn_constructor_args=([(ShoutMiner, (), {})],),
                    batch_format="pyarrow", concurrency=4)
 

@@ -58,10 +58,10 @@ class DictionaryMiner(Miner):
 
             if isinstance(words, ray.ObjectRef):
                 # large-gazetteer path: the FlatDictionary artifact was
-                # built once and ray.put by the driver; each actor resolves
-                # it here — numpy buffers are plasma-shared per node (the
-                # Ray analogue of the reference's PATTY mmap,
-                # patricia.c:583-612)
+                # built once and ray.put by the driver; each worker
+                # process resolves it here, once per pool — numpy buffers
+                # are plasma-shared per node (the Ray analogue of the
+                # reference's PATTY mmap, patricia.c:583-612)
                 words = ray.get(words)
         except ImportError:  # pure-library use without ray
             pass

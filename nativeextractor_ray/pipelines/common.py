@@ -33,17 +33,9 @@ copy per reducer.  Measured on one 200k-row block of ``conv-%08d``
 keys (1 CPU): ``sort(["k"])`` takes 0.18 / 0.91 / 2.6 s at 8 / 64 / 256
 reducers; tag + ``sort("part")`` takes 0.08 s at each.  An int64 key
 sorts about 6 ms (20 %) faster on itself than through the tag, too
-little to justify a second code path.
-
-Measured on the sf0.1 bench (200k turns, 32 CPUs): large batches amortize
-per-call overhead AND shrink the shuffled partial tables (more per-batch
-combining); a fixed half-the-CPUs actor pool beats both a (1, N) autoscaler
-(slow ramp) and an all-CPUs pool (startup cost + starving the read/shuffle
-stages)."""
+little to justify a second code path."""
 
 from __future__ import annotations
-
-DEFAULT_BATCH_SIZE = 4096
 
 #: bytes of a side that may be folded or deduplicated on the driver
 DRIVER_BOUND = 64 << 20
@@ -100,12 +92,4 @@ def _cpus() -> int:
         return int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         return 4
-
-
-def pool_concurrency() -> int:
-    """Fixed actor-pool size: half the cluster CPUs, capped at 16 per
-    stage — leaves headroom for the read/derive tasks and the shuffle so
-    no stage starves.  At least 1, never 2: two 1-CPU actors hold every
-    CPU of a 2-CPU cluster and the read tasks that feed them never run."""
-    return max(1, min(16, _cpus() // 2))
 

@@ -27,10 +27,8 @@ from nativeextractor_ray.functions.unionfind import canonicalize
 from nativeextractor_ray.pipelines.common import exchange, sorted_blocks
 from nativeextractor_ray.pipelines.extract import mentions_dataset
 from nativeextractor_ray.sources.transcripts import DICT_NAMES, transcripts_dataset
-from nativeextractor_ray.stages.kg_extract import KgExtract
+from nativeextractor_ray.stages.kg_extract import N_TRIPLE_PARTS, KgExtract  # noqa: F401
 
-
-N_TRIPLE_PARTS = 256
 TRIPLE_COLS = ["subj", "pred", "obj", "support", "first_seen", "prob"]
 
 
@@ -49,14 +47,6 @@ def _final_combine(t: pa.Table) -> pa.Table:
     })
 
 
-def _triple_part_column(t: pa.Table) -> pa.Table:
-    """Process-stable partition key (vectorized siphash, never builtin
-    ``hash`` which is salted per process)."""
-    from nativeextractor_ray.functions.hashing import stable_part
-
-    return t.append_column("part", stable_part(t, ["subj", "pred", "obj"], N_TRIPLE_PARTS))
-
-
 def combine_parts(ds):
     """Final combine of ``part``-keyed triple partials: ONE Arrow group_by
     per ``part``-sorted block.  Every row of one triple carries the same
@@ -68,7 +58,7 @@ def combine_triple_partials(ds):
     """Merge triple-partial rows (e.g. per-checkpoint-partition outputs)
     with the same coarse-partitioned associative combine the live pipeline
     uses: sum support, min first_seen, max prob per (subj, pred, obj)."""
-    return combine_parts(ds.map_batches(_triple_part_column, batch_format="pyarrow"))
+    return exchange(ds, ["subj", "pred", "obj"], _final_combine, batch_format="pyarrow")
 
 
 def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
@@ -78,9 +68,9 @@ def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
 
     KgExtract's state (dict index + compiled miners) builds in ~ms, so it
     runs as a pre-built instance in TASK mode, fused with the transcripts
-    derive — per-task scheduling overhead, not compute, dominated the
-    actor-pool shape on chunky local blocks (measured 2× at 800k turns),
-    and task mode needs no minimum actor count, so it runs on 1 CPU.
+    derive: per-task scheduling overhead, not compute, dominated an actor
+    stage on chunky local blocks (measured 2× at 800k turns), and task
+    mode holds no CPU between tasks, so it runs on 1 CPU.
     ``batch_size=None`` is load-bearing: an explicit batch_size on a fused
     stage applies to PRE-explosion row counts (see
     extract.mentions_dataset).
@@ -93,13 +83,12 @@ def triples_dataset(sf_dir: str, replicate: int = 1, doc_partition=None):
     The whole plan (read → derive → KgExtract → sort → combine) is ONE
     streaming execution.  Ahead of the sort, Ray's per-operator
     reservation throttled the extract map (3.45 s a pass vs 1.34 s
-    without it, 600k turns at 4 Ray CPUs), so a fused plan runs without
-    it (see ``transcripts_dataset``).  Materializing the partials, the
-    earlier way round the throttle, cost a second execution for a set
-    read once (1.87 s)."""
+    without it, 600k turns at 4 Ray CPUs), so every transcripts plan
+    runs without it (see ``transcripts_dataset``).  Materializing the
+    partials, the earlier way round the throttle, cost a second execution
+    for a set read once (1.87 s)."""
     kg = KgExtract()
-    ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition,
-                             fuse=True)
+    ds = transcripts_dataset(sf_dir, replicate=replicate, doc_partition=doc_partition)
     return combine_parts(ds.map_batches(kg, batch_format="pyarrow", batch_size=None))
 
 
@@ -174,7 +163,7 @@ def entity_turns_dataset(sf_dir: str):
             })
 
     # same fused-task shape as triples_dataset (cheap per-instance state)
-    ds = transcripts_dataset(sf_dir, fuse=True)
+    ds = transcripts_dataset(sf_dir)
     return ds.map_batches(EntityTurns(), batch_format="pyarrow", batch_size=None)
 
 
@@ -846,7 +835,7 @@ def entity_turn_role_ts_dataset(sf_dir: str):
                 "ent": pairs.column("ent"),
             })
 
-    ds = transcripts_dataset(sf_dir, fuse=True)
+    ds = transcripts_dataset(sf_dir)
     return ds.map_batches(EntityTurnsCtx(), batch_format="pyarrow",
                           batch_size=None)
 

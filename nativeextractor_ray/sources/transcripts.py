@@ -301,11 +301,15 @@ def fused_blocks(n_docs: int | None, replicate: int, cpus: int) -> int:
     return max(floor, min(cpus, w), w // 4)
 
 
+def doc_slice(t: pa.Table, pid: int, n_parts: int) -> pa.Table:
+    """The rows of ``t`` in the input slice ``doc_id % n_parts == pid``."""
+    return t.filter(pa.array(t.column("doc_id").to_numpy() % n_parts == pid))
+
+
 def transcripts_dataset(
     sf_dir: str,
     replicate: int = 1,
     doc_partition: tuple[int, int] | None = None,
-    fuse: bool = False,
 ):
     """Streaming transcripts Dataset derived from <sf_dir>/documents.parquet.
 
@@ -317,45 +321,32 @@ def transcripts_dataset(
     ``doc_id % n == pid`` (checkpoint/resume partitioning — a pure function
     of the input, never of execution order).  At real scale this filter is
     file/row-group pruning; on the single-file test tables it's a cheap
-    vectorized post-read filter.
+    vectorized post-read filter (:func:`doc_slice`).
 
-    ``fuse=True`` (task-based consumers only) lets Ray fuse the explode
-    stage with the downstream map into one task per block — cutting
-    per-task scheduling overhead, which dominates small-block local runs.
-    Actor-pool consumers MUST keep the default: a fused task+actor stage
-    applies the downstream ``batch_size`` to PRE-explosion row counts and
-    collapses the stage to a handful of tasks.
+    The read is cut into :func:`fused_blocks` blocks, and Ray fuses the
+    explode stage with the downstream map into one task per block,
+    cutting per-task scheduling overhead, which dominates small-block
+    local runs.
 
-    A fused plan also runs without Ray Data's per-operator resource
-    reservation (``op_resource_reservation_enabled``), set on the read's
-    own DataContext copy, which every dataset derived from it shares; the
+    The plan runs without Ray Data's per-operator resource reservation
+    (``op_resource_reservation_enabled``), set on the read's own
+    DataContext copy, which every dataset derived from it shares; the
     session default is untouched.  The reservation sets a share of the
     CPUs aside for every operator, the sort and final combine included,
     so on a fused all-task plan it throttled the extract map.  Measured
     at 4 Ray CPUs on 600k turns (30k × ``replicate=20``):
     ``triples_dataset`` 3.45 s a pass with it, 1.34 s without; the std
-    ``mentions_dataset`` 1.12 → 0.77 s.  The actor-pool plans keep it:
-    there it keeps the actors from starving the read and derive.
+    ``mentions_dataset`` 1.12 → 0.77 s.
     """
-    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.pipelines.common import _cpus
+    from nativeextractor_ray.sources.tables import read_table, table_nrows
 
-    blocks = None
-    if fuse:
-        from nativeextractor_ray.pipelines.common import _cpus
-        from nativeextractor_ray.sources.tables import table_nrows
-
-        blocks = fused_blocks(table_nrows(sf_dir, "documents"), replicate, _cpus())
+    blocks = fused_blocks(table_nrows(sf_dir, "documents"), replicate, _cpus())
     ds = read_table(sf_dir, "documents", ["doc_id", "text"], blocks=blocks)
-    if fuse:
-        ds.context.op_resource_reservation_enabled = False
+    ds.context.op_resource_reservation_enabled = False
     if doc_partition is not None:
-        pid, n_parts = doc_partition
-
-        def part_filter(t: pa.Table) -> pa.Table:
-            mask = (t.column("doc_id").to_numpy() % n_parts) == pid
-            return t.filter(pa.array(mask))
-
-        ds = ds.map_batches(part_filter, batch_format="pyarrow")
+        ds = ds.map_batches(doc_slice, batch_format="pyarrow",
+                            fn_args=doc_partition)
     if replicate == 1:
         return ds.map_batches(derive_transcripts_table, batch_format="pyarrow")
 
@@ -373,12 +364,4 @@ def transcripts_dataset(
         ]
         return derive_transcripts_table(pa.concat_tables(shifted).combine_chunks())
 
-    if fuse:
-        return ds.map_batches(explode, batch_format="pyarrow", batch_size=64)
-    # small input batches: each task's output is replicate× larger.  The
-    # distinct num_cpus blocks operator fusion with the downstream actor
-    # stage — fused, the downstream batch_size would apply to the
-    # PRE-explosion row count and collapse the stage to ~5 tasks.
-    return ds.map_batches(
-        explode, batch_format="pyarrow", batch_size=64, num_cpus=0.5
-    )
+    return ds.map_batches(explode, batch_format="pyarrow", batch_size=64)

@@ -64,6 +64,9 @@ from nativeextractor_ray.stages.miner_pool import (
     scan_batch,
 )
 
+#: ``part`` of a triple partial: ``stable_part(subj, pred, obj)`` mod this
+N_TRIPLE_PARTS = 256
+
 TRIPLE_PARTIAL_SCHEMA = pa.schema(
     [
         ("subj", pa.string()),
@@ -236,4 +239,5 @@ class KgExtract:
         )
         # process-stable partition key for the downstream coarse combine
         # (builtin hash() is salted per process and would split keys)
-        return out.append_column("part", stable_part(out, ["subj", "pred", "obj"], 256))
+        return out.append_column("part", stable_part(out, ["subj", "pred", "obj"],
+                                                      N_TRIPLE_PARTS))

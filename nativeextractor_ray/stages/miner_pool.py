@@ -1,15 +1,19 @@
-"""MinerPool — the actor-pool analogue of ``extractor_c`` + its miners.
+"""MinerPool — the Ray Data analogue of ``extractor_c`` + its miners.
 
 The reference builds an extractor once (compiling tries / globs / regex
 .so modules) and reuses it for unlimited inputs
 (``/root/reference/src/extractor.c:517-564``, README "Native RegExps":
 compile once, use unlimited times).  Here that economics maps to a callable
-passed to ``ds.map_batches``: miners are compiled once in ``__init__``
-(from picklable specs — compiled automata hold closures that must not
-cross process boundaries) — a pre-built instance in task mode for cheap
-specs, or the class with ``concurrency=N`` as an actor pool for costly
-ones — and ``__call__`` processes one Arrow batch per invocation,
-emitting one mention row per occurrence.
+passed to ``ds.map_batches``: miners are compiled in ``__init__`` from
+picklable specs, and ``__call__`` processes one Arrow batch per
+invocation, emitting one mention row per occurrence.  A pickled pool
+carries only its specs and flags (``__reduce__``): unpickling resolves
+through :func:`_pool`, which builds each distinct pool once per worker
+process and hands the same instance to every later task there — an
+actor's once-per-``__init__`` build, with no CPU held between tasks.
+Compiled automata never cross a process boundary, and an ``ObjectRef``
+gazetteer in a spec resolves in the worker.  The class also still runs
+as an actor stage (``map_batches(MinerPool, fn_constructor_args=...)``).
 
 **The scan contract.**  :func:`scan_batch` is the one batch scan, here and
 in ``KgExtract``.  It returns :class:`Spans`: per mention its batch row,
@@ -311,6 +315,28 @@ def build_miners(specs: Sequence[MinerSpec]) -> list[Miner]:
     ]
 
 
+#: pools built in this process by :func:`_pool`, oldest first
+_POOLS: dict = {}
+_MAX_POOLS = 8
+
+
+def _pool(specs: tuple, no_enclosed: bool, sort: bool, carry: tuple) -> "MinerPool":
+    """The pool an unpickled :class:`MinerPool` resolves to: built on the
+    first load in this process, the same instance on every later one.
+    Keyed on ``repr(specs)`` and the flags; a spec whose repr is an
+    object address (``<... at 0x...>``) names no content, so it is built
+    afresh.  At most ``_MAX_POOLS`` stay cached, the oldest dropped first."""
+    key = (repr(specs), no_enclosed, sort, carry)
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = MinerPool(specs, no_enclosed=no_enclosed, sort=sort, carry=carry)
+        if " at 0x" not in key[0]:
+            if len(_POOLS) >= _MAX_POOLS:
+                del _POOLS[next(iter(_POOLS))]
+            _POOLS[key] = pool
+    return pool
+
+
 class MinerPool:
     def __init__(
         self,
@@ -320,7 +346,8 @@ class MinerPool:
         sort: bool = True,
         carry: Sequence[str] = (),
     ):
-        self.miners = build_miners(specs)
+        self.specs = tuple(tuple(s) for s in specs)
+        self.miners = build_miners(self.specs)
         self.no_enclosed = no_enclosed
         self.sort = sort
         self.carry = tuple(carry)
@@ -331,6 +358,9 @@ class MinerPool:
         self._labels = pa.array(labels, pa.string())
         ranks = {l: i for i, l in enumerate(sorted(set(labels)))}
         self._label_rank = np.asarray([ranks[l] for l in labels], dtype=np.int64)
+
+    def __reduce__(self):
+        return _pool, (self.specs, self.no_enclosed, self.sort, self.carry)
 
     def _call_fast(self, batch: pa.Table) -> pa.Table:
         """Vectorized batch path: the :class:`Spans` of :func:`scan_batch`

@@ -61,22 +61,23 @@ def partition_mentions(sf_dir: str, pid: int, n_partitions: int, replicate: int 
     return mentions_dataset(sf_dir, replicate=replicate, doc_partition=(pid, n_partitions))
 
 
+def _documents_slice(sf_dir: str, pid: int, n_partitions: int):
+    """``(doc_id, text)`` of the documents in the input slice
+    ``doc_id % n_partitions == pid``."""
+    from nativeextractor_ray.sources.tables import read_table
+    from nativeextractor_ray.sources.transcripts import doc_slice
+
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return ds.map_batches(doc_slice, batch_format="pyarrow", fn_args=(pid, n_partitions))
+
+
 def partition_dedup_exact(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):
     """Per-partition exact-dedup partials: md5 groups WITHIN the slice
     (doc_id % n_partitions); finalize merges them with the same
     associative combine (min keep_id, sum n_dups per key)."""
-    import numpy as np
-
     from nativeextractor_ray.pipelines.dedup import dedup_exact_from
-    from nativeextractor_ray.sources.tables import read_table
 
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
-
-    def part_filter(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        return t.filter(pa.array(ids % n_partitions == pid))
-
-    return dedup_exact_from(ds.map_batches(part_filter, batch_format="pyarrow"))
+    return dedup_exact_from(_documents_slice(sf_dir, pid, n_partitions))
 
 
 def partition_redact(sf_dir: str, pid: int, n_partitions: int, replicate: int = 1):
@@ -84,18 +85,14 @@ def partition_redact(sf_dir: str, pid: int, n_partitions: int, replicate: int = 
     are disjoint, so finalize is a concat; manifest counters sum the
     per-doc redaction counts."""
     from nativeextractor_ray.pipelines.curation import redact_batch
-    from nativeextractor_ray.sources.tables import read_table
-
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def red(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        t2 = t.filter(pa.array(ids % n_partitions == pid))
-        txt, n = redact_batch(t2.column("text"))
-        return pa.table({"doc_id": t2.column("doc_id"),
+        txt, n = redact_batch(t.column("text"))
+        return pa.table({"doc_id": t.column("doc_id"),
                          "text_redacted": txt, "n_redacted": n})
 
-    return ds.map_batches(red, batch_format="pyarrow")
+    return _documents_slice(sf_dir, pid, n_partitions).map_batches(
+        red, batch_format="pyarrow")
 
 
 def partition_quality_gate(sf_dir: str, pid: int, n_partitions: int,
@@ -107,20 +104,16 @@ def partition_quality_gate(sf_dir: str, pid: int, n_partitions: int,
     import pyarrow.compute as pc_
 
     from nativeextractor_ray.pipelines.textstats import TOKEN_RE, _count
-    from nativeextractor_ray.sources.tables import read_table
-
-    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def gate(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        t2 = t.filter(pa.array(ids % n_partitions == pid))
-        n_tokens = _count(t2.column("text"), TOKEN_RE)
+        n_tokens = _count(t.column("text"), TOKEN_RE)
         passed = pc_.cast(pc_.greater_equal(n_tokens, 10), pa.int64())
-        return pa.table({"doc_id": t2.column("doc_id"),
+        return pa.table({"doc_id": t.column("doc_id"),
                          "n_tokens": pc_.cast(n_tokens, pa.int64()),
                          "n_pass": passed})
 
-    return ds.map_batches(gate, batch_format="pyarrow")
+    return _documents_slice(sf_dir, pid, n_partitions).map_batches(
+        gate, batch_format="pyarrow")
 
 
 #: checkpointable pipelines: name -> (partition factory, finalize combiner,

@@ -148,10 +148,10 @@ for cpus in (1, 2):
 
 
 def test_custom_spec_mentions_complete_on_one_and_two_cpus(sf_dir, tmp_path):
-    """A custom-spec mention scan (an actor pool from 2 CPUs up) must not
-    wait for CPUs the cluster does not have: at 1 CPU an actor would hold
-    the only CPU, and at 2 CPUs a 2-actor pool would hold both, starving
-    the read tasks that feed it."""
+    """A custom-spec mention scan must not wait for CPUs the cluster does
+    not have.  It runs as tasks, as every spec set does, holding no CPU
+    between them; an actor stage here once held the only CPU at 1 CPU,
+    and both at 2 CPUs, starving the read tasks that feed it."""
     import os
     import signal
     import subprocess
