@@ -12,9 +12,12 @@ for true random permutations that vectorizes over numpy uint64 without
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import numpy as np
+
+from nativeextractor_ray.miners.cc import Kernel, text_buffers
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SEED = 42
@@ -23,6 +26,91 @@ _K_DEFAULT = 64
 
 #: the hash every NULL key value gets, whatever its column type
 _NULL_HASH = np.uint64(0x5BD1E9955BD1E995)
+
+# pandas' object hash (``hash_array(categorize=False)``) over Arrow string
+# buffers: SipHash-2-4 keyed with pandas' "0123456789123456", then pandas'
+# splitmix64 finalizer.  A NULL hashes as the string "None", as pandas
+# hashes the None that ``to_numpy`` gives for it.
+_SIPHASH_SRC = r"""
+#include <stdint.h>
+
+#define ROTL(x, b) (((x) << (b)) | ((x) >> (64 - (b))))
+#define ROUND do { \
+    v0 += v1; v1 = ROTL(v1, 13); v1 ^= v0; v0 = ROTL(v0, 32); \
+    v2 += v3; v3 = ROTL(v3, 16); v3 ^= v2; \
+    v0 += v3; v3 = ROTL(v3, 21); v3 ^= v0; \
+    v2 += v1; v1 = ROTL(v1, 17); v1 ^= v2; v2 = ROTL(v2, 32); } while (0)
+
+static uint64_t le64(const uint8_t *p, long n) {
+    uint64_t m = 0;
+    for (long i = n - 1; i >= 0; i--) m = (m << 8) | p[i];
+    return m;
+}
+
+static uint64_t siphash(const uint8_t *p, long n, uint64_t k0, uint64_t k1) {
+    uint64_t v0 = 0x736f6d6570736575ULL ^ k0, v1 = 0x646f72616e646f6dULL ^ k1;
+    uint64_t v2 = 0x6c7967656e657261ULL ^ k0, v3 = 0x7465646279746573ULL ^ k1;
+    uint64_t m;
+    long i = 0;
+    for (; i + 8 <= n; i += 8) {
+        m = le64(p + i, 8);
+        v3 ^= m; ROUND; ROUND; v0 ^= m;
+    }
+    m = ((uint64_t)n << 56) | le64(p + i, n - i);
+    v3 ^= m; ROUND; ROUND; v0 ^= m;
+    v2 ^= 0xff; ROUND; ROUND; ROUND; ROUND;
+    m = v0 ^ v1 ^ v2 ^ v3;
+    m ^= m >> 30; m *= 0xBF58476D1CE4E5B9ULL;
+    m ^= m >> 27; m *= 0x94D049BB133111EBULL;
+    return m ^ (m >> 31);
+}
+
+void nxr_string_hash(const int64_t *off, const uint8_t *data, const uint8_t *valid,
+                     long voff, long n, uint64_t *out) {
+    const uint8_t *key = (const uint8_t *)"0123456789123456";
+    uint64_t k0 = le64(key, 8), k1 = le64(key + 8, 8);
+    for (long r = 0; r < n; r++) {
+        long v = voff + r;
+        if (valid && !((valid[v >> 3] >> (v & 7)) & 1))
+            out[r] = siphash((const uint8_t *)"None", 4, k0, k1);
+        else
+            out[r] = siphash(data + off[r], off[r + 1] - off[r], k0, k1);
+    }
+}
+"""
+
+_P = ctypes.c_void_p
+_KERNEL = Kernel("siphash", _SIPHASH_SRC, {
+    "nxr_string_hash": (None, [_P, _P, _P, ctypes.c_long, ctypes.c_long, _P]),
+})
+
+
+def string_hash(col) -> np.ndarray:
+    """Per-row uint64 hash of a string column, bit-identical to
+    ``pandas.util.hash_array(col.to_numpy(), categorize=False)``: the
+    native kernel over the column's Arrow buffers, or pandas itself under
+    ``NXR_NO_CC=1`` or without a compiler.  Other types are cast to
+    string first."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from pandas.util import hash_array
+
+    if isinstance(col, pa.ChunkedArray):
+        if col.num_chunks != 1:
+            return np.concatenate([string_hash(c) for c in col.chunks]
+                                  or [np.zeros(0, np.uint64)])
+        col = col.chunk(0)
+    if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
+        col = pc.cast(col, pa.string())
+    lib = _KERNEL.lib()
+    if lib is None:
+        return hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
+    valid, voff, offs, data = text_buffers(col)
+    out = np.empty(len(col), np.uint64)
+    lib.nxr_string_hash(offs.ctypes.data, data.ctypes.data,
+                        None if valid is None else valid.ctypes.data, voff,
+                        len(col), out.ctypes.data)
+    return out
 
 
 def _is_num(typ) -> bool:
@@ -33,12 +121,13 @@ def _is_num(typ) -> bool:
 
 
 def _column_hash(col) -> np.ndarray:
-    """Per-row uint64 siphash of one key column.  Each non-null value
+    """Per-row uint64 hash of one key column.  Each non-null value
     hashes on its own bits: integer / temporal / boolean values as int64
-    (a uint64 reinterpreted, so values at or above 2^63 hash too),
-    floats as float64, everything else as its string.  A NULL gets
-    ``_NULL_HASH``; the nulls are filled before ``to_numpy``, so a NULL
-    never turns the batch's integers into floats and moves their hash."""
+    (a uint64 reinterpreted, so values at or above 2^63 hash too) and
+    floats as float64, both through ``hash_array``; everything else as
+    its string (:func:`string_hash`).  A NULL gets ``_NULL_HASH``; the
+    nulls are filled before ``to_numpy``, so a NULL never turns the
+    batch's integers into floats and moves their hash."""
     import pyarrow as pa
     import pyarrow.compute as pc
     from pandas.util import hash_array
@@ -46,14 +135,13 @@ def _column_hash(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     typ = col.type
-    if pa.types.is_floating(typ):
-        arr = pc.fill_null(col, 0)
-    elif _is_num(typ):
-        arr = pc.fill_null(pc.cast(col, pa.int64(),
-                                   safe=not pa.types.is_uint64(typ)), 0)
+    if not _is_num(typ):
+        h = string_hash(col)
     else:
-        arr = pc.cast(col, pa.string())
-    h = hash_array(arr.to_numpy(zero_copy_only=False), categorize=False)
+        arr = col if pa.types.is_floating(typ) else pc.cast(
+            col, pa.int64(), safe=not pa.types.is_uint64(typ))
+        h = hash_array(pc.fill_null(arr, 0).to_numpy(zero_copy_only=False),
+                       categorize=False)
     if col.null_count:
         h[~pc.is_valid(col).to_numpy(zero_copy_only=False)] = _NULL_HASH
     return h
@@ -61,39 +149,36 @@ def _column_hash(col) -> np.ndarray:
 
 def stable_part(t, keys: list[str], n: int):
     """Vectorized process-stable partition key over table columns:
-    per-column ``pandas.util.hash_array`` (siphash with a fixed key —
-    stable across processes and nodes, unlike builtin ``hash``) mixed
-    with a golden-ratio multiply-xor chain → mod ``n``.  Replaces per-row
-    Python crc32 loops on 10^12-row paths (VERDICT r1 item 5).  Returns
-    an int64 pyarrow Array.
+    per-column siphash with a fixed key (stable across processes and
+    nodes, unlike builtin ``hash``; :func:`_column_hash`) mixed with a
+    golden-ratio multiply-xor chain → mod ``n``.  Returns an int64
+    pyarrow Array.  A row's part depends on its own key values only,
+    never on the other rows of its batch.
 
     Numeric / temporal / boolean columns hash their raw int64/float64
-    view directly — no string cast, no element-wise join (the string
-    render was the dominant cost of the two conv_digest_salted shuffles,
-    VERDICT r2 item 5); only genuinely string-ish columns pay the object
-    hash.  A row's part depends on its own key values only, never on the
-    other rows of its batch (:func:`_column_hash`).
+    view directly, with no string cast or element-wise join; string
+    columns go through :func:`string_hash`, the native kernel that gives
+    ``hash_array(categorize=False)``'s values without building a Python
+    object per row.
 
-    ``categorize=False`` is load-bearing: with the default categorize=True,
-    pandas 2.2's object-array path returns values that depend on the
-    factorize order of the WHOLE array — the same string hashes differently
-    in different batches, which silently splits keys across partitions
-    (caught by test_checkpoint.py::test_partitioned_equals_direct)."""
+    An all-string multi-key hashes ONE NUL-joined string per row
+    instead — the triples-dedup shape.  Its values are the ``part`` of
+    every triple partial, checkpoint partition and triples exchange, so
+    the join stays even where per-column hashing would cost the same.
+
+    ``categorize=False`` is load-bearing for the ``hash_array`` fallback:
+    with the default categorize=True, pandas 2.2's object-array path
+    returns values that depend on the factorize order of the WHOLE array —
+    the same string hashes differently in different batches, which
+    silently splits keys across partitions (caught by
+    test_checkpoint.py::test_partitioned_equals_direct)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from pandas.util import hash_array
 
     if len(keys) > 1 and not any(_is_num(t.column(k).type) for k in keys):
-        # all-string multi-key: ONE object-hash pass over an element-wise
-        # join beats per-column hashing 2× (the per-element object overhead
-        # of hash_array dominates, not the bytes) — the triples-dedup shape
         cols = [pc.cast(t.column(k), pa.string()).combine_chunks()
                 for k in keys]
-        joined = pc.binary_join_element_wise(*cols, "\x00")
-        if isinstance(joined, pa.ChunkedArray):
-            joined = joined.combine_chunks()
-        h = hash_array(joined.to_numpy(zero_copy_only=False),
-                       categorize=False)
+        h = string_hash(pc.binary_join_element_wise(*cols, "\x00"))
         return pa.array((h % np.uint64(n)).astype(np.int64))
 
     acc = None

@@ -73,12 +73,12 @@ def _labels_checksum(labels) -> int:
 
 def _hash_col(col) -> "object":
     """Vectorized process-stable int64 hash of a string column
-    (pandas siphash, categorize=False — see stable_part)."""
+    (:func:`~nativeextractor_ray.functions.hashing.string_hash`)."""
     import numpy as np
-    from pandas.util import hash_array
 
-    arr = col.combine_chunks().to_numpy(zero_copy_only=False)
-    return hash_array(arr, categorize=False).view(np.int64)
+    from nativeextractor_ray.functions.hashing import string_hash
+
+    return string_hash(col).view(np.int64)
 
 
 def connected_components_ds(edges, max_iters: int = 30):

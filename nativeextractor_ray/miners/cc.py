@@ -1,6 +1,7 @@
-"""The one loader of the four native kernels: the scans ``dfacc``,
-``globcc`` and ``stdcc``, and the transcripts derive in
-``sources/transcripts.py``.
+"""The one loader of the five native kernels: the scans ``dfacc``,
+``globcc`` and ``stdcc``, the transcripts derive in
+``sources/transcripts.py`` and the string hash in
+``functions/hashing.py``.
 
 Each kernel is one C source string, compiled once per machine with
 ``gcc -O2`` into a ``.so`` named by the md5 of its source in the temp

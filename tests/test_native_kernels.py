@@ -9,12 +9,13 @@ import shutil
 
 import pytest
 
+from nativeextractor_ray.functions import hashing
 from nativeextractor_ray.miners import dfacc, globcc, stdcc
 from nativeextractor_ray.miners.cc import Kernel
 from nativeextractor_ray.sources import transcripts
 
 KERNELS = {"dfacc": dfacc._KERNEL, "globcc": globcc._KERNEL, "stdcc": stdcc._KERNEL,
-           "derive": transcripts._KERNEL}
+           "derive": transcripts._KERNEL, "siphash": hashing._KERNEL}
 
 needs_gcc = pytest.mark.skipif(
     shutil.which("gcc") is None or bool(os.environ.get("NXR_NO_CC")),
